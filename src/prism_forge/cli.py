@@ -369,7 +369,7 @@ def _check_ftransform(sc: Scenario, params: dict) -> CheckResult:
         "rank": rank,
         "source_dims": rep.source_dims,
         "target_dims": rep.target_dims,
-        "quasi_iso": rep.quasi_iso,
+        "quasi_iso": rep.quasi_iso.passed,
         "detail": rep.detail,
     }
     lines = [
@@ -377,7 +377,7 @@ def _check_ftransform(sc: Scenario, params: dict) -> CheckResult:
         f" window {window}:",
         f"  source F_p-cohomology dims: {rep.source_dims}",
         f"  target F_p-cohomology dims: {rep.target_dims}",
-        f"  quasi-isomorphism: {'yes' if rep.quasi_iso else 'NO'}",
+        f"  quasi-isomorphism: {'yes' if rep.quasi_iso.passed else 'NO'}",
     ]
     return CheckResult("ftransform", rep.passed, info, lines)
 
@@ -440,11 +440,11 @@ def _check_cotangent(sc: Scenario, params: dict) -> CheckResult:
     ring = sc.ring(pd_cap=max(sc.pd_degree, cap + 1))
     lift = sc.lift(ring)
     rep = cotangent_comparison(lift, sc.cut, cap)
-    info = {"cap": cap, "quasi_iso": rep.quasi_iso, "detail": rep.detail}
+    info = {"cap": cap, "quasi_iso": rep.quasi_iso.passed, "detail": rep.detail}
     lines = [
         f"cotangent comparison, cut {{{', '.join(sc.cut)}}} in {sc.ring_text},"
         f" cap {cap}:",
-        f"  quasi-isomorphism: {'yes' if rep.quasi_iso else 'NO'}",
+        f"  quasi-isomorphism: {'yes' if rep.quasi_iso.passed else 'NO'}",
     ]
     return CheckResult("cotangent", rep.passed, info, lines)
 
@@ -529,7 +529,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     sc = load_scenario(args.scenario)
     sc = Scenario(**{**sc.__dict__, "seed": _seed_override(sc.seed)})
     passed, report, lines = run_scenario(sc)
-    out = args.out or str(Path(args.scenario).with_suffix(".report.json"))
+    out = args.out or Path(args.scenario).stem + ".report.json"
     _write_report(report, out)
     for line in lines:
         print(line)
@@ -606,7 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", help="write the JSON report here")
 
-    run_p = sub.add_parser("run", parents=[common], help="run a scenario file")
+    run_p = sub.add_parser(
+        "run", parents=[common],
+        help="run a scenario file (report defaults to ./<stem>.report.json)",
+    )
     run_p.add_argument("scenario")
     run_p.set_defaults(func=_cmd_run)
 

@@ -1,12 +1,19 @@
-"""Integer Smith normal form and cohomology of complexes over Z/p^N.
+"""Cohomology of complexes over Z/p^N, Smith normal form, mapping cones.
 
-Matrices are plain lists of integer rows.  The Smith decomposition
-tracks both change-of-basis matrices and their inverses, so kernels and
-cokernels modulo p^N come out as explicit lattices: the kernel of D is
-spanned by the columns of V * diag(p^e), and the cohomology group at a
-given degree is the cokernel of the previous differential rewritten in
-that kernel basis.  Every invariant factor of such a cokernel must be a
-p-power dividing p^N; the code asserts this rather than assuming it.
+Matrices are plain lists of integer rows.  Cohomology is computed over
+the local ring Z/p^N itself: the basis of C^q splits into blocks on
+which the complex is a direct sum, and in each block d^q is eliminated
+with pivots of least p-adic valuation, whose column operations are
+replayed on d^(q-1).  That gives the kernel of d^q as a lattice of
+generators p^(N-v) e_j and the image in those generators; a second
+elimination reads off the quotient's elementary divisors.  Entries stay
+residues below p^N (Dumas, Saunders & Villard, "On efficient sparse
+integer matrix Smith normal form computations", J. Symb. Comput. 32,
+2001, specialised to the local ring).
+
+The integer Smith decomposition, with both change-of-basis matrices and
+their inverses, stays for callers that want explicit lattices over Z:
+kernel_basis_mod_prime_power reads the kernel mod p^N off it.
 
 A chain map between complexes with matching degree ranges yields a
 mapping cone; since all terms are finite free Z/p^N-modules, the cone is
@@ -17,7 +24,7 @@ quasi-isomorphism test to rank counts over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .padic import Modulus
 
@@ -59,14 +66,6 @@ def mat_mul(a: Matrix, b: Matrix, inner: Optional[int] = None) -> Matrix:
 
 def mat_vec(a: Matrix, x: Sequence[int]) -> List[int]:
     return [sum(v * w for v, w in zip(row, x)) for row in a]
-
-
-def _hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return [row[:] for row in b]
-    if not b:
-        return [row[:] for row in a]
-    return [ra + rb for ra, rb in zip(a, b)]
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -342,13 +341,115 @@ class CohomologyGroup:
         return " + ".join(f"Z/{p}^{e}" if e > 1 else f"Z/{p}" for e in self.exponents)
 
 
+def _sparse_row(row: Sequence[int], pN: int) -> Dict[int, int]:
+    """The nonzero residues mod p^N of one matrix row, keyed by column."""
+    return {j: x % pN for j, x in enumerate(row) if x and x % pN}
+
+
+def _eliminate(
+    rows: List[Dict[int, int]],
+    p: int,
+    pN: int,
+    on_pivot: Optional[Callable[[int, Dict[int, int]], None]] = None,
+) -> List[Tuple[int, int]]:
+    """Diagonalize sparse rows over Z/p^N; (column, valuation) per pivot.
+
+    Each step pivots on an entry of least p-adic valuation, ties going to
+    the earliest remaining row and then the smallest column.  Every entry
+    left is then a multiple of the pivot, so row operations clear the
+    pivot column; the row operations are not recorded.  The pivot row is
+    cleared by column operations, which touch no other row once its
+    column is clear: column k loses t_k times the pivot column, and
+    on_pivot(column, {k: t_k}) hears of them.  The rows are consumed.
+    """
+    active = [row for row in rows if row]
+    pivots: List[Tuple[int, int]] = []
+    while active:
+        best = None
+        for r, row in enumerate(active):
+            for col, x in row.items():
+                key = (_int_valuation(x, p), r, col)
+                if best is None or key < best:
+                    best = key
+            if best[0] == 0:
+                break
+        best_v, best_r, best_c = best
+        prow = active.pop(best_r)
+        scale = p ** best_v
+        inv = pow(prow.pop(best_c) // scale, -1, pN)
+        for row in active:
+            b = row.pop(best_c, 0)
+            if b:
+                f = b // scale * inv % pN
+                for col, c in prow.items():
+                    x = (row.get(col, 0) - f * c) % pN
+                    if x:
+                        row[col] = x
+                    else:
+                        row.pop(col, None)
+        if on_pivot is not None:
+            on_pivot(best_c, {k: c // scale * inv % pN for k, c in prow.items()})
+        pivots.append((best_c, best_v))
+        active = [row for row in active if row]
+    return pivots
+
+
+def _blocks(n: int, d_out: List[Dict[int, int]], image: List[Dict[int, int]]):
+    """Split the basis of C^q into the components of the support graph.
+
+    Two basis elements are joined when a row of d^q or a column of
+    d^(q-1) touches both.  Yields (members, rows of d^q on them) per
+    component, in order of least member.
+    """
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        i, j = find(i), find(j)
+        if i != j:
+            parent[max(i, j)] = min(i, j)
+
+    for row in d_out:
+        cols = iter(row)
+        first = next(cols, None)
+        for j in cols:
+            union(first, j)
+    first_row: Dict[int, int] = {}
+    for i, row in enumerate(image):
+        for c in row:
+            union(first_row.setdefault(c, i), i)
+    members: Dict[int, List[int]] = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    rows: Dict[int, List[Dict[int, int]]] = {}
+    for row in d_out:
+        if row:
+            rows.setdefault(find(next(iter(row))), []).append(row)
+    for root, block in members.items():
+        yield block, rows.get(root, [])
+
+
 def cohomology(cx: FiniteComplex, q: int) -> CohomologyGroup:
     """H^q as an explicit finite abelian p-group.
 
-    The kernel of the outgoing differential is the lattice spanned by
-    V * diag(p^e); the incoming image (augmented by p^N times the
-    identity, which is zero in the ring) is rewritten in that basis by
-    exact row division, and one more Smith pass reads off the quotient.
+    Entries are reduced mod p^N and the basis of C^q is split into the
+    blocks on which the complex is a direct sum (see _blocks); each block
+    is done on its own.  Eliminating d^q with minimal-valuation pivots
+    puts it in diagonal form in new coordinates of C^q: a pivot of
+    valuation v at e_j gives the kernel generator p^(N-v) e_j, and a
+    column with no pivot gives e_j.  The column operations are replayed
+    as the inverse row operations on d^(q-1), which rewrites the image in
+    the new coordinates; dividing row j exactly by p^(N-v) expresses it
+    in the kernel generators, and p^v on the diagonal (the augmentation
+    by p^N) says that generator j has order p^v.  A second elimination
+    reads the quotient: its pivot valuations are the exponents, and a
+    row with no pivot is a free summand Z/p^N.  Entries stay below p^N
+    throughout.
     """
     modulus = cx.modulus
     p, N = modulus.p, modulus.N
@@ -356,50 +457,46 @@ def cohomology(cx: FiniteComplex, q: int) -> CohomologyGroup:
     n = cx.rank(q)
     if n == 0:
         return CohomologyGroup(modulus, ())
-    d_out = cx.differential(q)
-    if d_out is None:
-        d_out = zero_matrix(0, n)
-    dec = smith_normal_form(d_out, rows=len(d_out), cols=n)
-    exps = []
-    for i in range(n):
-        if i < min(len(d_out), n) and dec.S[i][i] != 0:
-            v = min(N, _int_valuation(dec.S[i][i], p))
-        else:
-            v = N
-        exps.append(N - v)
-
+    d_out = [_sparse_row(row, pN) for row in cx.differential(q) or ()]
     d_in = cx.differential(q - 1)
-    m_aug = _hstack(
-        d_in if d_in is not None else zero_matrix(n, 0),
-        [[pN if i == j else 0 for j in range(n)] for i in range(n)],
-    )
-    w = mat_mul(dec.Vinv, m_aug, inner=n)
-    g: Matrix = []
-    for i in range(n):
-        scale = p ** exps[i]
-        row = []
-        for v in w[i]:
-            if v % scale:
-                raise ArithmeticError(
-                    "image does not lie in the kernel lattice; "
-                    "the complex is not a complex"
-                )
-            row.append(v // scale)
-        g.append(row)
+    # row i of d^(q-1): the image's coordinates at basis element i of C^q
+    image = ([_sparse_row(row, pN) for row in d_in] if d_in is not None
+             else [{} for _ in range(n)])
 
-    quot = smith_normal_form(g, rows=n, cols=len(g[0]) if g else 0)
-    out = []
-    for f in quot.divisors:
-        if f == 0:
-            raise ArithmeticError("cokernel is not killed by p^N")
-        k = _int_valuation(f, p)
-        if f != p ** k:
-            raise ArithmeticError(f"invariant factor {f} is not a p-power")
-        if k == 0:
-            continue
-        if k > N:
-            raise ArithmeticError(f"invariant factor exponent {k} exceeds {N}")
-        out.append(k)
+    def mirror(j: int, mult: Dict[int, int]) -> None:
+        # column k -= t * column j of d^q is row j += t * row k of d^(q-1)
+        wj = image[j]
+        for k, t in mult.items():
+            for c, x in image[k].items():
+                y = (wj.get(c, 0) + t * x) % pN
+                if y:
+                    wj[c] = y
+                else:
+                    wj.pop(c, None)
+
+    out: List[int] = []
+    for block, rows in _blocks(n, d_out, image):
+        valuation = dict(_eliminate(rows, p, pN, mirror))
+        gens = []
+        for i in block:
+            v = valuation.get(i, N)
+            scale = p ** (N - v)
+            row = {}
+            for c, x in image[i].items():
+                if x % scale:
+                    raise ArithmeticError(
+                        "image does not lie in the kernel lattice; "
+                        "the complex is not a complex"
+                    )
+                row[c] = x // scale
+            if v == 0:
+                continue
+            if v < N:
+                row[-1 - i] = p ** v
+            gens.append(row)
+        divisors = [v for _, v in _eliminate(gens, p, pN)]
+        out.extend(v for v in divisors if v)
+        out.extend([N] * (len(gens) - len(divisors)))
     return CohomologyGroup(modulus, tuple(sorted(out)))
 
 

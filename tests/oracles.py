@@ -255,3 +255,93 @@ def scalar_add(a, b):
     for m, c in b.terms.items():
         acc[m] = acc[m] + c if m in acc else c
     return Element(a.ring, acc, a.truncated or b.truncated)
+
+
+# ---------------------------------------------------------------------------
+# Cohomology through the integer Smith normal form.
+#
+# H^q as the library first computed it: the integer Smith form of d^q
+# with its four transforms, the incoming image rewritten through V^-1 and
+# divided down to the kernel lattice, and a second Smith form for the
+# quotient.  Entries grow without bound, so it is slow, but every step is
+# a plain integer identity.  The library eliminates over Z/p^N block by
+# block instead and must give the same exponents.
+# ---------------------------------------------------------------------------
+
+
+def _hstack(a, b):
+    if not a:
+        return [row[:] for row in b]
+    if not b:
+        return [row[:] for row in a]
+    return [ra + rb for ra, rb in zip(a, b)]
+
+
+def snf_cohomology(cx, q):
+    """H^q as an explicit finite abelian p-group.
+
+    The kernel of the outgoing differential is the lattice spanned by
+    V * diag(p^e); the incoming image (augmented by p^N times the
+    identity, which is zero in the ring) is rewritten in that basis by
+    exact row division, and one more Smith pass reads off the quotient.
+    """
+    from prism_forge.homology import (
+        CohomologyGroup,
+        Matrix,
+        _int_valuation,
+        mat_mul,
+        smith_normal_form,
+        zero_matrix,
+    )
+
+    modulus = cx.modulus
+    p, N = modulus.p, modulus.N
+    pN = modulus.cardinality
+    n = cx.rank(q)
+    if n == 0:
+        return CohomologyGroup(modulus, ())
+    d_out = cx.differential(q)
+    if d_out is None:
+        d_out = zero_matrix(0, n)
+    dec = smith_normal_form(d_out, rows=len(d_out), cols=n)
+    exps = []
+    for i in range(n):
+        if i < min(len(d_out), n) and dec.S[i][i] != 0:
+            v = min(N, _int_valuation(dec.S[i][i], p))
+        else:
+            v = N
+        exps.append(N - v)
+
+    d_in = cx.differential(q - 1)
+    m_aug = _hstack(
+        d_in if d_in is not None else zero_matrix(n, 0),
+        [[pN if i == j else 0 for j in range(n)] for i in range(n)],
+    )
+    w = mat_mul(dec.Vinv, m_aug, inner=n)
+    g: Matrix = []
+    for i in range(n):
+        scale = p ** exps[i]
+        row = []
+        for v in w[i]:
+            if v % scale:
+                raise ArithmeticError(
+                    "image does not lie in the kernel lattice; "
+                    "the complex is not a complex"
+                )
+            row.append(v // scale)
+        g.append(row)
+
+    quot = smith_normal_form(g, rows=n, cols=len(g[0]) if g else 0)
+    out = []
+    for f in quot.divisors:
+        if f == 0:
+            raise ArithmeticError("cokernel is not killed by p^N")
+        k = _int_valuation(f, p)
+        if f != p ** k:
+            raise ArithmeticError(f"invariant factor {f} is not a p-power")
+        if k == 0:
+            continue
+        if k > N:
+            raise ArithmeticError(f"invariant factor exponent {k} exceeds {N}")
+        out.append(k)
+    return CohomologyGroup(modulus, tuple(sorted(out)))

@@ -94,6 +94,18 @@ class TestBundledScenarios:
         assert "p*s = x" in rels
         assert "p*t^[1] = y - s^2" in rels
 
+    def test_default_report_lands_in_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        scenarios = files("prism_forge") / "scenarios"
+        before = sorted(p.name for p in scenarios.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", scenario_path("poincare_line.json")]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(p.name for p in scenarios.iterdir()) == before
+        report = json.loads((tmp_path / "poincare_line.report.json").read_text())
+        assert report["passed"] is True
+
     def test_exit_codes_through_main(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = main(
@@ -204,7 +216,8 @@ class TestScenarioChecks:
     def run(self, raw):
         return run_scenario(parse_scenario_dict(raw))
 
-    def test_failing_expectation_exits_one(self, tmp_path, capsys):
+    def test_failing_expectation_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "expect.json"
         path.write_text(
             json.dumps(
@@ -245,6 +258,23 @@ class TestScenarioChecks:
             )
         )
         assert passed
+
+    def test_quasi_iso_checks_write_a_report(self, tmp_path, capsys):
+        path, out = tmp_path / "transforms.json", tmp_path / "rep.json"
+        path.write_text(json.dumps(minimal(
+            prime=2,
+            ring="W[x,y]",
+            precision=3,
+            cut=["x"],
+            checks=[
+                {"name": "ftransform", "window": 2, "rank": 1},
+                {"name": "cotangent", "cap": 3},
+            ],
+        )))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.count("quasi-isomorphism: yes") == 2
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["quasi_iso"] for c in checks] == [True, True]
 
     def test_dimensions_stagewise(self):
         passed, report, _ = self.run(

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prism_forge.padic import Modulus
 from prism_forge.homology import (
@@ -24,7 +26,7 @@ from prism_forge.homology import (
     zero_matrix,
 )
 
-from oracles import det_int, minors_gcd_divisors
+from oracles import det_int, minors_gcd_divisors, snf_cohomology
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -270,6 +272,111 @@ class TestCohomologyBruteForce:
             )
             want = brute_group_exponents(d0, r1, modulus, 2)
             assert cohomology(cx, 1).exponents == want
+
+
+# -- local elimination against the integer Smith form --------------------------------
+
+
+@st.composite
+def random_complexes(draw, p=None, N=None, length=None, min_degree=None):
+    """A complex over Z/p^N built from the top differential down.
+
+    The top differential is sparse and random, scaled by p^k (k up to N,
+    so some blocks have no unit entry and some vanish); each lower one
+    has its columns in the kernel lattice of the one above, as random
+    combinations of the generators kernel_basis_mod_prime_power gives.
+    Every entry is then moved by a random multiple of p^N, so entries
+    may be negative or at least p^N.  Ranks may be 0.
+    """
+    p = draw(st.sampled_from((2, 3, 5))) if p is None else p
+    N = draw(st.integers(1, 4)) if N is None else N
+    length = draw(st.integers(1, 4)) if length is None else length
+    min_degree = draw(st.integers(-1, 1)) if min_degree is None else min_degree
+    modulus = Modulus(p, N)
+    pN = p ** N
+    ranks = draw(st.lists(st.integers(0, 6), min_size=length, max_size=length))
+    coeff = st.one_of(st.just(0), st.integers(0, pN - 1))
+
+    def matrix(rows, cols, entries):
+        flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return [flat[r * cols:(r + 1) * cols] for r in range(rows)]
+
+    def shifted(m):
+        shifts = matrix(len(m), len(m[0]) if m else 0, st.integers(-2, 2))
+        return [[x + pN * s for x, s in zip(row, srow)] for row, srow in zip(m, shifts)]
+
+    diffs = []
+    if length > 1:
+        scale = p ** draw(st.integers(0, N))
+        top = matrix(ranks[-1], ranks[-2], coeff)
+        diffs.append(shifted([[x * scale for x in row] for row in top]))
+        for i in range(length - 3, -1, -1):
+            basis, _ = kernel_basis_mod_prime_power(diffs[0], modulus, cols=ranks[i + 1])
+            combo = matrix(ranks[i + 1], ranks[i], coeff)
+            diffs.insert(0, shifted(mat_mul(basis, combo, inner=ranks[i + 1])))
+    return FiniteComplex(modulus, min_degree, tuple(ranks), tuple(diffs))
+
+
+@st.composite
+def shuffled_direct_sums(draw):
+    """Two complexes of one shape and their direct sum, bases interleaved."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 4))
+    a, b = (draw(random_complexes(p, N, length, 0)) for _ in range(2))
+    perms = [draw(st.permutations(range(ra + rb))) for ra, rb in zip(a.ranks, b.ranks)]
+    diffs = []
+    for i, (da, db) in enumerate(zip(a.differentials, b.differentials)):
+        d = zero_matrix(len(perms[i + 1]), len(perms[i]))
+        for off_r, off_c, part in ((0, 0, da), (a.ranks[i + 1], a.ranks[i], db)):
+            for r, row in enumerate(part):
+                for c, x in enumerate(row):
+                    d[perms[i + 1][off_r + r]][perms[i][off_c + c]] = x
+        diffs.append(d)
+    ranks = tuple(len(perm) for perm in perms)
+    return a, b, FiniteComplex(a.modulus, 0, ranks, tuple(diffs))
+
+
+class TestCohomologyAgainstSmithForm:
+    @settings(max_examples=300, deadline=None)
+    @given(random_complexes())
+    def test_exponents_match(self, cx):
+        for q in range(cx.min_degree - 1, cx.max_degree + 2):
+            assert cohomology(cx, q).exponents == snf_cohomology(cx, q).exponents
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_direct_sums())
+    def test_direct_sum_is_union(self, sums):
+        a, b, total = sums
+        for q in range(total.min_degree, total.max_degree + 1):
+            want = tuple(sorted(cohomology(a, q).exponents + cohomology(b, q).exponents))
+            assert cohomology(total, q).exponents == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_complexes(length=3), st.data())
+    def test_rejects_image_outside_kernel(self, cx, data):
+        # d o d was checked at construction; spoil d^0 in place afterwards
+        if not cx.ranks[0] or not cx.ranks[1]:
+            return
+        d0, d1 = cx.differentials
+        pN = cx.modulus.cardinality
+        r = data.draw(st.integers(0, cx.ranks[1] - 1))
+        c = data.draw(st.integers(0, cx.ranks[0] - 1))
+        d0[r][c] += data.draw(st.integers(1, pN - 1))
+        broken = any(v % pN for row in mat_mul(d1, d0, inner=cx.ranks[1]) for v in row)
+        q = cx.min_degree + 1
+        for group in (cohomology, snf_cohomology):
+            if broken:
+                with pytest.raises(ArithmeticError):
+                    group(cx, q)
+            else:
+                group(cx, q)
+
+    def test_rejects_unit_image_under_unit_pivot(self):
+        cx = FiniteComplex(Modulus(3, 2), 0, (1, 1, 1), ([[3]], [[0]]))
+        cx.differentials[1][0][0] = 1
+        with pytest.raises(ArithmeticError):
+            cohomology(cx, 1)
 
 
 # -- chain maps, cones, quasi-isomorphisms ------------------------------------------
