@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .deltaring import FrobeniusLift
 from .derham import (
@@ -297,6 +297,31 @@ def _require_canonical_twist(conn: PConnection, what: str) -> None:
 # -- F-transform and p-transform ------------------------------------------------
 
 
+def _pullback(
+    rf: RelativeFrobenius,
+    pconn: PConnection,
+    coeff: Callable[[str, str], Optional[Element]],
+) -> Dict[str, EMatrix]:
+    """sum_k F(A'[x'_k]) * coeff(x'_k, x) for each unprimed x.
+
+    Pairs where A'[x'_k] is absent or coeff is None or zero contribute
+    nothing; a coordinate with no contribution at all is left out.
+    """
+    out: Dict[str, EMatrix] = {}
+    for x in rf.image_ring.ordinary_gens:
+        acc: Optional[EMatrix] = None
+        for xp in rf.domain_ring.ordinary_gens:
+            amat = pconn.matrix(xp)
+            c = None if amat is None else coeff(xp, x)
+            if c is None or c.is_zero():
+                continue
+            pushed = [[rf.pushforward(entry) * c for entry in row] for row in amat]
+            acc = pushed if acc is None else _e_add(acc, pushed)
+        if acc is not None:
+            out[x] = acc
+    return out
+
+
 def f_transform(rf: RelativeFrobenius, pconn: PConnection) -> PConnection:
     """Untwisted connection induced on the pullback along F.
 
@@ -313,25 +338,9 @@ def f_transform(rf: RelativeFrobenius, pconn: PConnection) -> PConnection:
     if pconn.ring != rf.domain_ring:
         raise ValueError("p-connection does not live on the Frobenius domain")
     _require_canonical_twist(pconn, "the F-transform")
-    img = rf.image_ring
-    n = pconn.rank
-    matrices: Dict[str, EMatrix] = {}
-    for x in img.ordinary_gens:
-        acc: Optional[EMatrix] = None
-        for xp in rf.domain_ring.ordinary_gens:
-            amat = pconn.matrix(xp)
-            if amat is None:
-                continue
-            z = rf.zeta[xp].get(x)
-            if z is None:
-                continue
-            pushed = [
-                [rf.pushforward(entry) * z for entry in row] for row in amat
-            ]
-            acc = pushed if acc is None else _e_add(acc, pushed)
-        if acc is not None and not _e_is_zero(acc):
-            matrices[x] = acc
-    return polynomial_connection(img, rank=n, matrices=matrices)
+    pulled = _pullback(rf, pconn, lambda xp, x: rf.zeta[xp].get(x))
+    matrices = {x: m for x, m in pulled.items() if not _e_is_zero(m)}
+    return polynomial_connection(rf.image_ring, rank=pconn.rank, matrices=matrices)
 
 
 def p_transform(conn: PConnection) -> PConnection:
@@ -363,24 +372,9 @@ def phi_pullback_matrices(
     """
     if pconn.ring != rf.domain_ring:
         raise ValueError("p-connection does not live on the Frobenius domain")
-    img = rf.image_ring
-    out: Dict[str, EMatrix] = {}
-    for x in img.ordinary_gens:
-        acc: Optional[EMatrix] = None
-        for xp in rf.domain_ring.ordinary_gens:
-            amat = pconn.matrix(xp)
-            if amat is None:
-                continue
-            jac = partial_derivative(rf.images[xp], x)
-            if jac.is_zero():
-                continue
-            pushed = [
-                [rf.pushforward(entry) * jac for entry in row] for row in amat
-            ]
-            acc = pushed if acc is None else _e_add(acc, pushed)
-        if acc is not None:
-            out[x] = acc
-    return out
+    return _pullback(
+        rf, pconn, lambda xp, x: partial_derivative(rf.images[xp], x)
+    )
 
 
 def pullback_factorization_failures(
@@ -690,12 +684,11 @@ def check_pcurvature_formula(
 
         Theta[x]^p - F(theta'[x'_k]),
 
-    an exact matrix identity.  The report also verifies that the psi
-    matrices commute with each other and with every Theta.
+    an exact matrix identity.  Theta is f_transform reduced mod p.  The
+    report also verifies that the psi matrices commute with each other
+    and with every Theta.
     """
-    if pconn.ring != rf.domain_ring:
-        raise ValueError("p-connection does not live on the Frobenius domain")
-    _require_canonical_twist(pconn, "the curvature formula")
+    transformed = f_transform(rf, pconn).matrices
     dom1 = rf.domain_ring.at_precision(1)
     img1 = rf.image_ring.at_precision(1)
     n = pconn.rank
@@ -705,22 +698,11 @@ def check_pcurvature_formula(
     }
     images1 = {gp: e.map_to(img1) for gp, e in rf.images.items()}
     theta_pullback: Dict[str, EMatrix] = {}
-    for l, x in enumerate(img1.ordinary_gens):
-        acc = _e_zero(img1, n, n)
-        for xp in dom1.ordinary_gens:
-            z = rf.zeta[xp].get(x)
-            if z is None:
-                continue
-            z1 = z.map_to(img1)
-            pushed = _e_subst(theta_source[xp], images1, img1)
-            acc = _e_add(acc, [[e * z1 for e in row] for row in pushed])
+    for x in img1.ordinary_gens:
+        acc = _e_map_to(transformed.get(x) or _e_zero(rf.image_ring, n, n), img1)
         _e_assert_untruncated(acc, "the transformed twist matrix")
         theta_pullback[x] = acc
-    conn1 = polynomial_connection(
-        img1,
-        rank=n,
-        matrices={x: m for x, m in theta_pullback.items() if not _e_is_zero(m)},
-    )
+    conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
     failures: List[str] = []
     for xp, x in rf.coordinate_pairs():
@@ -822,9 +804,7 @@ def check_pushforward_quasi_iso(
     genuine quotient) and the wedge map is checked to be a
     quasi-isomorphism via its cone.
     """
-    if pconn.ring != rf.domain_ring:
-        raise ValueError("p-connection does not live on the Frobenius domain")
-    _require_canonical_twist(pconn, "the pushforward comparison")
+    transformed = f_transform(rf, pconn).matrices
     dom1 = rf.domain_ring.at_precision(1)
     img1 = rf.image_ring.at_precision(1)
     p = img1.modulus.p
@@ -857,19 +837,7 @@ def check_pushforward_quasi_iso(
         xp: {x: z.map_to(img1) for x, z in row.items()}
         for xp, row in rf.zeta.items()
     }
-    theta_pullback: Dict[str, EMatrix] = {}
-    for x in img1.ordinary_gens:
-        acc = _e_zero(img1, n, n)
-        for xp in dom1.ordinary_gens:
-            z = zeta1[xp].get(x)
-            if z is None:
-                continue
-            pushed = _e_subst(
-                theta1.get(xp, _e_zero(dom1, n, n)), images1, img1
-            )
-            acc = _e_add(acc, [[e * z for e in row] for row in pushed])
-        if not _e_is_zero(acc):
-            theta_pullback[x] = acc
+    theta_pullback = {x: _e_map_to(mat, img1) for x, mat in transformed.items()}
     target_conn = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     shaped = [
         mono

@@ -2,6 +2,7 @@
 
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,14 @@ from prism_forge.exprparse import ParseError
 
 def scenario_path(name: str) -> str:
     return str(files("prism_forge") / "scenarios" / name)
+
+
+BUNDLED = sorted(
+    entry.name[: -len(".json")]
+    for entry in (files("prism_forge") / "scenarios").iterdir()
+    if entry.name.endswith(".json")
+)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def minimal(**overrides) -> dict:
@@ -94,6 +103,21 @@ class TestBundledScenarios:
         assert "p*s = x" in rels
         assert "p*t^[1] = y - s^2" in rels
 
+    def test_pcurvature_line(self):
+        sc = load_scenario(scenario_path("pcurvature_line.json"))
+        passed, report, lines = run_scenario(sc)
+        assert passed
+        psi = [check["psi"]["x"] for check in report["checks"]]
+        assert psi == ["0", "x^6 - 1", "x^15 - x^3"]
+
+    @pytest.mark.parametrize("stem", BUNDLED)
+    def test_report_matches_golden(self, stem, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["run", scenario_path(stem + ".json"), "--out", str(out)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / f"{stem}.report.json").read_bytes()
+
     def test_default_report_lands_in_working_directory(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -161,6 +185,27 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS axioms" in out
+
+    def test_axioms_check_every_pair(self, capsys):
+        code = main(
+            ["axioms", "--prime", "5", "--precision", "4", "--samples", "300"]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "300 pairs checked, 0 skipped" in out
+
+    def test_axioms_fail_when_a_pair_is_skipped(self, capsys):
+        # x^3 + 3x^5 raises the degree of phi(ab) beyond the 4p cap
+        code = main(
+            [
+                "axioms", "--prime", "3", "--precision", "3", "--samples", "60",
+                "--ring", "W[x]", "--phi", "x->x^3 + 3*x^5",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_CHECK
+        assert "28 skipped" in out
+        assert "FAIL axioms" in out
 
     def test_cohomology_divisor_table(self, capsys):
         code = main(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from prism_forge import transforms
 from prism_forge.padic import Modulus
 from prism_forge.pdpoly import Element, Monomial, RingSpec, equal_reduced
 from prism_forge.deltaring import FrobeniusLift
@@ -108,15 +109,71 @@ class TestFTransform:
             want = rf.image_ring.gen("x") ** (p - 1)
             assert equal_reduced(conn.matrices["x"][0][0], want)
 
-    def test_rejects_foreign_connection(self):
-        rf = line_frobenius(3, 2)
-        with pytest.raises(ValueError, match="Frobenius domain"):
-            f_transform(rf, polynomial_p_connection(rf.image_ring))
 
-    def test_rejects_untwisted_source(self):
+# every entry point that reads Theta refuses the inputs f_transform refuses
+TRANSFORM_READERS = {
+    "f_transform": f_transform,
+    "check_pcurvature_formula": check_pcurvature_formula,
+    "check_pushforward_quasi_iso": (
+        lambda rf, conn: check_pushforward_quasi_iso(rf, conn, 2)
+    ),
+}
+
+
+class TestTransformGuards:
+    @pytest.mark.parametrize("entry", sorted(TRANSFORM_READERS))
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda rf: polynomial_p_connection(rf.image_ring), "Frobenius domain"),
+            (lambda rf: polynomial_connection(rf.domain_ring), "canonical p-twisted"),
+        ],
+        ids=["image-ring", "untwisted"],
+    )
+    def test_refuses(self, entry, make, match):
         rf = line_frobenius(3, 2)
-        with pytest.raises(ValueError, match="canonical p-twisted"):
-            f_transform(rf, polynomial_connection(rf.domain_ring))
+        with pytest.raises(ValueError, match=match):
+            TRANSFORM_READERS[entry](rf, make(rf))
+
+
+class TestChecksReadTheTransform:
+    """The mod-p checks reduce f_transform; they keep no copy of it."""
+
+    @pytest.fixture
+    def skewed(self, monkeypatch):
+        real = transforms.f_transform
+
+        def skewed_transform(rf, pconn):
+            # rank one: Theta[x] + x^(p-1), the transform of theta' + 1
+            img = rf.image_ring
+            theta = real(rf, pconn).matrix("x") or [[img.zero()]]
+            bumped = theta[0][0] + img.gen("x") ** (rf.prime - 1)
+            return polynomial_connection(img, matrices={"x": [[bumped]]})
+
+        monkeypatch.setattr(transforms, "f_transform", skewed_transform)
+
+    def line(self):
+        rf = line_frobenius(3, 2)
+        dom = rf.domain_ring
+        return rf, polynomial_p_connection(dom, matrices={"xp": [[dom.gen("xp")]]})
+
+    def test_both_checks_pass_unpatched(self):
+        rf, pconn = self.line()
+        assert check_pcurvature_formula(rf, pconn).passed
+        assert check_pushforward_quasi_iso(rf, pconn, 2).passed
+
+    def test_curvature_formula_sees_the_skew(self, skewed):
+        rf, pconn = self.line()
+        assert not check_pcurvature_formula(rf, pconn).passed
+
+    def test_pushforward_comparison_sees_the_skew(self, skewed):
+        rf, pconn = self.line()
+        try:
+            rep = check_pushforward_quasi_iso(rf, pconn, 2)
+        except ValueError as exc:
+            assert "does not commute" in str(exc)
+        else:
+            assert not rep.passed
 
 
 class TestPTransform:
