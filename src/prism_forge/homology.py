@@ -228,11 +228,13 @@ def kernel_basis_mod_prime_power(
 ) -> Tuple[Matrix, List[int]]:
     """Columns spanning {x : a x = 0 mod p^N}, with their p-exponents.
 
-    Returns (B, e) where B = V * diag(p^e): column i of B generates the
-    i-th factor of the kernel, and e[i] is the power of p scaling the
-    i-th column of V.
+    Returns (B, e) where B = V * diag(p^e) reduced mod p^N: column i of
+    B generates the i-th factor of the kernel, and e[i] is the power of
+    p scaling the i-th column of V.  The generators only have meaning
+    mod p^N, so their entries are residues in [0, p^N).
     """
     p, N = modulus.p, modulus.N
+    pN = modulus.cardinality
     r = len(a)
     c = (len(a[0]) if a else 0) if cols is None else cols
     dec = smith_normal_form(a, rows=r, cols=c)
@@ -244,7 +246,7 @@ def kernel_basis_mod_prime_power(
             v = N
         exps.append(N - v)
     basis = [
-        [dec.V[i][j] * p ** exps[j] for j in range(c)] for i in range(c)
+        [dec.V[i][j] * p ** exps[j] % pN for j in range(c)] for i in range(c)
     ]
     return basis, exps
 

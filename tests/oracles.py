@@ -284,6 +284,11 @@ def snf_cohomology(cx, q):
     V * diag(p^e); the incoming image (augmented by p^N times the
     identity, which is zero in the ring) is rewritten in that basis by
     exact row division, and one more Smith pass reads off the quotient.
+    The quotient is killed by p^N, so p^N Z^n lies in the column lattice
+    of the rewritten image: its entries are reduced mod p^N and p^N times
+    the identity is appended before that pass (the modulo-determinant
+    idea of Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987), which
+    keeps the pass on residues however large V^-1 grew.
     """
     from prism_forge.homology import (
         CohomologyGroup,
@@ -328,8 +333,8 @@ def snf_cohomology(cx, q):
                     "image does not lie in the kernel lattice; "
                     "the complex is not a complex"
                 )
-            row.append(v // scale)
-        g.append(row)
+            row.append(v // scale % pN)
+        g.append(row + [pN if i == j else 0 for j in range(n)])
 
     quot = smith_normal_form(g, rows=n, cols=len(g[0]) if g else 0)
     out = []
