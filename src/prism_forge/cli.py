@@ -412,13 +412,13 @@ def _check_isogeny(sc: Scenario, params: dict) -> CheckResult:
 def _check_pcurvature(sc: Scenario, params: dict) -> CheckResult:
     theta_text = str(params.get("theta", "1"))
     p = sc.prime
-    # enough cap for Theta^p and the psi products at this twist degree
+    # phi-images of degree e put Theta in degree (deg + 1) e - 1; psi is p
+    # times that, and its products with Theta and with psi p + 1 and 2p
     probe = _relative_frobenius(sc, p * (p + 1))
-    theta_probe = parse_expression(theta_text, probe.domain_ring)
-    deg = max(
-        (sum(mono.ordinary) for mono in theta_probe.terms), default=0
-    )
-    need = (p + 1) * ((deg + 1) * p - 1)
+    deg = parse_expression(theta_text, probe.domain_ring).ordinary_degree()
+    e = max([p] + [im.ordinary_degree() for im in probe.images.values()])
+    factor = 2 * p if len(probe.domain_ring.ordinary_gens) > 1 else p + 1
+    need = factor * ((deg + 1) * e - 1)
     rf = _relative_frobenius(sc, need)
     dom = rf.domain_ring
     theta = parse_expression(theta_text, dom)

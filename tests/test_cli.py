@@ -304,6 +304,18 @@ class TestScenarioChecks:
         )
         assert passed
 
+    @pytest.mark.parametrize("prime,precision,ring,frobenius", [
+        (2, 3, "W[x]", {"x": "x^2 + 2*x^3"}),
+        (3, 2, "W[x,y]", {"x": "x^3 + 3*y"}),
+    ], ids=["phi-degree-3", "two-coordinates"])
+    def test_pcurvature_caps_follow_phi(self, prime, precision, ring, frobenius):
+        passed, report, _ = self.run(minimal(
+            prime=prime, precision=precision, ring=ring, frobenius=frobenius,
+            checks=[{"name": "pcurvature", "theta": "xp"}],
+        ))
+        assert passed
+        assert report["checks"][0]["failures"] == []
+
     def test_quasi_iso_checks_write_a_report(self, tmp_path, capsys):
         path, out = tmp_path / "transforms.json", tmp_path / "rep.json"
         path.write_text(json.dumps(minimal(
