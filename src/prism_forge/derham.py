@@ -12,9 +12,9 @@ The complex is assembled over a weighted monomial window.  Degree-q
 forms keep the monomials of weighted degree at most cap - q, a staircase
 that the differential respects whenever every d'-image lowers weighted
 degree by at least one.  The builder verifies this closure monomial by
-monomial and refuses windows the differential would leak out of, and the
-resulting integer matrices are checked to square to zero modulo p^N on
-construction.
+monomial and refuses windows the differential would leak out of.  Each
+differential is written once, as sparse rows of residues mod p^N, and is
+checked to square to zero modulo p^N on construction.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .envelopes import EnvelopePresentation
 from .homology import (
     CohomologyGroup,
     FiniteComplex,
-    Matrix,
+    SparseRows,
     all_cohomology,
     cohomology,
-    identity_matrix,
-    mat_mul,
-    zero_matrix,
+    compose,
 )
 from .padic import Modulus, PrecisionExhausted, Scalar
 from .pdpoly import (
@@ -313,7 +311,7 @@ class DeRhamComplex:
     def rank(self, q: int) -> int:
         return self.complex.rank(q)
 
-    def differential(self, q: int) -> Optional[Matrix]:
+    def differential(self, q: int) -> Optional[SparseRows]:
         return self.complex.differential(q)
 
     def cohomology(self, q: int) -> CohomologyGroup:
@@ -417,9 +415,10 @@ def build_p_derham(
         index.append({form: i for i, form in enumerate(forms)})
 
     one = Scalar(1, modulus)
-    diffs: List[Matrix] = []
+    pN = modulus.cardinality
+    diffs: List[SparseRows] = []
     for q in range(m):
-        mat = zero_matrix(len(bases[q + 1]), len(bases[q]))
+        mat: SparseRows = [{} for _ in bases[q + 1]]
 
         def add(g: Element, slot: int, wedge: Tuple[int, ...], sign: int, col: int) -> None:
             if g.truncated and not clip:
@@ -444,7 +443,12 @@ def build_p_derham(
                         f"degree-{q} differential needs {mono} in the "
                         f"degree-{q + 1} window; raise the cap or weights"
                     )
-                mat[row][col] = (mat[row][col] + sign * c.residue) % modulus.cardinality
+                entries = mat[row]
+                x = (entries.get(col, 0) + sign * c.residue) % pN
+                if x:
+                    entries[col] = x
+                else:
+                    entries.pop(col, None)
 
         for col, (mono, slot, wedge) in enumerate(bases[q]):
             f = Element(ring, {mono: one})
@@ -517,7 +521,7 @@ def check_quasi_nilpotent(
 
     indices: Dict[str, int] = {}
     for coord in conn.coordinates:
-        op = zero_matrix(n, n)
+        op: SparseRows = [{} for _ in range(n)]
         for ci, mono in enumerate(window):
             for slot in range(conn.rank):
                 col = slot * len(window) + ci
@@ -533,23 +537,23 @@ def check_quasi_nilpotent(
                         ri = pos.get(m2)
                         if ri is None:
                             continue  # clipped by the window
-                        row = dst * len(window) + ri
-                        op[row][col] = (op[row][col] + c.residue) % p
-        power = identity_matrix(n)
-        found = None
-        for k in range(1, bound + 1):
-            power = [[v % p for v in row] for row in mat_mul(power, op, inner=n)]
-            if all(v == 0 for row in power for v in row):
-                found = k
-                break
-        if found is None:
+                        entries = op[dst * len(window) + ri]
+                        x = (entries.get(col, 0) + c.residue) % p
+                        if x:
+                            entries[col] = x
+                        else:
+                            entries.pop(col, None)
+        power, k = op, 1
+        while any(power) and k < bound:
+            power, k = compose(power, op, p), k + 1
+        if any(power) or k > bound:
             return NilpotenceReport(
                 passed=False,
                 indices=indices,
                 detail=f"operator in {coord} still nonzero mod p "
                        f"after {bound} iterations",
             )
-        indices[coord] = found
+        indices[coord] = k
     return NilpotenceReport(passed=True, indices=indices)
 
 
@@ -601,7 +605,7 @@ def _is_divided_power_cell(conn: PConnection) -> bool:
     return True
 
 
-def poincare_homotopy(dr: DeRhamComplex) -> Tuple[Matrix, ...]:
+def poincare_homotopy(dr: DeRhamComplex) -> Tuple[SparseRows, ...]:
     """Contracting homotopy h_q: degree q -> degree q-1, for q = 1..top.
 
     Defined on the divided-power cell only: a form t^[I] dx_S maps to
@@ -616,9 +620,9 @@ def poincare_homotopy(dr: DeRhamComplex) -> Tuple[Matrix, ...]:
             "contraction is defined for the trivial connection on a "
             "divided-power cell"
         )
-    out: List[Matrix] = []
+    out: List[SparseRows] = []
     for q in range(1, len(dr.bases)):
-        mat = zero_matrix(len(dr.bases[q - 1]), len(dr.bases[q]))
+        mat: SparseRows = [{} for _ in dr.bases[q - 1]]
         for col, (mono, slot, wedge) in enumerate(dr.bases[q]):
             k = wedge[0]
             if any(mono.pd[j] for j in range(k)):
@@ -667,23 +671,20 @@ def check_poincare(
     proj_at = dr.index_of(0, (const_mono, 0, ()))
     for q in range(num_vars + 1):
         n = dr.rank(q)
-        total = zero_matrix(n, n)
-        if q >= 1:
-            d_in = dr.differential(q - 1)
-            total = mat_mul(d_in, homotopy[q - 1], inner=dr.rank(q - 1))
-        if q < num_vars:
-            hd = mat_mul(homotopy[q], dr.differential(q), inner=dr.rank(q + 1))
-            total = [
-                [a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, hd)
-            ]
-        expected = identity_matrix(n)
-        if q == 0:
-            expected[proj_at][proj_at] = 0
-        if any(
-            (a - b) % pN for ra, rb in zip(total, expected) for a, b in zip(ra, rb)
-        ):
-            identity_ok = False
-            detail = f"homotopy identity fails in degree {q}"
+        none: SparseRows = [{}] * n
+        dh = compose(dr.differential(q - 1), homotopy[q - 1], pN) if q else none
+        hd = compose(homotopy[q], dr.differential(q), pN) if q < num_vars else none
+        for i, (a, b) in enumerate(zip(dh, hd)):
+            total = dict(a)
+            for j, x in b.items():
+                total[j] = total.get(j, 0) + x
+            if q or i != proj_at:
+                total[i] = total.get(i, 0) - 1
+            if any(x % pN for x in total.values()):
+                identity_ok = False
+                detail = f"homotopy identity fails in degree {q}"
+                break
+        if not identity_ok:
             break
 
     passed = h0_ok and higher and identity_ok

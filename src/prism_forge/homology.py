@@ -1,24 +1,28 @@
 """Cohomology of complexes over Z/p^N, Smith normal form, mapping cones.
 
-Matrices are plain lists of integer rows.  Cohomology is computed over
-the local ring Z/p^N itself: the basis of C^q splits into blocks on
-which the complex is a direct sum, and in each block d^q is eliminated
-with pivots of least p-adic valuation, whose column operations are
-replayed on d^(q-1).  That gives the kernel of d^q as a lattice of
-generators p^(N-v) e_j and the image in those generators; a second
-elimination reads off the quotient's elementary divisors.  Entries stay
-residues below p^N (Dumas, Saunders & Villard, "On efficient sparse
-integer matrix Smith normal form computations", J. Symb. Comput. 32,
-2001, specialised to the local ring).
+A complex holds each differential once, as sparse rows: row i is a dict
+from column to the nonzero residue mod p^N in that place (SparseRows).
+Cohomology is computed over the local ring Z/p^N itself: the basis of
+C^q splits into blocks on which the complex is a direct sum, and in each
+block d^q is eliminated with pivots of least p-adic valuation, whose
+column operations are replayed on d^(q-1).  That gives the kernel of
+d^q as a lattice of generators p^(N-v) e_j and the image in those
+generators; a second elimination reads off the quotient's elementary
+divisors.  Entries stay residues below p^N (Dumas, Saunders & Villard,
+"On efficient sparse integer matrix Smith normal form computations",
+J. Symb. Comput. 32, 2001, specialised to the local ring).
 
-The integer Smith decomposition, with both change-of-basis matrices and
-their inverses, stays for callers that want explicit lattices over Z:
-kernel_basis_mod_prime_power reads the kernel mod p^N off it.
+Dense matrices are plain lists of integer rows.  The integer Smith
+decomposition, with both change-of-basis matrices and their inverses,
+stays for callers that want explicit lattices over Z:
+kernel_basis_mod_prime_power reads the kernel mod p^N off it.  Chain
+map blocks are dense too; dense(rows, cols) expands sparse rows for
+such callers.
 
 A chain map between complexes with matching degree ranges yields a
 mapping cone; since all terms are finite free Z/p^N-modules, the cone is
 acyclic exactly when it is acyclic mod p, which reduces the strict
-quasi-isomorphism test to rank counts over F_p.
+quasi-isomorphism test to the cohomology of the cone over Z/p.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .padic import Modulus
 
 Matrix = List[List[int]]
+# row i maps column -> nonzero residue; the row count is the target rank
+SparseRows = List[Dict[int, int]]
 
 
 class GradingMismatch(ValueError):
@@ -46,26 +52,25 @@ def zero_matrix(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
 
 
-def mat_mul(a: Matrix, b: Matrix, inner: Optional[int] = None) -> Matrix:
-    rows = len(a)
-    if inner is None:
-        inner = len(a[0]) if rows else len(b)
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
+def dense(rows: SparseRows, cols: int) -> Matrix:
+    """The integer matrix with these sparse rows and cols columns."""
+    out = zero_matrix(len(rows), cols)
+    for row, entries in zip(out, rows):
+        for j, x in entries.items():
+            row[j] = x
     return out
 
 
-def mat_vec(a: Matrix, x: Sequence[int]) -> List[int]:
-    return [sum(v * w for v, w in zip(row, x)) for row in a]
+def compose(a: SparseRows, b: SparseRows, modulus: int) -> SparseRows:
+    """Rows of the product a * b mod modulus; b has a row per column of a."""
+    out = []
+    for row in a:
+        acc: Dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v % modulus for j, v in acc.items() if v % modulus})
+    return out
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -259,15 +264,16 @@ class FiniteComplex:
     """Bounded complex of finite free Z/p^N-modules.
 
     ranks[i] is the rank in degree min_degree + i; differentials[i] maps
-    that degree to the next one and is stored as an integer matrix with
-    ranks[i+1] rows.  The composite of consecutive differentials must
-    vanish mod p^N.
+    that degree to the next one and is stored as ranks[i+1] sparse rows
+    whose columns lie below ranks[i] and whose entries are residues in
+    (0, p^N).  The composite of consecutive differentials must vanish
+    mod p^N.
     """
 
     modulus: Modulus
     min_degree: int
     ranks: Tuple[int, ...]
-    differentials: Tuple[Matrix, ...]
+    differentials: Tuple[SparseRows, ...]
 
     def __post_init__(self) -> None:
         if len(self.differentials) != max(0, len(self.ranks) - 1):
@@ -277,14 +283,15 @@ class FiniteComplex:
             if len(d) != self.ranks[i + 1]:
                 raise ValueError(f"differential {i} has wrong row count")
             for row in d:
-                if len(row) != self.ranks[i]:
-                    raise ValueError(f"differential {i} has wrong column count")
+                for j, x in row.items():
+                    if not 0 <= j < self.ranks[i]:
+                        raise ValueError(f"differential {i} has column {j} "
+                                         f"outside its {self.ranks[i]} columns")
+                    if not 0 < x < pN:
+                        raise ValueError(f"differential {i} has entry {x}, "
+                                         f"not a nonzero residue mod {pN}")
         for i in range(len(self.differentials) - 1):
-            comp = mat_mul(
-                self.differentials[i + 1], self.differentials[i],
-                inner=self.ranks[i + 1],
-            )
-            if any(v % pN for row in comp for v in row):
+            if any(compose(self.differentials[i + 1], self.differentials[i], pN)):
                 raise ValueError(f"d o d is nonzero between degrees "
                                  f"{self.min_degree + i} and {self.min_degree + i + 2}")
 
@@ -302,8 +309,8 @@ class FiniteComplex:
             return self.ranks[q - self.min_degree]
         return 0
 
-    def differential(self, q: int) -> Optional[Matrix]:
-        """Matrix of d: C^q -> C^(q+1), or None when out of range."""
+    def differential(self, q: int) -> Optional[SparseRows]:
+        """Rows of d: C^q -> C^(q+1), or None when out of range."""
         i = q - self.min_degree
         if 0 <= i < len(self.differentials):
             return self.differentials[i]
@@ -343,13 +350,8 @@ class CohomologyGroup:
         return " + ".join(f"Z/{p}^{e}" if e > 1 else f"Z/{p}" for e in self.exponents)
 
 
-def _sparse_row(row: Sequence[int], pN: int) -> Dict[int, int]:
-    """The nonzero residues mod p^N of one matrix row, keyed by column."""
-    return {j: x % pN for j, x in enumerate(row) if x and x % pN}
-
-
 def _eliminate(
-    rows: List[Dict[int, int]],
+    rows: SparseRows,
     p: int,
     pN: int,
     on_pivot: Optional[Callable[[int, Dict[int, int]], None]] = None,
@@ -396,7 +398,7 @@ def _eliminate(
     return pivots
 
 
-def _blocks(n: int, d_out: List[Dict[int, int]], image: List[Dict[int, int]]):
+def _blocks(n: int, d_out: SparseRows, image: SparseRows):
     """Split the basis of C^q into the components of the support graph.
 
     Two basis elements are joined when a row of d^q or a column of
@@ -439,19 +441,18 @@ def _blocks(n: int, d_out: List[Dict[int, int]], image: List[Dict[int, int]]):
 def cohomology(cx: FiniteComplex, q: int) -> CohomologyGroup:
     """H^q as an explicit finite abelian p-group.
 
-    Entries are reduced mod p^N and the basis of C^q is split into the
-    blocks on which the complex is a direct sum (see _blocks); each block
-    is done on its own.  Eliminating d^q with minimal-valuation pivots
-    puts it in diagonal form in new coordinates of C^q: a pivot of
-    valuation v at e_j gives the kernel generator p^(N-v) e_j, and a
-    column with no pivot gives e_j.  The column operations are replayed
-    as the inverse row operations on d^(q-1), which rewrites the image in
-    the new coordinates; dividing row j exactly by p^(N-v) expresses it
-    in the kernel generators, and p^v on the diagonal (the augmentation
-    by p^N) says that generator j has order p^v.  A second elimination
-    reads the quotient: its pivot valuations are the exponents, and a
-    row with no pivot is a free summand Z/p^N.  Entries stay below p^N
-    throughout.
+    The basis of C^q is split into the blocks on which the complex is a
+    direct sum (see _blocks); each block is done on its own, on copies of
+    the rows of d^q and d^(q-1).  Eliminating d^q with minimal-valuation
+    pivots puts it in diagonal form in new coordinates of C^q: a pivot of
+    valuation v at e_j gives the kernel generator p^(N-v) e_j, and a column
+    with no pivot gives e_j.  The column operations are replayed as the
+    inverse row operations on d^(q-1), which rewrites the image in the new
+    coordinates; dividing row j exactly by p^(N-v) expresses it in the
+    kernel generators, and p^v on the diagonal (the augmentation by p^N)
+    says that generator j has order p^v.  A second elimination reads the
+    quotient: its pivot valuations are the exponents, and a row with no
+    pivot is a free summand Z/p^N.  Entries stay below p^N throughout.
     """
     modulus = cx.modulus
     p, N = modulus.p, modulus.N
@@ -459,10 +460,10 @@ def cohomology(cx: FiniteComplex, q: int) -> CohomologyGroup:
     n = cx.rank(q)
     if n == 0:
         return CohomologyGroup(modulus, ())
-    d_out = [_sparse_row(row, pN) for row in cx.differential(q) or ()]
+    d_out = [dict(row) for row in cx.differential(q) or ()]
     d_in = cx.differential(q - 1)
     # row i of d^(q-1): the image's coordinates at basis element i of C^q
-    image = ([_sparse_row(row, pN) for row in d_in] if d_in is not None
+    image = ([dict(row) for row in d_in] if d_in is not None
              else [{} for _ in range(n)])
 
     def mirror(j: int, mult: Dict[int, int]) -> None:
@@ -532,24 +533,27 @@ class ChainMap:
         for i, b in enumerate(self.blocks):
             if len(b) != tgt.ranks[i] or any(len(row) != src.ranks[i] for row in b):
                 raise ValueError(f"block {i} has the wrong shape")
+        rows = [_block_rows(b, pN) for b in self.blocks]
         for i in range(len(src.ranks) - 1):
-            lhs = mat_mul(self.blocks[i + 1], src.differentials[i],
-                          inner=src.ranks[i + 1])
-            rhs = mat_mul(tgt.differentials[i], self.blocks[i],
-                          inner=tgt.ranks[i])
-            for ra, rb in zip(lhs, rhs):
-                if any((x - y) % pN for x, y in zip(ra, rb)):
-                    raise ValueError(
-                        f"map does not commute with d at degree {src.min_degree + i}"
-                    )
+            if (compose(rows[i + 1], src.differentials[i], pN)
+                    != compose(tgt.differentials[i], rows[i], pN)):
+                raise ValueError(
+                    f"map does not commute with d at degree {src.min_degree + i}"
+                )
 
     def block(self, q: int) -> Matrix:
         return self.blocks[self.source.degree_index(q)]
 
 
+def _block_rows(block: Matrix, pN: int) -> SparseRows:
+    """Sparse rows of a dense chain-map block, entries reduced mod p^N."""
+    return [{j: x % pN for j, x in enumerate(row) if x % pN} for row in block]
+
+
 def mapping_cone(f: ChainMap) -> FiniteComplex:
     """Cone(f)^q = C^(q+1) (+) C'^q with d = [[-d, 0], [f, d']]."""
     src, tgt = f.source, f.target
+    pN = src.modulus.cardinality
     lo = src.min_degree - 1
     hi = src.max_degree
     ranks = []
@@ -557,25 +561,16 @@ def mapping_cone(f: ChainMap) -> FiniteComplex:
         ranks.append(src.rank(q + 1) + tgt.rank(q))
     diffs = []
     for q in range(lo, hi):
-        rs_top, rs_bot = src.rank(q + 2), tgt.rank(q + 1)
-        cs_top, cs_bot = src.rank(q + 1), tgt.rank(q)
-        block = zero_matrix(rs_top + rs_bot, cs_top + cs_bot)
-        d_src = src.differential(q + 1)
-        if d_src is not None:
-            for i in range(rs_top):
-                for j in range(cs_top):
-                    block[i][j] = -d_src[i][j]
-        if cs_top:
-            fb = f.block(q + 1)
-            for i in range(rs_bot):
-                for j in range(cs_top):
-                    block[rs_top + i][j] = fb[i][j]
-        d_tgt = tgt.differential(q)
-        if d_tgt is not None:
-            for i in range(rs_bot):
-                for j in range(cs_bot):
-                    block[rs_top + i][cs_top + j] = d_tgt[i][j]
-        diffs.append(block)
+        rs_bot, cs_top = tgt.rank(q + 1), src.rank(q + 1)
+        rows = [{j: pN - x for j, x in row.items()}
+                for row in src.differential(q + 1) or ()]
+        f_rows = _block_rows(f.block(q + 1), pN) if cs_top else [{}] * rs_bot
+        d_tgt = tgt.differential(q) or [{}] * rs_bot
+        for f_row, d_row in zip(f_rows, d_tgt):
+            row = dict(f_row)
+            row.update((cs_top + j, x) for j, x in d_row.items())
+            rows.append(row)
+        diffs.append(rows)
     return FiniteComplex(
         modulus=src.modulus,
         min_degree=lo,
@@ -592,16 +587,23 @@ class QuasiIsoReport:
 
 
 def fp_cohomology_dims(cx: FiniteComplex) -> List[int]:
-    """dim_Fp H^q(cx tensor F_p) for each degree, lowest first."""
+    """dim_Fp H^q(cx tensor F_p) for each degree, lowest first.
+
+    The reduction of cx mod p is a complex over Z/p, whose cohomology
+    groups have one exponent per dimension.
+    """
     p = cx.modulus.p
-    dims = []
-    for q in range(cx.min_degree, cx.max_degree + 1):
-        d_out = cx.differential(q)
-        d_in = cx.differential(q - 1)
-        r_out = fp_rank(d_out, p) if d_out is not None else 0
-        r_in = fp_rank(d_in, p) if d_in is not None else 0
-        dims.append(cx.rank(q) - r_out - r_in)
-    return dims
+    mod_p = FiniteComplex(
+        modulus=Modulus(p, 1),
+        min_degree=cx.min_degree,
+        ranks=cx.ranks,
+        differentials=tuple(
+            [{j: x % p for j, x in row.items() if x % p} for row in d]
+            for d in cx.differentials
+        ),
+    )
+    return [len(cohomology(mod_p, q).exponents)
+            for q in range(cx.min_degree, cx.max_degree + 1)]
 
 
 def is_strict_quasi_iso(f: ChainMap, check_all_levels: bool = False) -> QuasiIsoReport:
@@ -664,12 +666,6 @@ def fp_rref(a: Matrix, p: int) -> Tuple[Matrix, List[int]]:
         if r == nrows:
             break
     return rows, pivots
-
-
-def fp_rank(a: Matrix, p: int) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(fp_rref(a, p)[1])
 
 
 def fp_nullspace(a: Matrix, p: int) -> List[List[int]]:

@@ -44,14 +44,14 @@ from .homology import (
     FiniteComplex,
     Matrix,
     QuasiIsoReport,
+    SparseRows,
     all_cohomology,
+    dense,
     fp_cohomology_dims,
     fp_nullspace,
     fp_solve,
-    identity_matrix,
     is_strict_quasi_iso,
     mapping_cone,
-    zero_matrix,
 )
 from .padic import Modulus, NotDivisible, PrecisionExhausted, Scalar
 from .pdpoly import (
@@ -421,19 +421,13 @@ def isogeny_maps(cx: FiniteComplex, cx_p: FiniteComplex) -> Tuple[ChainMap, Chai
     """
     if cx.ranks != cx_p.ranks or cx.min_degree != cx_p.min_degree:
         raise ValueError("isogeny needs the same underlying graded module")
-    p = cx.modulus.p
+    p, pN = cx.modulus.p, cx.modulus.cardinality
     m = len(cx.ranks) - 1
     forward = []
     backward = []
-    for q in range(m + 1):
-        n = cx.ranks[q]
-        b = identity_matrix(n)
-        bt = identity_matrix(n)
-        for i in range(n):
-            b[i][i] = pow(p, q, cx.modulus.cardinality)
-            bt[i][i] = pow(p, m - q, cx.modulus.cardinality)
-        forward.append(b)
-        backward.append(bt)
+    for q, n in enumerate(cx.ranks):
+        forward.append(dense([{i: pow(p, q, pN)} for i in range(n)], n))
+        backward.append(dense([{i: pow(p, m - q, pN)} for i in range(n)], n))
     return (
         ChainMap(source=cx, target=cx_p, blocks=tuple(forward)),
         ChainMap(source=cx_p, target=cx, blocks=tuple(backward)),
@@ -466,7 +460,7 @@ def _zeta_wedge_columns(
     p = img.modulus.p
     rank = source.connection.rank
     coords = list(img.ordinary_gens)
-    block = zero_matrix(target.rank(q), source.rank(q))
+    rows: SparseRows = [{} for _ in range(target.rank(q))]
     one = Scalar(1, source.connection.ring.modulus)
     for col, (mono, slot, wedge) in enumerate(source.basis(q)):
         base = pushforward(Element(source.connection.ring, {mono: one}))
@@ -509,10 +503,10 @@ def _zeta_wedge_columns(
                 _assert_full_precision(e)
                 row.append(e)
             scaled[held] = row
-        vec = target.vector_of(q, scaled)
-        for r, v in enumerate(vec):
-            block[r][col] = v
-    return block
+        for r, v in enumerate(target.vector_of(q, scaled)):
+            if v:
+                rows[r][col] = v
+    return dense(rows, source.rank(q))
 
 
 def frobenius_comparison(
@@ -907,8 +901,12 @@ def cotangent_comparison(
     for g in cut:
         if g not in ring.ordinary_gens:
             raise ValueError(f"cut generator {g!r} is not an ambient coordinate")
-    if cap < 1:
-        raise ValueError("window cap must be at least 1")
+    least = 2 if len(ring.ordinary_gens) >= 2 else 1
+    if cap < least:
+        raise ValueError(
+            f"window cap must be at least {least} on "
+            f"{len(ring.ordinary_gens)} coordinate(s)"
+        )
     survivors = tuple(g for g in ring.ordinary_gens if g not in cut)
     mod1 = Modulus(p, 1)
 
@@ -955,7 +953,7 @@ def cotangent_comparison(
     # differential per coordinate over the lower window
     n_minus = len(v_full) + r * len(v_prev)
     n_zero = m * len(v_prev)
-    dbar = zero_matrix(n_zero, n_minus)
+    dbar: SparseRows = [{} for _ in range(n_zero)]
     coord_index = {g: i for i, g in enumerate(ring.ordinary_gens)}
     col = len(v_full)
     for i, g in enumerate(cut):
@@ -974,24 +972,23 @@ def cotangent_comparison(
     # truncated to its cycles
     n0 = dr.rank(0)
     n1 = dr.rank(1)
-    d0 = dr.differential(0)
     if m >= 2:
-        d1 = dr.differential(1)
-        kernel = fp_nullspace(d1, p)
+        kernel = fp_nullspace(dense(dr.differential(1), n1), p)
         kdim = len(kernel)
         kmat = [[kernel[j][i] for j in range(kdim)] for i in range(n1)]
-        new_diff = zero_matrix(kdim, n0)
+        d0 = dense(dr.differential(0), n0)
+        new_diff: SparseRows = [{} for _ in range(kdim)]
         for j in range(n0):
-            colv = [d0[i][j] for i in range(n1)]
-            sol = fp_solve(kmat, colv, p)
+            sol = fp_solve(kmat, [row[j] for row in d0], p)
             if sol is None:
                 raise ArithmeticError("differential image escaped its cycles")
-            for i in range(kdim):
-                new_diff[i][j] = sol[i]
+            for i, x in enumerate(sol):
+                if x:
+                    new_diff[i][j] = x
     else:
         kdim = n1
-        kmat = identity_matrix(n1)
-        new_diff = d0
+        kmat = dense([{i: 1} for i in range(n1)], n1)
+        new_diff = dr.differential(0)
     rhs = FiniteComplex(
         modulus=mod1,
         min_degree=-1,
@@ -999,8 +996,7 @@ def cotangent_comparison(
         differentials=(new_diff,),
     )
 
-    surv_count = len(survivors)
-    block_minus = zero_matrix(n0, n_minus)
+    block_minus: SparseRows = [{} for _ in range(n0)]
     for vi, v in enumerate(v_full):
         mono = Monomial(v.ordinary, (0,) * r)
         block_minus[dr.index_of(0, (mono, 0, ()))][vi] = 1
@@ -1011,7 +1007,7 @@ def cotangent_comparison(
             mono = Monomial(v.ordinary, pd)
             block_minus[dr.index_of(0, (mono, 0, ()))][col] = 1
             col += 1
-    block_zero = zero_matrix(kdim, n_zero)
+    block_zero: SparseRows = [{} for _ in range(kdim)]
     for k in range(m):
         for vi, v in enumerate(v_prev):
             mono = Monomial(v.ordinary, (0,) * r)
@@ -1020,10 +1016,14 @@ def cotangent_comparison(
             sol = fp_solve(kmat, vec, p)
             if sol is None:
                 raise ArithmeticError("comparison image is not a cycle")
-            for i in range(kdim):
-                block_zero[i][k * len(v_prev) + vi] = sol[i]
+            for i, x in enumerate(sol):
+                if x:
+                    block_zero[i][k * len(v_prev) + vi] = x
 
-    cmap = ChainMap(source=lhs, target=rhs, blocks=(block_minus, block_zero))
+    cmap = ChainMap(
+        source=lhs, target=rhs,
+        blocks=(dense(block_minus, n_minus), dense(block_zero, n_zero)),
+    )
     qi = is_strict_quasi_iso(cmap)
     return CotangentReport(
         passed=qi.passed, quasi_iso=qi, detail="" if qi.passed else qi.detail

@@ -269,6 +269,43 @@ def scalar_add(a, b):
 # ---------------------------------------------------------------------------
 
 
+def mat_mul(a, b, inner=None):
+    """Dense integer matrix product; inner is the shared dimension."""
+    rows = len(a)
+    if inner is None:
+        inner = len(a[0]) if rows else len(b)
+    cols = len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            v = ai[k]
+            if v:
+                bk = b[k]
+                for j in range(cols):
+                    oi[j] += v * bk[j]
+    return out
+
+
+def mat_vec(a, x):
+    return [sum(v * w for v, w in zip(row, x)) for row in a]
+
+
+def sparse(matrix, modulus):
+    """Sparse rows of an integer matrix, entries reduced mod modulus."""
+    return [{j: x % modulus for j, x in enumerate(row) if x % modulus} for row in matrix]
+
+
+def fp_rank(a, p):
+    """Rank over F_p by dense row reduction."""
+    from prism_forge.homology import fp_rref
+
+    if not a or not a[0]:
+        return 0
+    return len(fp_rref(a, p)[1])
+
+
 def _hstack(a, b):
     if not a:
         return [row[:] for row in b]
@@ -294,7 +331,7 @@ def snf_cohomology(cx, q):
         CohomologyGroup,
         Matrix,
         _int_valuation,
-        mat_mul,
+        dense,
         smith_normal_form,
         zero_matrix,
     )
@@ -306,8 +343,7 @@ def snf_cohomology(cx, q):
     if n == 0:
         return CohomologyGroup(modulus, ())
     d_out = cx.differential(q)
-    if d_out is None:
-        d_out = zero_matrix(0, n)
+    d_out = zero_matrix(0, n) if d_out is None else dense(d_out, n)
     dec = smith_normal_form(d_out, rows=len(d_out), cols=n)
     exps = []
     for i in range(n):
@@ -319,7 +355,7 @@ def snf_cohomology(cx, q):
 
     d_in = cx.differential(q - 1)
     m_aug = _hstack(
-        d_in if d_in is not None else zero_matrix(n, 0),
+        dense(d_in, cx.rank(q - 1)) if d_in is not None else zero_matrix(n, 0),
         [[pN if i == j else 0 for j in range(n)] for i in range(n)],
     )
     w = mat_mul(dec.Vinv, m_aug, inner=n)

@@ -30,8 +30,9 @@ from prism_forge.derham import (
     polynomial_connection,
     polynomial_p_connection,
 )
-from prism_forge.homology import mat_vec
+from prism_forge.homology import dense
 
+from oracles import mat_vec
 from test_homology import brute_group_exponents
 
 
@@ -68,7 +69,7 @@ class TestPolynomialLine:
         # d(x^n) = p n x^(n-1) dx on the degree window, ascending basis
         ring = poly_ring(3, 3, ("x",), cap=9)
         dr = build_p_derham(polynomial_p_connection(ring), cap=9)
-        d0 = dr.differential(0)
+        d0 = dense(dr.differential(0), dr.rank(0))
         assert dr.rank(0) == 10 and dr.rank(1) == 9
         for m in range(9):
             for n in range(10):
@@ -108,7 +109,7 @@ class TestTwoVariablePolynomial:
         xy = Monomial((1, 1), ())
         x = Monomial((1, 0), ())
         y = Monomial((0, 1), ())
-        d1 = dr.differential(1)
+        d1 = dense(dr.differential(1), dr.rank(1))
         col_dx = dr.index_of(1, (xy, 0, (0,)))
         col_dy = dr.index_of(1, (xy, 0, (1,)))
         row_x = dr.index_of(2, (x, 0, (0, 1)))
@@ -136,8 +137,11 @@ class TestTwoVariablePolynomial:
         assert (dr.rank(0), dr.rank(1), dr.rank(2)) == (6, 6, 1)
         modulus = ring.modulus
         for q in (1, 2):
+            d_out = dr.differential(q)
             expected = brute_group_exponents(
-                dr.differential(q - 1), dr.differential(q), modulus, dr.rank(q)
+                dense(dr.differential(q - 1), dr.rank(q - 1)),
+                None if d_out is None else dense(d_out, dr.rank(q)),
+                modulus, dr.rank(q),
             )
             assert dr.cohomology(q).exponents == expected
 
@@ -238,7 +242,7 @@ class TestTwistedCell:
         vec = [0] * dr.rank(0)
         for n, a in enumerate(coeffs):
             vec[dr.index_of(0, (Monomial((), (n,)), 0, ()))] = a % 9
-        assert all(v % 9 == 0 for v in mat_vec(dr.differential(0), vec))
+        assert all(v % 9 == 0 for v in mat_vec(dense(dr.differential(0), dr.rank(0)), vec))
 
     def test_cohomology_is_the_constants(self):
         _, dr = self.make()

@@ -1,5 +1,6 @@
 """Smith normal form and Z/p^N cohomology against independent oracles."""
 
+import copy
 import itertools
 import json
 import random
@@ -14,21 +15,23 @@ from prism_forge.homology import (
     ChainMap,
     FiniteComplex,
     GradingMismatch,
+    all_cohomology,
     cohomology,
+    dense,
     fp_cohomology_dims,
     fp_nullspace,
-    fp_rank,
     fp_solve,
     identity_matrix,
     is_strict_quasi_iso,
     kernel_basis_mod_prime_power,
     mapping_cone,
-    mat_mul,
     smith_normal_form,
     zero_matrix,
 )
 
-from oracles import det_int, minors_gcd_divisors, snf_cohomology
+from oracles import det_int, fp_rank, mat_mul, minors_gcd_divisors, snf_cohomology, sparse
+
+STALL_DATA = Path(__file__).parent / "data" / "snf_stall_complex.json"
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -121,13 +124,26 @@ class TestKernelBasis:
                     sum(r * v for r, v in zip(row, col)) % pN == 0 for row in a
                 )
 
+    def test_generators_are_residues(self):
+        # the stall complex's matrices have entries of up to 705 bits
+        data = json.loads(STALL_DATA.read_text())
+        modulus = Modulus(data["p"], data["N"])
+        pN = modulus.cardinality
+        for a, n in zip(data["differentials"], data["ranks"]):
+            basis, _ = kernel_basis_mod_prime_power(a, modulus, cols=n)
+            assert all(0 <= x < pN for row in basis for x in row)
+            for j in range(n):
+                col = [row[j] for row in basis]
+                assert all(sum(r * v for r, v in zip(row, col)) % pN == 0 for row in a)
+
 
 # -- cohomology --------------------------------------------------------------------
 
 
 def two_term(modulus, matrix, r0, r1):
     return FiniteComplex(
-        modulus=modulus, min_degree=0, ranks=(r0, r1), differentials=(matrix,)
+        modulus=modulus, min_degree=0, ranks=(r0, r1),
+        differentials=(sparse(matrix, modulus.cardinality),),
     )
 
 
@@ -160,7 +176,7 @@ class TestCohomology:
             modulus=Modulus(p, N),
             min_degree=0,
             ranks=(1, 2, 1),
-            differentials=([[p], [p]], [[p, -p]]),
+            differentials=(sparse([[p], [p]], p ** N), sparse([[p, -p]], p ** N)),
         )
         # ker in degree 0 is {x : 2x = 0 and 2x = 0 mod 8} = 4Z/8
         assert cohomology(cx, 0).exponents == (1,)
@@ -193,7 +209,7 @@ class TestCohomology:
                 modulus=Modulus(2, 2),
                 min_degree=0,
                 ranks=(1, 1, 1),
-                differentials=([[1]], [[1]]),
+                differentials=([{0: 1}], [{0: 1}]),
             )
 
 
@@ -270,7 +286,7 @@ class TestCohomologyBruteForce:
                 modulus=modulus,
                 min_degree=0,
                 ranks=(2, 2, 2),
-                differentials=(d0, r1),
+                differentials=(sparse(d0, pN), sparse(r1, pN)),
             )
             want = brute_group_exponents(d0, r1, modulus, 2)
             assert cohomology(cx, 1).exponents == want
@@ -316,7 +332,8 @@ def random_complexes(draw, p=None, N=None, length=None, min_degree=None):
             basis, _ = kernel_basis_mod_prime_power(diffs[0], modulus, cols=ranks[i + 1])
             combo = matrix(ranks[i + 1], ranks[i], coeff)
             diffs.insert(0, shifted(mat_mul(basis, combo, inner=ranks[i + 1])))
-    return FiniteComplex(modulus, min_degree, tuple(ranks), tuple(diffs))
+    return FiniteComplex(modulus, min_degree, tuple(ranks),
+                         tuple(sparse(d, pN) for d in diffs))
 
 
 @st.composite
@@ -329,10 +346,10 @@ def shuffled_direct_sums(draw):
     perms = [draw(st.permutations(range(ra + rb))) for ra, rb in zip(a.ranks, b.ranks)]
     diffs = []
     for i, (da, db) in enumerate(zip(a.differentials, b.differentials)):
-        d = zero_matrix(len(perms[i + 1]), len(perms[i]))
+        d = [{} for _ in perms[i + 1]]
         for off_r, off_c, part in ((0, 0, da), (a.ranks[i + 1], a.ranks[i], db)):
             for r, row in enumerate(part):
-                for c, x in enumerate(row):
+                for c, x in row.items():
                     d[perms[i + 1][off_r + r]][perms[i][off_c + c]] = x
         diffs.append(d)
     ranks = tuple(len(perm) for perm in perms)
@@ -346,10 +363,11 @@ def stall_complex():
     generators were not yet reduced mod p^N: entries of 705 bits, whose
     second Smith pass at degree -1 grew to tens of thousands of bits.
     """
-    data = json.loads((Path(__file__).parent / "data" / "snf_stall_complex.json").read_text())
+    data = json.loads(STALL_DATA.read_text())
+    modulus = Modulus(data["p"], data["N"])
     return FiniteComplex(
-        Modulus(data["p"], data["N"]), data["min_degree"], tuple(data["ranks"]),
-        tuple(data["differentials"]),
+        modulus, data["min_degree"], tuple(data["ranks"]),
+        tuple(sparse(d, modulus.cardinality) for d in data["differentials"]),
     )
 
 
@@ -379,8 +397,11 @@ class TestCohomologyAgainstSmithForm:
         pN = cx.modulus.cardinality
         r = data.draw(st.integers(0, cx.ranks[1] - 1))
         c = data.draw(st.integers(0, cx.ranks[0] - 1))
-        d0[r][c] += data.draw(st.integers(1, pN - 1))
-        broken = any(v % pN for row in mat_mul(d1, d0, inner=cx.ranks[1]) for v in row)
+        d0[r][c] = (d0[r].get(c, 0) + data.draw(st.integers(1, pN - 1))) % pN
+        if not d0[r][c]:
+            del d0[r][c]
+        broken = any(v % pN for row in mat_mul(dense(d1, cx.ranks[1]), dense(d0, cx.ranks[0]))
+                     for v in row)
         q = cx.min_degree + 1
         for group in (cohomology, snf_cohomology):
             if broken:
@@ -390,10 +411,71 @@ class TestCohomologyAgainstSmithForm:
                 group(cx, q)
 
     def test_rejects_unit_image_under_unit_pivot(self):
-        cx = FiniteComplex(Modulus(3, 2), 0, (1, 1, 1), ([[3]], [[0]]))
+        cx = FiniteComplex(Modulus(3, 2), 0, (1, 1, 1), ([{0: 3}], [{}]))
         cx.differentials[1][0][0] = 1
         with pytest.raises(ArithmeticError):
             cohomology(cx, 1)
+
+
+# -- the sparse rows of a complex ------------------------------------------------------
+
+
+class TestSparseDifferentials:
+    @settings(max_examples=200, deadline=None)
+    @given(random_complexes())
+    def test_fp_dims_match_dense_ranks(self, cx):
+        p = cx.modulus.p
+        want = []
+        for q in range(cx.min_degree, cx.max_degree + 1):
+            d_out, d_in = cx.differential(q), cx.differential(q - 1)
+            r_out = fp_rank(dense(d_out, cx.rank(q)), p) if d_out is not None else 0
+            r_in = fp_rank(dense(d_in, cx.rank(q - 1)), p) if d_in is not None else 0
+            want.append(cx.rank(q) - r_out - r_in)
+        assert fp_cohomology_dims(cx) == want
+
+    @pytest.mark.parametrize("ranks,diffs,match", [
+        ((1, 2), ([{0: 1}],), "row count"),
+        ((1, 1), ([{1: 1}],), "column 1 outside"),
+        ((1, 1), ([{-1: 1}],), "column -1 outside"),
+        ((1, 1), ([{0: 0}],), "entry 0"),
+        ((1, 1), ([{0: 9}],), "entry 9"),
+        ((1, 1), ([{0: -3}],), "entry -3"),
+        ((1, 1, 1), ([{0: 1}], [{0: 3}]), "d o d is nonzero"),
+    ], ids=["rows", "column-high", "column-negative", "zero", "p^N", "negative", "d-o-d"])
+    def test_refuses(self, ranks, diffs, match):
+        with pytest.raises(ValueError, match=match):
+            FiniteComplex(Modulus(3, 2), 0, ranks, diffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_complexes())
+    def test_cohomology_leaves_differentials_alone(self, cx):
+        before = copy.deepcopy(cx.differentials)
+        first = all_cohomology(cx)
+        assert all_cohomology(cx) == first
+        assert cx.differentials == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_complexes(), st.integers(-30, 30))
+    def test_cone_is_the_block_matrix(self, cx, c):
+        # Cone(c * id)^q = C^(q+1) + C^q with d = [[-d, 0], [c, d]], densely
+        pN = cx.modulus.cardinality
+        f = ChainMap(cx, cx, tuple(
+            [[c if i == j else 0 for j in range(n)] for i in range(n)] for n in cx.ranks
+        ))
+        cone = mapping_cone(f)
+        for q in range(cone.min_degree, cone.max_degree):
+            top, bot = cx.rank(q + 2), cx.rank(q + 1)
+            left, right = cx.rank(q + 1), cx.rank(q)
+            want = zero_matrix(top + bot, left + right)
+            d_top, d_bot = cx.differential(q + 1), cx.differential(q)
+            for i in range(top):
+                for j in range(left):
+                    want[i][j] = -dense(d_top, left)[i][j] % pN
+            for i in range(bot):
+                want[top + i][i] = c % pN
+                for j in range(right):
+                    want[top + i][left + j] = dense(d_bot, right)[i][j]
+            assert dense(cone.differential(q), left + right) == want
 
 
 # -- chain maps, cones, quasi-isomorphisms ------------------------------------------
@@ -405,7 +487,7 @@ class TestQuasiIso:
             modulus=Modulus(3, 2),
             min_degree=0,
             ranks=(1, 2, 1),
-            differentials=([[3], [3]], [[3, -3]]),
+            differentials=(sparse([[3], [3]], 9), sparse([[3, -3]], 9)),
         )
         f = ChainMap(cx, cx, (identity_matrix(1), identity_matrix(2), identity_matrix(1)))
         report = is_strict_quasi_iso(f, check_all_levels=True)
@@ -432,7 +514,7 @@ class TestQuasiIso:
         mod = Modulus(2, 2)
         a = two_term(mod, zero_matrix(1, 1), 1, 1)
         b = FiniteComplex(modulus=mod, min_degree=1, ranks=(1, 1),
-                          differentials=(zero_matrix(1, 1),))
+                          differentials=(sparse(zero_matrix(1, 1), 4),))
         with pytest.raises(GradingMismatch):
             ChainMap(a, b, ([[1]], [[1]]))
 

@@ -12,7 +12,7 @@ from prism_forge.derham import (
     polynomial_connection,
     polynomial_p_connection,
 )
-from prism_forge.homology import all_cohomology, mapping_cone, mat_mul
+from prism_forge.homology import all_cohomology, mapping_cone
 from prism_forge.transforms import (
     NotClosed,
     RelativeFrobenius,
@@ -31,6 +31,8 @@ from prism_forge.transforms import (
     phi_pullback_matrices,
     pullback_factorization_failures,
 )
+
+from oracles import mat_mul
 
 
 def line_frobenius(p, N, cap=30):
@@ -497,3 +499,21 @@ class TestCotangent:
     def test_unknown_cut_rejected(self):
         with pytest.raises(ValueError, match="ambient coordinate"):
             cotangent_comparison(self.point_in_line(2, 2), ("z",), cap=3)
+
+    @pytest.mark.parametrize("gens", [("x", "y"), ("x", "y", "z")])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("cut", ["none", "first", "all"])
+    def test_cap_one_refused_on_two_coordinates(self, gens, p, cut):
+        ring = RingSpec(gens, (), Modulus(p, 2), 8, 8)
+        lift = FrobeniusLift(ring=ring, images={g: ring.gen(g) ** p for g in gens})
+        cut_gens = {"none": (), "first": gens[:1], "all": gens}[cut]
+        with pytest.raises(ValueError, match="at least 2"):
+            cotangent_comparison(lift, cut_gens, cap=1)
+        rep = cotangent_comparison(lift, cut_gens, cap=2)
+        assert rep.passed, rep.detail
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cap_one_on_a_line(self, p):
+        for cut in ((), ("x",)):
+            rep = cotangent_comparison(self.point_in_line(p, 2), cut, cap=1)
+            assert rep.passed, rep.detail
