@@ -443,12 +443,7 @@ def build_p_derham(
                         f"degree-{q} differential needs {mono} in the "
                         f"degree-{q + 1} window; raise the cap or weights"
                     )
-                entries = mat[row]
-                x = (entries.get(col, 0) + sign * c.residue) % pN
-                if x:
-                    entries[col] = x
-                else:
-                    entries.pop(col, None)
+                mat[row][col] = mat[row].get(col, 0) + sign * c.residue
 
         for col, (mono, slot, wedge) in enumerate(bases[q]):
             f = Element(ring, {mono: one})
@@ -467,7 +462,7 @@ def build_p_derham(
                         if entry.is_zero():
                             continue
                         add(entry * f, i, bigger, sign, col)
-        diffs.append(mat)
+        diffs.append([{j: x % pN for j, x in row.items() if x % pN} for row in mat])
 
     cx = FiniteComplex(
         modulus=modulus,
@@ -537,12 +532,9 @@ def check_quasi_nilpotent(
                         ri = pos.get(m2)
                         if ri is None:
                             continue  # clipped by the window
-                        entries = op[dst * len(window) + ri]
-                        x = (entries.get(col, 0) + c.residue) % p
-                        if x:
-                            entries[col] = x
-                        else:
-                            entries.pop(col, None)
+                        row = op[dst * len(window) + ri]
+                        row[col] = row.get(col, 0) + c.residue
+        op = [{j: x % p for j, x in row.items() if x % p} for row in op]
         power, k = op, 1
         while any(power) and k < bound:
             power, k = compose(power, op, p), k + 1

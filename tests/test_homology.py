@@ -360,8 +360,10 @@ def stall_complex():
     """The complex on which the Smith-form oracle once ran for minutes.
 
     Drawn by random_complexes under --hypothesis-seed=1 while the kernel
-    generators were not yet reduced mod p^N: entries of 705 bits, whose
-    second Smith pass at degree -1 grew to tens of thousands of bits.
+    generators were not yet reduced mod p^N.  The data file keeps the
+    entries as drawn, of up to 705 bits, which the oracle's second Smith
+    pass at degree -1 grew to tens of thousands of bits.  A FiniteComplex
+    holds residues, so they enter reduced mod p^N.
     """
     data = json.loads(STALL_DATA.read_text())
     modulus = Modulus(data["p"], data["N"])
