@@ -303,8 +303,9 @@ def random_complexes(draw, p=None, N=None, length=None, min_degree=None):
     so some blocks have no unit entry and some vanish); each lower one
     has its columns in the kernel lattice of the one above, as random
     combinations of the generators kernel_basis_mod_prime_power gives.
-    Every entry is then moved by a random multiple of p^N, so entries
-    may be negative or at least p^N.  Ranks may be 0.
+    Every entry is then moved by a random multiple of p^N, so the
+    kernel generators are computed from entries that may be negative or
+    at least p^N; the complex holds them reduced.  Ranks may be 0.
     """
     p = draw(st.sampled_from((2, 3, 5))) if p is None else p
     N = draw(st.integers(1, 4)) if N is None else N
