@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .padic import Modulus, PrecisionExhausted, Scalar
 from .pdpoly import (
@@ -73,9 +73,6 @@ class FrobeniusLift:
                     f"phi({name}) must be divisible by {p} for a divided-power "
                     "generator"
                 )
-
-    def image_map(self) -> Dict[str, Element]:
-        return dict(self.images)
 
 
 def apply_phi(lift: FrobeniusLift, a: Element) -> Element:

@@ -361,7 +361,6 @@ def _insertion_sign(wedge: Tuple[int, ...], k: int) -> int:
 def build_p_derham(
     conn: PConnection,
     cap: int,
-    weights: Optional[Mapping[str, int]] = None,
     clip: bool = False,
     windows: Optional[Sequence[Sequence[Monomial]]] = None,
 ) -> DeRhamComplex:
@@ -387,7 +386,6 @@ def build_p_derham(
     ring = conn.ring
     modulus = ring.modulus
     wts = dict(conn.weights)
-    wts.update(weights or {})
     if clip and any(wts.get(g, 1) < 1 for g in ring.all_gens()):
         # the clipped model identifies ring-cap truncation with window
         # truncation, which needs every weight to dominate plain degree
@@ -493,8 +491,6 @@ class NilpotenceReport:
 def check_quasi_nilpotent(
     conn: PConnection,
     cap: int,
-    weights: Optional[Mapping[str, int]] = None,
-    max_power: Optional[int] = None,
 ) -> NilpotenceReport:
     """Iterate each coordinate operator mod p on the degree-0 window.
 
@@ -506,12 +502,10 @@ def check_quasi_nilpotent(
     """
     ring = conn.ring
     p = ring.modulus.p
-    wts = dict(conn.weights)
-    wts.update(weights or {})
-    window = window_monomials(ring, cap, wts)
+    window = window_monomials(ring, cap, conn.weights)
     pos = {mono: i for i, mono in enumerate(window)}
     n = len(window) * conn.rank
-    bound = max_power if max_power is not None else n + 1
+    bound = n + 1
     one = Scalar(1, ring.modulus)
 
     indices: Dict[str, int] = {}

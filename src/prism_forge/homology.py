@@ -12,12 +12,12 @@ divisors.  Entries stay residues below p^N (Dumas, Saunders & Villard,
 "On efficient sparse integer matrix Smith normal form computations",
 J. Symb. Comput. 32, 2001, specialised to the local ring).
 
-Dense matrices are plain lists of integer rows.  The integer Smith
-decomposition, with both change-of-basis matrices and their inverses,
-stays for callers that want explicit lattices over Z:
-kernel_basis_mod_prime_power reads the kernel mod p^N off it.  Chain
-map blocks are dense too; dense(rows, cols) expands sparse rows for
-such callers.
+A chain map holds one block of sparse rows per degree in the same
+format.  Dense matrices are plain lists of integer rows.  The integer
+Smith decomposition, with both change-of-basis matrices and their
+inverses, stays for callers that want explicit lattices over Z:
+kernel_basis_mod_prime_power reads the kernel mod p^N off it.
+dense(rows, cols) expands sparse rows for callers that multiply lists.
 
 A chain map between complexes with matching degree ranges yields a
 mapping cone; since all terms are finite free Z/p^N-modules, the cone is
@@ -71,6 +71,19 @@ def compose(a: SparseRows, b: SparseRows, modulus: int) -> SparseRows:
                 acc[j] = acc.get(j, 0) + x * y
         out.append({j: v % modulus for j, v in acc.items() if v % modulus})
     return out
+
+
+def _check_rows(rows: SparseRows, count: int, cols: int, pN: int, what: str) -> None:
+    """Refuse rows that are not count rows of residues in (0, pN) below cols."""
+    if len(rows) != count:
+        raise ValueError(f"{what} has wrong row count")
+    for row in rows:
+        for j, x in row.items():
+            if not 0 <= j < cols:
+                raise ValueError(f"{what} has column {j} outside its {cols} columns")
+            if not 0 < x < pN:
+                raise ValueError(f"{what} has entry {x}, "
+                                 f"not a nonzero residue mod {pN}")
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -280,16 +293,7 @@ class FiniteComplex:
             raise ValueError("need one differential per adjacent pair of degrees")
         pN = self.modulus.cardinality
         for i, d in enumerate(self.differentials):
-            if len(d) != self.ranks[i + 1]:
-                raise ValueError(f"differential {i} has wrong row count")
-            for row in d:
-                for j, x in row.items():
-                    if not 0 <= j < self.ranks[i]:
-                        raise ValueError(f"differential {i} has column {j} "
-                                         f"outside its {self.ranks[i]} columns")
-                    if not 0 < x < pN:
-                        raise ValueError(f"differential {i} has entry {x}, "
-                                         f"not a nonzero residue mod {pN}")
+            _check_rows(d, self.ranks[i + 1], self.ranks[i], pN, f"differential {i}")
         for i in range(len(self.differentials) - 1):
             if any(compose(self.differentials[i + 1], self.differentials[i], pN)):
                 raise ValueError(f"d o d is nonzero between degrees "
@@ -335,10 +339,6 @@ class CohomologyGroup:
     @property
     def torsion_exponents(self) -> Tuple[int, ...]:
         return tuple(e for e in self.exponents if e < self.modulus.N)
-
-    @property
-    def order_exponent(self) -> int:
-        return sum(self.exponents)
 
     def is_trivial(self) -> bool:
         return not self.exponents
@@ -512,11 +512,17 @@ def all_cohomology(cx: FiniteComplex) -> dict:
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Degreewise map of complexes commuting with the differentials mod p^N."""
+    """Degreewise map of complexes commuting with the differentials mod p^N.
+
+    rows[i] maps degree min_degree + i of the source into the target, held
+    as the differentials of a FiniteComplex are: one sparse row per basis
+    element of the target, columns below the source rank, entries residues
+    in (0, p^N).
+    """
 
     source: FiniteComplex
     target: FiniteComplex
-    blocks: Tuple[Matrix, ...]
+    rows: Tuple[SparseRows, ...]
 
     def __post_init__(self) -> None:
         src, tgt = self.source, self.target
@@ -527,27 +533,23 @@ class ChainMap:
                 f"source degrees [{src.min_degree}, {src.max_degree}] vs "
                 f"target [{tgt.min_degree}, {tgt.max_degree}]"
             )
-        if len(self.blocks) != len(src.ranks):
-            raise ValueError("need one block per degree")
+        if len(self.rows) != len(src.ranks):
+            raise ValueError("need one block of rows per degree")
         pN = src.modulus.cardinality
-        for i, b in enumerate(self.blocks):
-            if len(b) != tgt.ranks[i] or any(len(row) != src.ranks[i] for row in b):
-                raise ValueError(f"block {i} has the wrong shape")
-        rows = [_block_rows(b, pN) for b in self.blocks]
+        for i, rows in enumerate(self.rows):
+            _check_rows(rows, tgt.ranks[i], src.ranks[i], pN,
+                        f"map in degree {src.min_degree + i}")
         for i in range(len(src.ranks) - 1):
-            if (compose(rows[i + 1], src.differentials[i], pN)
-                    != compose(tgt.differentials[i], rows[i], pN)):
+            if (compose(self.rows[i + 1], src.differentials[i], pN)
+                    != compose(tgt.differentials[i], self.rows[i], pN)):
                 raise ValueError(
                     f"map does not commute with d at degree {src.min_degree + i}"
                 )
 
-    def block(self, q: int) -> Matrix:
-        return self.blocks[self.source.degree_index(q)]
-
-
-def _block_rows(block: Matrix, pN: int) -> SparseRows:
-    """Sparse rows of a dense chain-map block, entries reduced mod p^N."""
-    return [{j: x % pN for j, x in enumerate(row) if x % pN} for row in block]
+    @property
+    def blocks(self) -> Tuple[Matrix, ...]:
+        """The dense matrix of each degree, for callers that multiply lists."""
+        return tuple(dense(rows, n) for rows, n in zip(self.rows, self.source.ranks))
 
 
 def mapping_cone(f: ChainMap) -> FiniteComplex:
@@ -561,12 +563,12 @@ def mapping_cone(f: ChainMap) -> FiniteComplex:
         ranks.append(src.rank(q + 1) + tgt.rank(q))
     diffs = []
     for q in range(lo, hi):
-        rs_bot, cs_top = tgt.rank(q + 1), src.rank(q + 1)
+        cs_top = src.rank(q + 1)
         rows = [{j: pN - x for j, x in row.items()}
                 for row in src.differential(q + 1) or ()]
-        f_rows = _block_rows(f.block(q + 1), pN) if cs_top else [{}] * rs_bot
-        d_tgt = tgt.differential(q) or [{}] * rs_bot
-        for f_row, d_row in zip(f_rows, d_tgt):
+        d_tgt = tgt.differential(q) or [{}] * tgt.rank(q + 1)
+        # f.rows[q - lo] is f in degree q + 1
+        for f_row, d_row in zip(f.rows[q - lo], d_tgt):
             row = dict(f_row)
             row.update((cs_top + j, x) for j, x in d_row.items())
             rows.append(row)
@@ -584,6 +586,16 @@ class QuasiIsoReport:
     passed: bool
     failing_degree: Optional[int] = None
     detail: str = ""
+
+    @classmethod
+    def from_cone_dims(cls, min_degree: int, dims: Sequence[int]) -> "QuasiIsoReport":
+        """Fails at the lowest degree, from min_degree on, with a nonzero dim."""
+        for q, dim in enumerate(dims, min_degree):
+            if dim:
+                return cls(passed=False, failing_degree=q,
+                           detail=f"cone has {dim}-dimensional mod-p "
+                                  f"cohomology at degree {q}")
+        return cls(passed=True)
 
 
 def fp_cohomology_dims(cx: FiniteComplex) -> List[int]:
@@ -606,95 +618,12 @@ def fp_cohomology_dims(cx: FiniteComplex) -> List[int]:
             for q in range(cx.min_degree, cx.max_degree + 1)]
 
 
-def is_strict_quasi_iso(f: ChainMap, check_all_levels: bool = False) -> QuasiIsoReport:
+def is_strict_quasi_iso(f: ChainMap) -> QuasiIsoReport:
     """Whether the cone of f is acyclic, i.e. f is a strict quasi-iso.
 
     All terms are finite free modules over Z/p^N, so acyclicity mod p is
     equivalent to acyclicity on the nose (an acyclic bounded complex of
-    free modules over this local ring splits); check_all_levels verifies
-    the integral cohomology groups as well instead of trusting that
-    reduction.
+    free modules over this local ring splits).
     """
     cone = mapping_cone(f)
-    dims = fp_cohomology_dims(cone)
-    for q, dim in zip(range(cone.min_degree, cone.max_degree + 1), dims):
-        if dim != 0:
-            return QuasiIsoReport(
-                passed=False,
-                failing_degree=q,
-                detail=f"cone has {dim}-dimensional mod-p cohomology at degree {q}",
-            )
-    if check_all_levels:
-        for q in range(cone.min_degree, cone.max_degree + 1):
-            group = cohomology(cone, q)
-            if not group.is_trivial():
-                return QuasiIsoReport(
-                    passed=False,
-                    failing_degree=q,
-                    detail=f"cone has cohomology {group.describe()} at degree {q}",
-                )
-    return QuasiIsoReport(passed=True)
-
-
-# -- F_p linear algebra -----------------------------------------------------------
-
-
-def fp_rref(a: Matrix, p: int) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form over F_p and the pivot column list."""
-    rows = [[v % p for v in row] for row in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [(v - factor * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def fp_nullspace(a: Matrix, p: int) -> List[List[int]]:
-    """Basis vectors of {x : a x = 0 over F_p} (columns as lists)."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    rref, pivots = fp_rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rref[r][fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def fp_solve(a: Matrix, b: Sequence[int], p: int) -> Optional[List[int]]:
-    """One solution of a x = b over F_p, or None if inconsistent."""
-    if not a:
-        return None if any(v % p for v in b) else []
-    ncols = len(a[0])
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    rref, pivots = fp_rref(aug, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][ncols] % p
-    return x
+    return QuasiIsoReport.from_cone_dims(cone.min_degree, fp_cohomology_dims(cone))

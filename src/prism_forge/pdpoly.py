@@ -246,12 +246,6 @@ class Element:
     def is_constant(self) -> bool:
         return all(m.is_constant() for m in self.terms)
 
-    def constant_coefficient(self) -> Scalar:
-        for m, c in self.terms.items():
-            if m.is_constant():
-                return c
-        return Scalar(0, self.ring.modulus)
-
     def coefficient(self, monomial: Monomial) -> Scalar:
         return self.terms.get(monomial, Scalar(0, self.ring.modulus))
 
@@ -765,11 +759,6 @@ def equal_reduced(a: Element, b: Element) -> bool:
     """Equality at the largest precision both sides actually carry."""
     shared = min(a.min_precision(), b.min_precision())
     return (a - b).reduce_precision(shared).is_zero()
-
-
-def congruent_mod_p(a: Element, b: Element, k: int = 1) -> bool:
-    """a = b mod p^k, honoring per-coefficient precision."""
-    return divisible_by_p(a - b, k)
 
 
 def apply_derivation(a: Element, images: Mapping[str, Element]) -> Element:

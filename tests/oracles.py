@@ -299,11 +299,33 @@ def sparse(matrix, modulus):
 
 def fp_rank(a, p):
     """Rank over F_p by dense row reduction."""
-    from prism_forge.homology import fp_rref
-
     if not a or not a[0]:
         return 0
-    return len(fp_rref(a, p)[1])
+    rows = [[v % p for v in row] for row in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if rows[i][c] % p:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [(v * inv) % p for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [(v - factor * w) % p for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return len(pivots)
 
 
 def _hstack(a, b):
