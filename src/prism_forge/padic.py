@@ -3,8 +3,11 @@
 Everything downstream computes over Z/p^N for a prime p and a precision
 N >= 1.  A scalar remembers the precision it is known to, so exact
 division by p can honestly shrink what is claimed: dividing a value
-known mod p^N by p^k yields a value known only mod p^(N-k).  Mixed
-precision arithmetic always reduces to the smaller precision.
+known mod p^N by p^k yields a value known only mod p^(N-k).  A sum or
+difference of mixed precisions is known to the smaller one.  A product
+can know more: the ambiguity of each factor is scaled by the other, so
+a low-precision factor times a p-divisible one gains digits, up to the
+larger of the two precisions (see Scalar.__mul__).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class Modulus:
         return f"Z/{self.p}^{self.N}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
     """A residue in [0, p^N) tagged with the modulus it is known at."""
 

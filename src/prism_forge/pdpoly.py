@@ -7,6 +7,11 @@ are immutable sparse maps from monomials to scalars.  Both total
 ordinary degree and total divided-power weight are capped; products
 falling outside the caps are dropped and the element is marked with a
 sticky truncation flag so downstream checks can refuse to trust it.
+
+Products and substitution accumulate integer residues under packed
+monomial keys, one loop for both, and build scalars and an element only
+for their result; substitution reads image powers from a table that a
+Frobenius lift keeps for its images.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ class _MonomialCodec:
     next (Monagan & Pearce, packed exponent vectors, CASC 2007).
     """
 
-    __slots__ = ("width", "n_ord", "n", "_entries", "_monomials")
+    __slots__ = ("width", "n_ord", "n", "_entries", "_monomials", "_key_entries")
 
     def __init__(self, n_ord: int, n_pd: int, cap: int) -> None:
         self.width = max(cap, 1).bit_length()
@@ -85,6 +90,7 @@ class _MonomialCodec:
         self.n = n_ord + n_pd
         self._entries: Dict[Monomial, tuple] = {}
         self._monomials: Dict[int, Monomial] = {}
+        self._key_entries: Dict[int, tuple] = {}
 
     def entry(self, m: Monomial) -> tuple:
         """(key, ordinary degree, pd weight, pd exponents or None at weight 0)."""
@@ -111,6 +117,13 @@ class _MonomialCodec:
             m = Monomial(tuple(exps[: self.n_ord]), tuple(exps[self.n_ord:]))
             self._monomials[key] = m
         return m
+
+    def key_entry(self, key: int) -> tuple:
+        """entry() of the monomial of a key whose exponents fit the caps."""
+        hit = self._key_entries.get(key)
+        if hit is None:
+            hit = self._key_entries[key] = self.entry(self.monomial(key))
+        return hit
 
 
 @dataclass(frozen=True)
@@ -238,6 +251,18 @@ class Element:
         }
         self.truncated = truncated
 
+    @classmethod
+    def _trusted(
+        cls, ring: RingSpec, terms: Dict[Monomial, Scalar], truncated: bool
+    ) -> "Element":
+        """An element from terms that hold no zero at the ring's precision
+        or above, so the filter of __init__ would drop nothing."""
+        e = object.__new__(cls)
+        e.ring = ring
+        e.terms = terms
+        e.truncated = truncated
+        return e
+
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self) -> bool:
@@ -266,7 +291,7 @@ class Element:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "Element") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(
                 f"elements of {self.ring.all_gens()} vs {other.ring.all_gens()}"
             )
@@ -297,13 +322,25 @@ class Element:
     __radd__ = __add__
 
     def __neg__(self) -> "Element":
-        return Element(self.ring, {m: -c for m, c in self.terms.items()}, self.truncated)
+        return Element._trusted(
+            self.ring, {m: -c for m, c in self.terms.items()}, self.truncated
+        )
 
     def __sub__(self, other) -> "Element":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.__add__(-other)
+        self._check_ring(other)
+        acc = dict(self.terms)
+        for m, c in other.terms.items():
+            old = acc.get(m)
+            if old is None:
+                acc[m] = -c
+            elif old.modulus is c.modulus:
+                acc[m] = Scalar(old.residue - c.residue, c.modulus)
+            else:
+                acc[m] = old - c
+        return Element(self.ring, acc, self.truncated or other.truncated)
 
     def __rsub__(self, other) -> "Element":
         return (-self).__add__(other)
@@ -427,48 +464,36 @@ def _pd_binomial(da: Tuple[int, ...], db: Tuple[int, ...]) -> int:
     return c
 
 
-def mul(a: Element, b: Element) -> Element:
-    """Product with divided-power coefficients and cap truncation.
+def _pack(e: Element, codec: _MonomialCodec, p: int, tracked: bool) -> list:
+    """Codec entries of e's terms + (residue, precision, valuation capped at
+    the precision); the valuation is only worked out when tracked."""
+    out = []
+    for m, c in e.terms.items():
+        mod = c.modulus
+        v = 0
+        if tracked:
+            if mod.p != p:
+                raise ValueError(f"mixing primes {p} and {mod.p}")
+            v = min(_residue_valuation(c.residue, p), mod.N)
+        out.append(codec.entry(m) + (c.residue, mod.N, v))
+    return out
 
-    Coefficients accumulate as plain integers under packed monomial keys
-    and become scalars only in the output.  Each pair of coefficients
-    known mod p^m and p^n contributes at the precision Scalar.__mul__
-    gives it, min(m + v(b), n + v(a), max(m, n)); a sum of contributions
-    is known to the least of theirs.  When every coefficient is at the
-    ring's own modulus, every contribution is at precision N and the loop
-    skips that bookkeeping.
+
+def _multiply_into(
+    ta: list, tb: list, cap_o: int, cap_d: int, tracked: bool,
+    acc: Dict[int, int], precs: Dict[int, int],
+) -> bool:
+    """Add every product of a packed entry of ta and one of tb into acc.
+
+    Pairs whose ordinary degree or pd weight leaves the caps are dropped,
+    and the return value says whether any was.  When tracked, each pair
+    contributes at the precision Scalar.__mul__ gives it,
+    min(m + v(b), n + v(a), max(m, n)), and precs keeps the least per
+    key; untracked, every entry is at the ring's precision and so is
+    every contribution.
     """
-    if a.ring != b.ring:
-        raise RingMismatch("product across ring specs")
-    ring = a.ring
-    base = ring.modulus
-    p = base.p
-    codec = ring._codec
-    cap_o, cap_d = ring.poly_degree_cap, ring.pd_degree_cap
-    tracked = any(
-        c.modulus is not base and c.modulus != base
-        for e in (a, b)
-        for c in e.terms.values()
-    )
-
-    def packed(e: Element) -> list:
-        # entry + (residue, precision, valuation capped at precision)
-        out = []
-        for m, c in e.terms.items():
-            mod = c.modulus
-            v = 0
-            if tracked:
-                if mod.p != p:
-                    raise ValueError(f"mixing primes {p} and {mod.p}")
-                v = min(_residue_valuation(c.residue, p), mod.N)
-            out.append(codec.entry(m) + (c.residue, mod.N, v))
-        return out
-
-    truncated = a.truncated or b.truncated
-    acc: Dict[int, int] = {}
-    precs: Dict[int, int] = {}
-    tb = packed(b)
-    for ka, oa, wa, da, ra, na, va in packed(a):
+    truncated = False
+    for ka, oa, wa, da, ra, na, va in ta:
         for kb, ob, wb, db, rb, nb, vb in tb:
             if oa + ob > cap_o or wa + wb > cap_d:
                 truncated = True
@@ -482,14 +507,47 @@ def mul(a: Element, b: Element) -> Element:
                 prec = min(na + vb, nb + va, na if na > nb else nb)
                 if prec < precs.get(k, prec + 1):
                     precs[k] = prec
-    return _from_packed(ring, acc, precs, truncated)
+    return truncated
+
+
+def mul(a: Element, b: Element) -> Element:
+    """Product with divided-power coefficients and cap truncation.
+
+    Coefficients accumulate as plain integers under packed monomial keys
+    and become scalars only in the output.  Each pair of coefficients
+    known mod p^m and p^n contributes at the precision Scalar.__mul__
+    gives it, min(m + v(b), n + v(a), max(m, n)); a sum of contributions
+    is known to the least of theirs.  When every coefficient is at the
+    ring's own modulus, every contribution is at precision N and the loop
+    skips that bookkeeping.
+    """
+    if a.ring is not b.ring and a.ring != b.ring:
+        raise RingMismatch("product across ring specs")
+    ring = a.ring
+    base = ring.modulus
+    codec = ring._codec
+    tracked = any(
+        c.modulus is not base and c.modulus != base
+        for e in (a, b)
+        for c in e.terms.values()
+    )
+    acc: Dict[int, int] = {}
+    precs: Dict[int, int] = {}
+    tb = _pack(b, codec, base.p, tracked)
+    truncated = _multiply_into(
+        _pack(a, codec, base.p, tracked), tb,
+        ring.poly_degree_cap, ring.pd_degree_cap, tracked, acc, precs,
+    )
+    return _from_packed(ring, acc, precs, truncated or a.truncated or b.truncated)
 
 
 def _from_packed(
     ring: RingSpec, acc: Dict[int, int], precs: Dict[int, int], truncated: bool
 ) -> Element:
     """Element from integer sums under packed keys.  A key missing from
-    precs is known to the ring's precision N."""
+    precs is known to the ring's precision N.  Each sum is reduced mod
+    p^prec and a zero at precision N or above is dropped, as
+    Element.__init__ would drop it."""
     base = ring.modulus
     moduli = {base.N: base}
     terms: Dict[Monomial, Scalar] = {}
@@ -501,7 +559,26 @@ def _from_packed(
         r %= mod.cardinality
         if r or prec < base.N:
             terms[ring._codec.monomial(k)] = Scalar(r, mod)
-    return Element(ring, terms, truncated)
+    return Element._trusted(ring, terms, truncated)
+
+
+def _repack(
+    acc: Dict[int, int], precs: Dict[int, int], codec: _MonomialCodec, base: Modulus
+) -> Tuple[list, bool]:
+    """The packed entries _from_packed would turn into an element, with
+    their valuations, and whether any is below precision N."""
+    p, N = base.p, base.N
+    out = []
+    low = False
+    for k, r in acc.items():
+        prec = precs.get(k, N)
+        r %= base.cardinality if prec == N else p ** prec
+        if r or prec < N:
+            low = low or prec != N
+            out.append(codec.key_entry(k) + (
+                r, prec, min(_residue_valuation(r, p), prec)
+            ))
+    return out, low
 
 
 def _single_term_divided_power(
@@ -602,10 +679,58 @@ def validate_pd_image(gen: str, image: Element) -> None:
             )
 
 
+class _ImagePowers:
+    """Powers and divided powers of generator images, packed for a target
+    ring, each formed on first use.
+
+    A power is keyed by (divided, slot, n), slot being the generator's
+    index among the ordinary or among the divided-power generators of the
+    source ring, so x^n and u^[n] in the same slot stay apart.  Each value
+    is (packed entries with valuations, whether some entry is below the
+    target's precision, truncation flag of the power).  FrobeniusLift
+    keeps one for its images, which never change; substitute otherwise
+    builds one per call.
+    """
+
+    __slots__ = ("ordinary", "pd", "target", "high", "_table")
+
+    def __init__(
+        self, source: RingSpec, images: Mapping[str, Element], target: RingSpec
+    ) -> None:
+        self.ordinary = tuple(images[name] for name in source.ordinary_gens)
+        self.pd = tuple(images[name] for name in source.pd_gens)
+        self.target = target
+        # a coefficient above the target's precision, only possible from
+        # a ring of higher precision, changes how substitute sums its terms
+        N = target.modulus.N
+        self.high = any(
+            c.modulus.N > N
+            for img in self.ordinary + self.pd
+            for c in img.terms.values()
+        )
+        self._table: Dict[Tuple[bool, int, int], tuple] = {}
+
+    def get(self, divided: bool, slot: int, n: int) -> tuple:
+        key = (divided, slot, n)
+        hit = self._table.get(key)
+        if hit is None:
+            if divided:
+                power = divided_power(self.pd[slot], n)
+            else:
+                power = self.ordinary[slot] ** n
+            base = self.target.modulus
+            entries = _pack(power, self.target._codec, base.p, True)
+            low = any(e[5] != base.N for e in entries)
+            hit = self._table[key] = (entries, low, power.truncated)
+        return hit
+
+
 def substitute(
     a: Element,
     images: Mapping[str, Element],
     target: Optional[RingSpec] = None,
+    *,
+    _powers: Optional[_ImagePowers] = None,
 ) -> Element:
     """Evaluate a under generator -> image.
 
@@ -614,6 +739,14 @@ def substitute(
     generators must land on elements admitting divided powers (each
     term of weight >= 1 or with p-divisible coefficient), and
     u^[n] |-> image^[n].
+
+    Each term c * x^e * ... * u^[f] * ... is carried as packed residues
+    from factor to factor, left to right, with the rule of mul.  Between
+    factors its sums are reduced and its zeros at full precision dropped,
+    exactly as the element mul returns would hold them, so that a term
+    that vanishes drops no later product to the caps; the last factor
+    adds into one accumulator for all terms.  _powers, the image powers
+    of a FrobeniusLift, must belong to these images and target.
     """
     ring = a.ring
     for name in images:
@@ -625,7 +758,7 @@ def substitute(
     for img in images.values():
         if target is None:
             target = img.ring
-        elif img.ring != target:
+        elif img.ring is not target and img.ring != target:
             raise RingMismatch("images live in different rings")
     if target is None:
         if not a.is_constant():
@@ -633,29 +766,52 @@ def substitute(
         target = ring
     for name in ring.pd_gens:
         validate_pd_image(name, images[name])
+    powers = _powers if _powers is not None else _ImagePowers(ring, images, target)
 
-    pow_cache: Dict[Tuple[str, int], Element] = {}
-
-    def power_of(name: str, n: int, divided: bool) -> Element:
-        key = (name, n)
-        if key not in pow_cache:
-            img = images[name]
-            pow_cache[key] = divided_power(img, n) if divided else img ** n
-        return pow_cache[key]
-
-    result = target.zero()
+    base = target.modulus
+    p, N = base.p, base.N
+    codec = target._codec
+    cap_o, cap_d = target.poly_degree_cap, target.pd_degree_cap
+    # Element addition drops a zero at precision N or above and restarts
+    # the sum's precision at the next term, which a single accumulator
+    # cannot see once some precision exceeds N; terms are then summed as
+    # elements
+    high = powers.high or any(c.modulus.N > N for c in a.terms.values())
+    result = target.zero() if high else None
+    acc: Dict[int, int] = {}
+    precs: Dict[int, int] = {}
+    truncated = a.truncated
     for mono, coeff in a.terms.items():
-        acc = target.constant(coeff)
-        for name, e in zip(ring.ordinary_gens, mono.ordinary):
-            if e:
-                acc = acc * power_of(name, e, divided=False)
-        for name, e in zip(ring.pd_gens, mono.pd):
-            if e:
-                acc = acc * power_of(name, e, divided=True)
-        result = result + acc
-    if a.truncated:
-        result = Element(target, result.terms, truncated=True)
-    return result
+        mod = coeff.modulus
+        if mod.p != p:
+            raise RingMismatch("constant from a different prime")
+        r = coeff.residue
+        # the coefficient as a constant; a zero is no term, at any precision
+        v = min(_residue_valuation(r, p), mod.N)
+        cur = [(0, 0, 0, None, r, mod.N, v)] if r else []
+        low = mod.N != N
+        factors = [(False, i, e) for i, e in enumerate(mono.ordinary) if e]
+        factors += [(True, i, e) for i, e in enumerate(mono.pd) if e]
+        term_acc, term_precs = ({}, {}) if high else (acc, precs)
+        if not factors:
+            for k, _, _, _, rk, nk, _ in cur:
+                term_acc[k] = term_acc.get(k, 0) + rk
+                if nk != N:
+                    term_precs[k] = min(nk, term_precs.get(k, nk))
+        last = len(factors) - 1
+        for j, (divided, i, e) in enumerate(factors):
+            entries, power_low, power_truncated = powers.get(divided, i, e)
+            step_acc, step_precs = (term_acc, term_precs) if j == last else ({}, {})
+            if _multiply_into(cur, entries, cap_o, cap_d, low or power_low,
+                              step_acc, step_precs) or power_truncated:
+                truncated = True
+            if j < last:
+                cur, low = _repack(step_acc, step_precs, codec, base)
+        if high:
+            result = result + _from_packed(target, term_acc, term_precs, False)
+    if high:
+        return Element._trusted(target, result.terms, truncated)
+    return _from_packed(target, acc, precs, truncated)
 
 
 def partial_derivative(a: Element, gen: str) -> Element:

@@ -68,6 +68,28 @@ def frac_mul(a: FracPoly, b: FracPoly) -> FracPoly:
     return {k: v for k, v in out.items() if v}
 
 
+def frac_pow(a: FracPoly, n: int, one) -> FracPoly:
+    out: FracPoly = {one: Fraction(1)}
+    for _ in range(n):
+        out = frac_mul(out, a)
+    return out
+
+
+def frac_substitute(poly: FracPoly, images: List[FracPoly], one) -> FracPoly:
+    """Evaluate under variable -> image, one image per exponent slot
+    (ordinary slots, then pd slots), all in the plain basis.  A divided
+    power u^[n] is u^n / n! there, so it goes to image^n / n! with no
+    special rule."""
+    out: FracPoly = {}
+    for (o, d), c in poly.items():
+        term = {one: c}
+        for img, e in zip(images, o + d):
+            term = frac_mul(term, frac_pow(img, e, one))
+        for key, v in term.items():
+            out[key] = out.get(key, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
+
+
 def frac_divided_coefficient(poly: FracPoly, key) -> Fraction:
     """Coefficient in the divided-power basis: multiply the factorials back."""
     ordinary, pd = key
@@ -255,6 +277,98 @@ def scalar_add(a, b):
     for m, c in b.terms.items():
         acc[m] = acc[m] + c if m in acc else c
     return Element(a.ring, acc, a.truncated or b.truncated)
+
+
+def element_sub(a, b):
+    """a - b as first written: a plus the negation of b."""
+    from prism_forge.pdpoly import Element
+
+    negated = Element(b.ring, {m: -c for m, c in b.terms.items()}, b.truncated)
+    return scalar_add(a, negated)
+
+
+# ---------------------------------------------------------------------------
+# Substitution and delta through elements.
+#
+# substitute as first written: each term starts as a constant element and
+# is multiplied by one image power at a time, and the terms are summed as
+# elements, so every partial product is reduced and loses its zeros at
+# full precision before the next factor.  Products and sums go through
+# scalar_mul and scalar_add.  The library carries packed residues from
+# factor to factor instead, with image powers held on the Frobenius lift,
+# and must agree coefficient by coefficient.
+# ---------------------------------------------------------------------------
+
+
+def element_substitute(a, images, target=None):
+    from prism_forge.pdpoly import (
+        Element,
+        RingMismatch,
+        UnknownGenerator,
+        divided_power,
+        validate_pd_image,
+    )
+
+    ring = a.ring
+    for name in images:
+        if not ring.has_gen(name):
+            raise UnknownGenerator(name)
+    for name in ring.all_gens():
+        if name not in images:
+            raise UnknownGenerator(f"no image for generator {name}")
+    for img in images.values():
+        if target is None:
+            target = img.ring
+        elif img.ring != target:
+            raise RingMismatch("images live in different rings")
+    if target is None:
+        if not a.is_constant():
+            raise RingMismatch("no target ring deducible")
+        target = ring
+    for name in ring.pd_gens:
+        validate_pd_image(name, images[name])
+
+    pow_cache = {}
+
+    def power_of(name, n, divided):
+        key = (name, n)
+        if key not in pow_cache:
+            img = images[name]
+            pow_cache[key] = divided_power(img, n) if divided else img ** n
+        return pow_cache[key]
+
+    result = target.zero()
+    for mono, coeff in a.terms.items():
+        acc = target.constant(coeff)
+        for name, e in zip(ring.ordinary_gens, mono.ordinary):
+            if e:
+                acc = scalar_mul(acc, power_of(name, e, divided=False))
+        for name, e in zip(ring.pd_gens, mono.pd):
+            if e:
+                acc = scalar_mul(acc, power_of(name, e, divided=True))
+        result = scalar_add(result, acc)
+    if a.truncated:
+        result = Element(target, result.terms, truncated=True)
+    return result
+
+
+def element_apply_phi(lift, a):
+    if a.ring != lift.ring:
+        raise ValueError("element is not in the lift's ring")
+    return element_substitute(a, lift.images, target=lift.ring)
+
+
+def element_delta(lift, a, a_p=None):
+    """(phi(a) - a^p) / p by element subtraction and exact division.
+
+    As first written, so a difference with no terms gives a quotient with
+    no terms, which claims all N digits; the library keeps a zero known
+    to N - 1 digits there instead and refuses at N = 1."""
+    from prism_forge.pdpoly import exact_div_p_elem
+
+    if a_p is None:
+        a_p = a ** lift.ring.modulus.p
+    return exact_div_p_elem(element_sub(element_apply_phi(lift, a), a_p), 1)
 
 
 # ---------------------------------------------------------------------------

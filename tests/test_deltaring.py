@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from prism_forge.padic import Modulus, PrecisionExhausted
+from prism_forge.padic import Modulus, PrecisionExhausted, Scalar
 from prism_forge.deltaring import (
     FrobeniusLift,
     NotAFrobeniusLift,
@@ -10,8 +12,20 @@ from prism_forge.deltaring import (
     delta_iterate,
     free_phi_ring,
 )
-from prism_forge.pdpoly import RingSpec, equal_reduced
-from oracles import fermat_quotient_delta
+from prism_forge.pdpoly import Element, Monomial, RingSpec, equal_reduced
+from oracles import (
+    element_apply_phi,
+    element_delta,
+    fermat_quotient_delta,
+    frac_divided_coefficient,
+    frac_from_element,
+    frac_pow,
+    frac_substitute,
+    frac_to_residue,
+)
+from cases import SHAPES, elements, outcome, ring_of, vanishing_factor
+
+ONE = Monomial((0,), ())
 
 
 def line_lift(p=2, N=3, extra=(), poly_cap=24):
@@ -68,7 +82,9 @@ class TestDelta:
         for c in range(0, p ** N, max(1, p ** N // 7)):
             out = delta(lift, ring.constant(c))
             want = fermat_quotient_delta(c, p, N)
-            assert out == ring.constant(want).reduce_precision(N - 1)
+            # where delta vanishes it is a zero known to N - 1 digits
+            low = Scalar(want, Modulus(p, N - 1))
+            assert out == Element(ring, {ONE: low})
 
     def test_iteration_needs_headroom(self):
         lift = line_lift(p=2, N=2)
@@ -113,3 +129,173 @@ class TestAxiomSuite:
         lift = free_phi_ring(Modulus(2, 3), names=("a",), level_cap=1, poly_degree_cap=30)
         report = check_delta_axioms(lift, samples=25, seed=5)
         assert report.passed
+
+
+class TestSkippedPairs:
+    def test_a_skipped_pair_fails_the_check(self):
+        # the lift of the CLI's skipped-pairs case: x^3 + 3x^5 takes phi(ab)
+        # past the cap 12 for some pairs
+        ring = RingSpec(("x",), (), Modulus(3, 3), 12, 6)
+        x = ring.gen("x")
+        lift = FrobeniusLift(ring, {"x": x ** 3 + (x ** 5).scale(3)})
+        report = check_delta_axioms(lift, samples=60, seed=0)
+        assert report.skipped == 28 and not report.failures
+        assert not report.passed
+
+
+def divided_lift(p, N, poly_cap, pd_cap):
+    ring = RingSpec(("u",), ("t",), Modulus(p, N), poly_cap, pd_cap)
+    return FrobeniusLift(ring, {g: ring.gen(g) ** p for g in ring.all_gens()})
+
+
+class TestVanishingDelta:
+    def test_keeps_one_digit_less(self):
+        # phi(a) - a^3 = -27*6*t^[3] + 27^3*6*t^[3] vanishes mod 81, while
+        # (phi(a) - a^3) / 3 for the lift 54 of a is 27 mod 81: only three
+        # digits of delta(a) are known
+        lift = divided_lift(3, 4, 12, 12)
+        out = delta(lift, lift.ring.gen("t").scale(-27))
+        assert out.is_zero()
+        assert out.min_precision() == 3
+
+    def test_refuses_at_precision_one(self):
+        lift = line_lift(p=2, N=1)
+        with pytest.raises(PrecisionExhausted):
+            delta(lift, lift.ring.gen("x"))
+
+    @pytest.mark.parametrize("seed", [1019, 1056])
+    def test_axioms_hold_on_divided_powers(self, seed):
+        report = check_delta_axioms(divided_lift(2, 4, 30, 12), samples=100, seed=seed)
+        assert report.failures == []
+        assert report.passed
+
+
+# -- against the element path and the rational model ---------------------------
+
+
+def delta_through_elements(lift, a):
+    """element_delta with the zero kept: a quotient with no terms becomes a
+    zero known to N - 1 digits, and is refused at N = 1."""
+    out = element_delta(lift, a)
+    if out.terms:
+        return out
+    ring = lift.ring
+    p, N = ring.modulus.p, ring.modulus.N
+    if N == 1:
+        raise PrecisionExhausted("no digit left")
+    one = Monomial((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
+    return Element(ring, {one: Scalar(0, Modulus(p, N - 1))}, out.truncated)
+
+
+def make_lift(shape, p, N, poly_cap, pd_cap, twisted):
+    """g -> g^p, or g -> g^p + p*g when twisted."""
+    ring = ring_of(shape, p, N, poly_cap, pd_cap)
+    images = {}
+    for g in ring.all_gens():
+        images[g] = ring.gen(g) ** p
+        if twisted:
+            images[g] = images[g] + ring.gen(g).scale(p)
+    return FrobeniusLift(ring, images)
+
+
+@st.composite
+def lift_cases(draw):
+    """A lift on W[x,y], W[x] or W[u]<t> with caps tight enough to
+    overflow, and an element with low-precision coefficients."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    lift = make_lift(
+        draw(st.sampled_from(("xy", "x", "ut"))), p, draw(st.integers(1, 4)),
+        draw(st.integers(1, 4 * p)), draw(st.integers(1, 2 * p)), draw(st.booleans()),
+    )
+    return lift, draw(elements(lift.ring, min_terms=1))
+
+
+def vanishing_factor_lift():
+    a, images, ring = vanishing_factor()
+    return FrobeniusLift(ring, images), a
+
+
+def mixed_precision_square():
+    """a = c + x + x^2 over Z/8 with c = 1 known mod 4: the x^2 coefficient
+    of a^2 is 1 + 2c, known mod 4, and that of phi(a) is 1, known mod 8,
+    so their difference is only known mod 4."""
+    lift = make_lift("x", 2, 3, 8, 0, False)
+    ring = lift.ring
+    terms = {Monomial((e,), ()): Scalar(1, ring.modulus) for e in (1, 2)}
+    terms[Monomial((0,), ())] = Scalar(1, Modulus(2, 2))
+    return lift, Element(ring, terms)
+
+
+class TestAgainstElementPath:
+    @settings(max_examples=300, deadline=None)
+    @given(lift_cases())
+    @example(vanishing_factor_lift())
+    def test_apply_phi_matches(self, case):
+        lift, a = case
+        assert outcome(apply_phi, lift, a) == outcome(element_apply_phi, lift, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lift_cases())
+    @example(mixed_precision_square())
+    def test_delta_matches(self, case):
+        lift, a = case
+        assert outcome(delta, lift, a) == outcome(delta_through_elements, lift, a)
+
+    def test_vanishing_factor(self):
+        lift, a = vanishing_factor_lift()
+        out = apply_phi(lift, a)
+        assert out.render() == "2*x^2*y^2"
+        assert not out.truncated
+
+
+@st.composite
+def integer_cases(draw):
+    """(p, N, shape, twisted, terms): terms of ordinary degree and pd
+    weight at most 2 with integer coefficients in [0, p^N)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(("xy", "ut")))
+    ordinary, pd = SHAPES[shape]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        o = tuple(draw(st.integers(0, 2)) for _ in ordinary)
+        d = tuple(draw(st.integers(0, 2)) for _ in pd)
+        if sum(o) <= 2:
+            terms.append((o, d, draw(st.integers(0, p ** N - 1))))
+    return p, N, shape, draw(st.booleans()), terms
+
+
+class TestAgainstRationalModel:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_cases())
+    @example((3, 4, "ut", False, [((0,), (1,), 54)]))
+    def test_delta_is_the_fermat_quotient(self, case):
+        """delta(a) against (phi(b) - b^p) / p over Q for the integer lift b
+        of a, at the precision delta claims: a coefficient's own, and
+        min_precision() at a monomial it has no term for."""
+        p, N, shape, twisted, terms = case
+        # caps 4p hold a^p and phi(a) for a of degree and weight <= 2
+        lift = make_lift(shape, p, N, 4 * p, 4 * p, twisted)
+        ring = lift.ring
+        a = ring.zero()
+        for o, d, c in terms:
+            a = a + Element(ring, {Monomial(o, d): Scalar(c, ring.modulus)})
+        out = delta(lift, a)
+        assert not out.truncated
+
+        one = ((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
+        b = frac_from_element(a)
+        images = [frac_from_element(img) for img in
+                  (lift.images[g] for g in ring.all_gens())]
+        phi_b = frac_substitute(b, images, one)
+        b_p = frac_pow(b, p, one)
+        quotient = {k: (phi_b.get(k, 0) - b_p.get(k, 0)) / p
+                    for k in set(phi_b) | set(b_p)}
+        got = {(m.ordinary, m.pd): c for m, c in out.terms.items()}
+        for key in set(quotient) | set(got):
+            want = frac_divided_coefficient(quotient, key)
+            assert want.denominator % p, key
+            c = got.get(key)
+            prec = c.precision if c is not None else out.min_precision()
+            residue = c.residue if c is not None else 0
+            assert (residue - frac_to_residue(want, p, prec)) % p ** prec == 0, key

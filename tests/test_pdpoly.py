@@ -24,11 +24,14 @@ from prism_forge.pdpoly import (
 )
 from oracles import (
     element_matches_fracpoly,
+    element_sub,
+    element_substitute,
     frac_from_element,
     frac_mul,
     scalar_add,
     scalar_mul,
 )
+from cases import elements, outcome, ring_of, vanishing_factor
 
 
 def ring_with_pd(p=3, N=4, ordinary=("x", "y"), pd=("u", "v"), poly_cap=20, pd_cap=10):
@@ -179,6 +182,14 @@ class TestAgainstScalarPath:
         assert coefficients(got) == coefficients(want)
         assert got.truncated == want.truncated
 
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_precision_pairs())
+    def test_difference_matches(self, pair):
+        a, b = pair
+        got, want = a - b, element_sub(a, b)
+        assert coefficients(got) == coefficients(want)
+        assert got.truncated == want.truncated
+
     @settings(max_examples=100, deadline=None)
     @given(mixed_precision_pairs())
     def test_first_power_is_one_times_element(self, pair):
@@ -287,6 +298,37 @@ class TestSubstitute:
         images["u"] = ring.gen("x").scale(3)
         out = substitute(ring.pd_power("u", 2), images)
         assert out == ring.monomial({"x": 2}, {}, 45)
+
+
+@st.composite
+def substitution_cases(draw):
+    """An element, images and a target ring.  Images may carry low
+    precisions and overflow tight caps; divided-power images mostly admit
+    divided powers.  The target is sometimes the source ring at a lower
+    precision, so that coefficients of the element exceed the target's."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(1, 4))
+    ring = ring_of(draw(st.sampled_from(("xy", "x", "ut"))), p, N,
+                   draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    target = ring
+    if draw(st.booleans()):
+        target = ring.at_precision(draw(st.integers(1, N)))
+    images = {}
+    for g in ring.all_gens():
+        pd_image = g in ring.pd_gens and draw(st.integers(0, 9)) > 0
+        images[g] = draw(elements(target, pd_image=pd_image, min_terms=1))
+    a = draw(elements(ring, max_exp=3, may_be_truncated=True, min_terms=1))
+    return a, images, target
+
+
+class TestSubstituteAgainstElementPath:
+    @settings(max_examples=400, deadline=None)
+    @given(substitution_cases())
+    @example(vanishing_factor())
+    def test_substitute_matches(self, case):
+        a, images, target = case
+        got = outcome(substitute, a, images, target)
+        assert got == outcome(element_substitute, a, images, target)
 
 
 class TestDerivatives:
