@@ -118,6 +118,17 @@ class TestBundledScenarios:
         assert code == EXIT_OK
         assert out.read_bytes() == (GOLDEN / f"{stem}.report.json").read_bytes()
 
+    def test_transforms_tour_matches_golden(self, tmp_path, capsys):
+        # isogeny, both ftransform ranks, pcurvature and cotangent on W[x,y]
+        tour = Path(__file__).parent / "data" / "transforms_tour.json"
+        out = tmp_path / "report.json"
+        code = main(["run", str(tour), "--out", str(out)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert out.read_bytes() == (
+            GOLDEN / "transforms_tour.report.json"
+        ).read_bytes()
+
     def test_default_report_lands_in_working_directory(
         self, tmp_path, monkeypatch, capsys
     ):
