@@ -3,10 +3,10 @@
 The layers, bottom up: padic (scalars mod p^N with tracked precision),
 pdpoly (polynomial and divided-power rings on explicit windows),
 deltaring (Frobenius lifts and delta), envelopes (dilatations,
-divided-power and prismatic envelopes), derham (p-connections and their
-window complexes), homology (Smith normal form and cone tests),
-transforms (the F-transform circle of comparisons), cli (scenario
-runner).
+divided-power and prismatic envelopes), derham (p-connections, their
+matrix algebra and window complexes), homology (cohomology by
+elimination over Z/p^N, chain maps and cone tests), transforms (the
+F-transform circle of comparisons), cli (scenario runner).
 """
 
 from .padic import Modulus, NotDivisible, Scalar, exact_div_p

@@ -65,6 +65,15 @@ class Scenario:
     checks: Tuple[dict, ...]
     seed: int
 
+    def __post_init__(self) -> None:
+        # refuse, before any work, what a check cannot use
+        for chk in self.checks:
+            name, kind = chk["name"], chk.get("kind", "stages")
+            if name == "axioms" and self.precision < 2:
+                raise ParseError("axioms needs precision >= 2: delta divides by p")
+            if name in ("envelope", "dimensions") and kind != "mixed" and not self.cut:
+                raise ParseError(f"{name} of kind {kind} needs a cut set")
+
     @property
     def modulus(self) -> Modulus:
         return Modulus(self.prime, self.precision)
@@ -251,10 +260,7 @@ def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
         pres = two_gen_mixed_envelope(sc.modulus, sc.poly_degree, sc.pd_degree)
     else:
         ring = sc.ring(pd_cap=0)
-        lift = sc.lift(ring)
-        if not sc.cut:
-            raise ParseError("envelope checks need a cut set")
-        imm = CoordinateImmersion(lift, sc.cut)
+        imm = CoordinateImmersion(sc.lift(ring), sc.cut)
         if kind == "stages":
             pres = prismatic_envelope_stages(imm, sc.stages)
         elif kind == "dilatation":

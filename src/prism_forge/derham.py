@@ -19,9 +19,11 @@ checked to square to zero modulo p^N on construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .envelopes import EnvelopePresentation
 from .homology import (
@@ -76,6 +78,28 @@ class NotIntegrable(ValueError):
 EMatrix = List[List[Element]]
 
 
+def _e_zero(ring: RingSpec, n: int) -> EMatrix:
+    return [[ring.zero() for _ in range(n)] for _ in range(n)]
+
+
+def _e_identity(ring: RingSpec, n: int) -> EMatrix:
+    return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+
+
+def _e_map(f: Callable[..., Element], *mats: EMatrix) -> EMatrix:
+    """f applied entry by entry to matrices of one shape."""
+    return [[f(*xs) for xs in zip(*rows)] for rows in zip(*mats)]
+
+
+def _e_all(pred: Callable[..., bool], *mats: EMatrix) -> bool:
+    return all(pred(*xs) for rows in zip(*mats) for xs in zip(*rows))
+
+
+def _e_mul(a: EMatrix, b: EMatrix) -> EMatrix:
+    cols = list(zip(*b))
+    return [[reduce(operator.add, map(operator.mul, row, col)) for col in cols] for row in a]
+
+
 @dataclass
 class PConnection:
     """Flat-to-be-checked connection data on a free module.
@@ -86,8 +110,8 @@ class PConnection:
     nothing.  matrices[x] is the rank x rank connection form in the
     coordinate x, acting on column vectors: the dx-component of the
     image of the basis vector e_j picks up sum_i matrices[x][i][j] e_i.
-    Missing coordinates mean a zero matrix.  weights feed the default
-    monomial window of the complex builder.
+    Missing coordinates mean a zero matrix, and matrix(x) returns one.
+    weights feed the default monomial window of the complex builder.
     """
 
     ring: RingSpec
@@ -134,8 +158,9 @@ class PConnection:
             return self.ring.zero()
         return apply_derivation(a, images)
 
-    def matrix(self, coord: str) -> Optional[EMatrix]:
-        return self.matrices.get(coord)
+    def matrix(self, coord: str) -> EMatrix:
+        mat = self.matrices.get(coord)
+        return _e_zero(self.ring, self.rank) if mat is None else mat
 
     def with_matrices(self, matrices: Dict[str, EMatrix], rank: int) -> "PConnection":
         return PConnection(
@@ -213,30 +238,36 @@ def apply_pconnection(
 ) -> List[Element]:
     """dx_coord component of the image of a section vector.
 
-    Returns [d'v_i + sum_j A[i][j] v_j], the rule every built complex
-    column follows.
+    Returns [d'v_i + sum_j A[i][j] v_j], the sum over j of the images of
+    the basis sections v_j e_j.
     """
     if len(sections) != conn.rank:
         raise ValueError("section list does not match the module rank")
     amat = conn.matrix(coord)
-    out = []
-    for i in range(conn.rank):
-        val = conn.d_component(sections[i], coord)
-        if amat is not None:
-            for j in range(conn.rank):
-                if not amat[i][j].is_zero():
-                    val = val + amat[i][j] * sections[j]
-        out.append(val)
+    out = [conn.ring.zero()] * conn.rank
+    for j, v in enumerate(sections):
+        for i, g in _nabla_basis(conn, coord, amat, v, j):
+            out[i] = out[i] + g
     return out
 
 
+def _nabla_basis(
+    conn: PConnection, coord: str, amat: EMatrix, f: Element, slot: int
+) -> List[Tuple[int, Element]]:
+    """dx_coord component of the image of the basis section f e_slot.
+
+    As (module slot, component) pieces: d'f in slot `slot`, then
+    A[i][slot] f in slot i for each nonzero entry, amat being
+    conn.matrix(coord).  Every built complex column follows this rule.
+    """
+    pieces = [(slot, conn.d_component(f, coord))]
+    for i, row in enumerate(amat):
+        if not row[slot].is_zero():
+            pieces.append((i, row[slot] * f))
+    return pieces
+
+
 # -- integrability -----------------------------------------------------------
-
-
-def _emat_entry(mat: Optional[EMatrix], i: int, j: int, ring: RingSpec) -> Element:
-    if mat is None:
-        return ring.zero()
-    return mat[i][j]
 
 
 def curvature_failures(conn: PConnection) -> List[str]:
@@ -256,16 +287,17 @@ def curvature_failures(conn: PConnection) -> List[str]:
             if not equal_reduced(ab, ba):
                 failures.append(f"d'_{x} and d'_{y} disagree on {g}")
         ax, ay = conn.matrix(x), conn.matrix(y)
-        if ax is None and ay is None:
+        if _e_all(lambda a, b: a.is_zero() and b.is_zero(), ax, ay):
             continue
-        n = conn.rank
-        for i in range(n):
-            for j in range(n):
-                val = conn.d_component(_emat_entry(ay, i, j, ring), x)
-                val = val - conn.d_component(_emat_entry(ax, i, j, ring), y)
-                for l in range(n):
-                    val = val + _emat_entry(ax, i, l, ring) * _emat_entry(ay, l, j, ring)
-                    val = val - _emat_entry(ay, i, l, ring) * _emat_entry(ax, l, j, ring)
+        curvature = _e_map(
+            lambda dy, dx, xy, yx: dy - dx + xy - yx,
+            _e_map(lambda a: conn.d_component(a, x), ay),
+            _e_map(lambda a: conn.d_component(a, y), ax),
+            _e_mul(ax, ay),
+            _e_mul(ay, ax),
+        )
+        for i, row in enumerate(curvature):
+            for j, val in enumerate(row):
                 if not val.is_zero():
                     failures.append(
                         f"curvature in dx_{x}^dx_{y} at entry ({i},{j}): {val.render()}"
@@ -414,6 +446,7 @@ def build_p_derham(
 
     one = Scalar(1, modulus)
     pN = modulus.cardinality
+    amats = [conn.matrix(coord) for coord in conn.coordinates]
     diffs: List[SparseRows] = []
     for q in range(m):
         mat: SparseRows = [{} for _ in bases[q + 1]]
@@ -450,16 +483,8 @@ def build_p_derham(
                     continue
                 sign = _insertion_sign(wedge, k)
                 bigger = tuple(sorted(wedge + (k,)))
-                df = conn.d_component(f, coord)
-                if not df.is_zero():
-                    add(df, slot, bigger, sign, col)
-                amat = conn.matrix(coord)
-                if amat is not None:
-                    for i in range(conn.rank):
-                        entry = amat[i][slot]
-                        if entry.is_zero():
-                            continue
-                        add(entry * f, i, bigger, sign, col)
+                for i, g in _nabla_basis(conn, coord, amats[k], f, slot):
+                    add(g, i, bigger, sign, col)
         diffs.append([{j: x % pN for j, x in row.items() if x % pN} for row in mat])
 
     cx = FiniteComplex(
@@ -510,18 +535,13 @@ def check_quasi_nilpotent(
 
     indices: Dict[str, int] = {}
     for coord in conn.coordinates:
+        amat = conn.matrix(coord)
         op: SparseRows = [{} for _ in range(n)]
         for ci, mono in enumerate(window):
+            f = Element(ring, {mono: one})
             for slot in range(conn.rank):
                 col = slot * len(window) + ci
-                f = Element(ring, {mono: one})
-                images = [(conn.d_component(f, coord), slot)]
-                amat = conn.matrix(coord)
-                if amat is not None:
-                    for i in range(conn.rank):
-                        if not amat[i][slot].is_zero():
-                            images.append((amat[i][slot] * f, i))
-                for g, dst in images:
+                for dst, g in _nabla_basis(conn, coord, amat, f, slot):
                     for m2, c in g.terms.items():
                         ri = pos.get(m2)
                         if ri is None:
@@ -690,10 +710,23 @@ def check_poincare(
 # -- the element-level contraction --------------------------------------------
 
 
-def _pd_multi_indices(ring: RingSpec) -> List[Monomial]:
-    return window_monomials(
-        ring, ring.pd_degree_cap, {g: 1 for g in ring.all_gens()}
-    )
+def _d_walk(conn: PConnection, e: Element) -> Iterator[Tuple[Monomial, Element]]:
+    """(I, d^I e) for the multi-indices I of the divided-power window, in
+    window order, leaving out those where d^I e vanishes.
+
+    d^I applies the coordinate component k of d' I_k times, coordinate
+    by coordinate, and stops at the first coordinate that kills e.
+    """
+    for mono in window_monomials(conn.ring, conn.ring.pd_degree_cap):
+        term = e
+        for k, n in enumerate(mono.pd):
+            coord = conn.coordinates[k]
+            for _ in range(n):
+                term = conn.d_component(term, coord)
+            if term.is_zero():
+                break
+        if not term.is_zero():
+            yield mono, term
 
 
 def poincare_contraction(conn: PConnection, e: Element) -> Element:
@@ -711,18 +744,7 @@ def poincare_contraction(conn: PConnection, e: Element) -> Element:
             "divided-power cell"
         )
     out = ring.zero()
-    for mono in _pd_multi_indices(ring):
-        if any(mono.ordinary):
-            continue
-        term = e
-        for k, n in enumerate(mono.pd):
-            coord = conn.coordinates[k]
-            for _ in range(n):
-                term = conn.d_component(term, coord)
-            if term.is_zero():
-                break
-        if term.is_zero():
-            continue
+    for mono, term in _d_walk(conn, e):
         sign = -1 if sum(mono.pd) % 2 else 1
         out = out + Element(ring, {mono: Scalar(sign, ring.modulus)}) * term
     return out
@@ -739,7 +761,6 @@ def contraction_identity_failures(
     """
     ring = conn.ring
     failures: List[str] = []
-    indices = _pd_multi_indices(ring)
     for e in elements:
         r_e = poincare_contraction(conn, e)
         for coord in conn.coordinates:
@@ -750,18 +771,7 @@ def contraction_identity_failures(
                 )
                 break
         rebuilt = ring.zero()
-        for mono in indices:
-            if any(mono.ordinary):
-                continue
-            term = e
-            for k, n in enumerate(mono.pd):
-                coord = conn.coordinates[k]
-                for _ in range(n):
-                    term = conn.d_component(term, coord)
-                if term.is_zero():
-                    break
-            if term.is_zero():
-                continue
+        for mono, term in _d_walk(conn, e):
             coeff = poincare_contraction(conn, term)
             if coeff.is_zero():
                 continue

@@ -185,7 +185,7 @@ class RingSpec:
         if s.modulus.p != self.modulus.p:
             raise RingMismatch("constant from a different prime")
         mono = Monomial((0,) * len(self.ordinary_gens), (0,) * len(self.pd_gens))
-        return Element(self, {mono: s} if not s.is_zero() else {})
+        return Element(self, {mono: s})
 
     def gen(self, name: str) -> "Element":
         """The generator as an element: x for ordinary, u^[1] for pd."""
@@ -216,7 +216,7 @@ class RingSpec:
         if mono.pd_weight > self.pd_degree_cap:
             raise ValueError("monomial exceeds divided-power weight cap")
         s = coefficient if isinstance(coefficient, Scalar) else Scalar(coefficient, self.modulus)
-        return Element(self, {mono: s} if not s.is_zero() else {})
+        return Element(self, {mono: s})
 
     def at_precision(self, N: int) -> "RingSpec":
         return RingSpec(
@@ -371,10 +371,7 @@ class Element:
         return result
 
     def scale(self, c: Union[int, Scalar]) -> "Element":
-        s = c if isinstance(c, Scalar) else Scalar(c, self.ring.modulus)
-        return Element(
-            self.ring, {m: coeff * s for m, coeff in self.terms.items()}, self.truncated
-        )
+        return mul(self, self.ring.constant(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -786,9 +783,10 @@ def substitute(
         if mod.p != p:
             raise RingMismatch("constant from a different prime")
         r = coeff.residue
-        # the coefficient as a constant; a zero is no term, at any precision
+        # the coefficient as a constant; a zero known below precision N
+        # stays a term, as in Element
         v = min(_residue_valuation(r, p), mod.N)
-        cur = [(0, 0, 0, None, r, mod.N, v)] if r else []
+        cur = [(0, 0, 0, None, r, mod.N, v)] if r or mod.N < N else []
         low = mod.N != N
         factors = [(False, i, e) for i, e in enumerate(mono.ordinary) if e]
         factors += [(True, i, e) for i, e in enumerate(mono.pd) if e]

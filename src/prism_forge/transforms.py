@@ -25,6 +25,7 @@ precision refuse loudly rather than truncate silently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -35,6 +36,11 @@ from .derham import (
     EMatrix,
     PConnection,
     WindowOverflow,
+    _e_all,
+    _e_identity,
+    _e_map,
+    _e_mul,
+    _e_zero,
     build_p_derham,
     polynomial_connection,
     polynomial_p_connection,
@@ -98,71 +104,8 @@ class WindowTooSmall(ValueError):
     """The ring caps cannot hold the window a comparison needs."""
 
 
-# -- matrices of ring elements -------------------------------------------------
-
-
-def _e_zero(ring: RingSpec, rows: int, cols: int) -> EMatrix:
-    return [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-
-
-def _e_identity(ring: RingSpec, n: int) -> EMatrix:
-    out = _e_zero(ring, n, n)
-    for i in range(n):
-        out[i][i] = ring.one()
-    return out
-
-
-def _e_add(a: EMatrix, b: EMatrix) -> EMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _e_sub(a: EMatrix, b: EMatrix) -> EMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _e_mul(a: EMatrix, b: EMatrix) -> EMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            val = a[i][0] * b[0][j]
-            for l in range(1, k):
-                val = val + a[i][l] * b[l][j]
-            row.append(val)
-        out.append(row)
-    return out
-
-
-def _e_pow(a: EMatrix, n: int, ring: RingSpec) -> EMatrix:
-    out = _e_identity(ring, len(a))
-    for _ in range(n):
-        out = _e_mul(out, a)
-    return out
-
-
-def _e_equal(a: EMatrix, b: EMatrix) -> bool:
-    return all(
-        equal_reduced(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
-def _e_is_zero(a: EMatrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def _e_subst(
-    a: EMatrix, images: Mapping[str, Element], target: RingSpec
-) -> EMatrix:
-    return [[substitute(x, images, target=target) for x in row] for row in a]
-
-
-def _e_map_to(a: EMatrix, ring: RingSpec) -> EMatrix:
-    return [[x.map_to(ring) for x in row] for row in a]
-
-
-def _e_assert_untruncated(a: EMatrix, context: str) -> None:
-    if any(x.truncated for row in a for x in row):
+def _refuse_truncated(a: EMatrix, context: str) -> None:
+    if not _e_all(lambda x: not x.truncated, a):
         raise WindowOverflow(
             f"{context} left the coefficient ring caps; raise poly_degree_cap"
         )
@@ -296,25 +239,22 @@ def _require_canonical_twist(conn: PConnection, what: str) -> None:
 def _pullback(
     rf: RelativeFrobenius,
     pconn: PConnection,
-    coeff: Callable[[str, str], Optional[Element]],
+    coeff: Callable[[str, str], Element],
 ) -> Dict[str, EMatrix]:
     """sum_k F(A'[x'_k]) * coeff(x'_k, x) for each unprimed x.
 
-    Pairs where A'[x'_k] is absent or coeff is None or zero contribute
-    nothing; a coordinate with no contribution at all is left out.
+    Pairs where coeff is zero contribute nothing.
     """
     out: Dict[str, EMatrix] = {}
     for x in rf.image_ring.ordinary_gens:
-        acc: Optional[EMatrix] = None
+        acc = _e_zero(rf.image_ring, pconn.rank)
         for xp in rf.domain_ring.ordinary_gens:
-            amat = pconn.matrix(xp)
-            c = None if amat is None else coeff(xp, x)
-            if c is None or c.is_zero():
+            c = coeff(xp, x)
+            if c.is_zero():
                 continue
-            pushed = [[rf.pushforward(entry) * c for entry in row] for row in amat]
-            acc = pushed if acc is None else _e_add(acc, pushed)
-        if acc is not None:
-            out[x] = acc
+            pushed = _e_map(lambda e: rf.pushforward(e) * c, pconn.matrix(xp))
+            acc = _e_map(operator.add, acc, pushed)
+        out[x] = acc
     return out
 
 
@@ -329,13 +269,17 @@ def f_transform(rf: RelativeFrobenius, pconn: PConnection) -> PConnection:
 
     zeta carries one digit less than the ambient precision, so the
     matrix entries of the result do too; scale by p (the p-transform)
-    to restore full precision.
+    to restore full precision.  A matrix the ring caps truncated, even
+    to zero, is refused with WindowOverflow; zero matrices are left out.
     """
     if pconn.ring != rf.domain_ring:
         raise ValueError("p-connection does not live on the Frobenius domain")
     _require_canonical_twist(pconn, "the F-transform")
-    pulled = _pullback(rf, pconn, lambda xp, x: rf.zeta[xp].get(x))
-    matrices = {x: m for x, m in pulled.items() if not _e_is_zero(m)}
+    zero = rf.image_ring.zero()
+    pulled = _pullback(rf, pconn, lambda xp, x: rf.zeta[xp].get(x, zero))
+    for mat in pulled.values():
+        _refuse_truncated(mat, "the F-transform")
+    matrices = {x: m for x, m in pulled.items() if not _e_all(Element.is_zero, m)}
     return polynomial_connection(rf.image_ring, rank=pconn.rank, matrices=matrices)
 
 
@@ -351,8 +295,7 @@ def p_transform(conn: PConnection) -> PConnection:
         },
         rank=conn.rank,
         matrices={
-            x: [[e.scale(p) for e in row] for row in mat]
-            for x, mat in conn.matrices.items()
+            x: _e_map(lambda e: e.scale(p), mat) for x, mat in conn.matrices.items()
         },
         weights=dict(conn.weights),
     )
@@ -390,16 +333,14 @@ def pullback_factorization_failures(
         row = composite.gen_differentials.get(g, {})
         if not equal_reduced(row.get(g, img.zero()), img.constant(img.modulus.p)):
             failures.append(f"composite twist rule for {g} is not p dg")
-    n = composite.rank
     for x in img.ordinary_gens:
-        got = composite.matrix(x) or _e_zero(img, n, n)
-        want = expected.get(x) or _e_zero(img, n, n)
-        for i in range(n):
-            for j in range(n):
-                if not equal_reduced(got[i][j], want[i][j]):
+        got, want = composite.matrix(x), expected[x]
+        for i, (got_row, want_row) in enumerate(zip(got, want)):
+            for j, (a, b) in enumerate(zip(got_row, want_row)):
+                if not equal_reduced(a, b):
                     failures.append(
                         f"matrix entry ({i},{j}) in d{x}: "
-                        f"{got[i][j].render()} vs {want[i][j].render()}"
+                        f"{a.render()} vs {b.render()}"
                     )
     return failures
 
@@ -617,34 +558,32 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
     n = conn.rank
     out: Dict[str, EMatrix] = {}
     for coord in conn.coordinates:
-        amat = conn.matrix(coord) or _e_zero(ring, n, n)
+        amat = conn.matrix(coord)
+        # powers[e] is the coefficient of the e-th power of d/dx in the
+        # composite so far; p steps fill every order 0..p
         powers: Dict[int, EMatrix] = {0: _e_identity(ring, n)}
         for _ in range(p):
             new: Dict[int, EMatrix] = {}
 
             def bump(e: int, mat: EMatrix) -> None:
-                new[e] = _e_add(new[e], mat) if e in new else mat
+                new[e] = _e_map(operator.add, new[e], mat) if e in new else mat
 
             for e, bmat in powers.items():
-                db = [
-                    [partial_derivative(x, coord) for x in row] for row in bmat
-                ]
-                bump(e, _e_add(db, _e_mul(amat, bmat)))
+                db = _e_map(lambda x: partial_derivative(x, coord), bmat)
+                bump(e, _e_map(operator.add, db, _e_mul(amat, bmat)))
                 bump(e + 1, bmat)
             powers = new
             for bmat in powers.values():
-                _e_assert_untruncated(bmat, "the operator composition")
-        top = powers.get(p, _e_zero(ring, n, n))
-        if not _e_equal(top, _e_identity(ring, n)):
+                _refuse_truncated(bmat, "the operator composition")
+        if not _e_all(equal_reduced, powers[p], _e_identity(ring, n)):
             raise ArithmeticError("leading symbol of the p-th power is wrong")
         for i in range(1, p):
-            stray = powers.get(i)
-            if stray is not None and not _e_is_zero(stray):
+            if not _e_all(Element.is_zero, powers[i]):
                 raise ArithmeticError(
                     f"p-th power keeps a derivation term of order {i}; "
                     "the operator is not linear over p-th powers"
                 )
-        out[coord] = powers.get(0, _e_zero(ring, n, n))
+        out[coord] = powers[0]
     return out
 
 
@@ -679,41 +618,36 @@ def check_pcurvature_formula(
     report also verifies that the psi matrices commute with each other
     and with every Theta.
     """
-    transformed = f_transform(rf, pconn).matrices
     dom1 = rf.domain_ring.at_precision(1)
     img1 = rf.image_ring.at_precision(1)
     n = pconn.rank
-    theta_source = {
-        xp: _e_map_to(pconn.matrix(xp) or _e_zero(rf.domain_ring, n, n), dom1)
-        for xp in dom1.ordinary_gens
-    }
-    images1 = {gp: e.map_to(img1) for gp, e in rf.images.items()}
-    theta_pullback: Dict[str, EMatrix] = {}
-    for x in img1.ordinary_gens:
-        acc = _e_map_to(transformed.get(x) or _e_zero(rf.image_ring, n, n), img1)
-        _e_assert_untruncated(acc, "the transformed twist matrix")
-        theta_pullback[x] = acc
+    theta_source, theta_pullback, images1 = _mod_p(rf, pconn, dom1, img1)
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
     failures: List[str] = []
     for xp, x in rf.coordinate_pairs():
-        power = _e_pow(theta_pullback[x], img1.modulus.p, img1)
-        _e_assert_untruncated(power, "the matrix p-th power")
-        rhs = _e_sub(power, _e_subst(theta_source[xp], images1, img1))
-        if not _e_equal(psi[x], rhs):
+        power = _e_identity(img1, n)
+        for _ in range(img1.modulus.p):
+            power = _e_mul(power, theta_pullback[x])
+        _refuse_truncated(power, "the matrix p-th power")
+        pulled = _e_map(
+            lambda e: substitute(e, images1, target=img1), theta_source[xp]
+        )
+        rhs = _e_map(operator.sub, power, pulled)
+        if not _e_all(equal_reduced, psi[x], rhs):
             failures.append(f"curvature formula fails in the coordinate {x}")
     coords = list(img1.ordinary_gens)
     for x, y in combinations(coords, 2):
         ab, ba = _e_mul(psi[x], psi[y]), _e_mul(psi[y], psi[x])
-        _e_assert_untruncated(ab, "the psi product")
-        if not _e_equal(ab, ba):
+        _refuse_truncated(ab, "the psi product")
+        if not _e_all(equal_reduced, ab, ba):
             failures.append(f"psi matrices in {x} and {y} do not commute")
     for x in coords:
         for y in coords:
             lhs = _e_mul(psi[x], theta_pullback[y])
             rhs = _e_mul(theta_pullback[y], psi[x])
-            _e_assert_untruncated(lhs, "the psi-twist product")
-            if not _e_equal(lhs, rhs):
+            _refuse_truncated(lhs, "the psi-twist product")
+            if not _e_all(equal_reduced, lhs, rhs):
                 failures.append(
                     f"psi in {x} does not commute with the twist matrix in {y}"
                 )
@@ -721,6 +655,25 @@ def check_pcurvature_formula(
         psi=psi, theta_source=theta_source, theta_pullback=theta_pullback
     )
     return CurvatureReport(passed=not failures, data=data, failures=failures)
+
+
+def _mod_p(
+    rf: RelativeFrobenius, pconn: PConnection, dom1: RingSpec, img1: RingSpec
+) -> Tuple[Dict[str, EMatrix], Dict[str, EMatrix], Dict[str, Element]]:
+    """theta' per primed coordinate, Theta = f_transform(rf, pconn) per
+    unprimed coordinate, and the images of F, all reduced mod p into
+    dom1 and img1, the precision-1 copies of the two rings."""
+    transformed = f_transform(rf, pconn)
+    theta_source = {
+        xp: _e_map(lambda e: e.map_to(dom1), pconn.matrix(xp))
+        for xp in dom1.ordinary_gens
+    }
+    theta_pullback = {
+        x: _e_map(lambda e: e.map_to(img1), transformed.matrix(x))
+        for x in img1.ordinary_gens
+    }
+    images1 = {gp: e.map_to(img1) for gp, e in rf.images.items()}
+    return theta_source, theta_pullback, images1
 
 
 # -- the Cartier identity --------------------------------------------------------
@@ -795,9 +748,9 @@ def check_pushforward_quasi_iso(
     genuine quotient) and the wedge map is checked to be a
     quasi-isomorphism via its cone.
     """
-    transformed = f_transform(rf, pconn).matrices
     dom1 = rf.domain_ring.at_precision(1)
     img1 = rf.image_ring.at_precision(1)
+    theta_source, theta_pullback, images1 = _mod_p(rf, pconn, dom1, img1)
     p = img1.modulus.p
     m = len(dom1.ordinary_gens)
     n = pconn.rank
@@ -809,12 +762,7 @@ def check_pushforward_quasi_iso(
             f"image ring caps cannot hold the pushforward basis (need {need})"
         )
 
-    theta1 = {
-        xp: _e_map_to(mat, dom1)
-        for xp, mat in pconn.matrices.items()
-        if not _e_is_zero(mat)
-    }
-    source_conn = polynomial_p_connection(dom1, rank=n, matrices=theta1)
+    source_conn = polynomial_p_connection(dom1, rank=n, matrices=theta_source)
     source_window = window_monomials(dom1, window_cap)
     source = build_p_derham(
         source_conn,
@@ -823,12 +771,10 @@ def check_pushforward_quasi_iso(
         windows=[source_window] * (m + 1),
     )
 
-    images1 = {gp: e.map_to(img1) for gp, e in rf.images.items()}
     zeta1 = {
         xp: {x: z.map_to(img1) for x, z in row.items()}
         for xp, row in rf.zeta.items()
     }
-    theta_pullback = {x: _e_map_to(mat, img1) for x, mat in transformed.items()}
     target_conn = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     shaped = [
         mono

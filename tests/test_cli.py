@@ -267,6 +267,23 @@ class TestSubcommands:
         capsys.readouterr()
         assert code == EXIT_PARSE
 
+    def test_axioms_at_precision_one_is_a_parse_error(self, capsys):
+        code = main(
+            ["axioms", "--prime", "2", "--precision", "1", "--samples", "5"]
+        )
+        assert code == EXIT_PARSE
+        assert "axioms needs precision >= 2" in capsys.readouterr().err
+
+    def test_stage_dimensions_without_cut_is_a_parse_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(minimal(checks=[{"name": "dimensions"}])))
+        code = main(["run", str(path), "--out", str(tmp_path / "out.json")])
+        assert code == EXIT_PARSE
+        assert "dimensions of kind stages needs a cut" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestScenarioChecks:
     def run(self, raw):

@@ -158,6 +158,17 @@ class TestVanishingDelta:
         assert out.is_zero()
         assert out.min_precision() == 3
 
+    def test_phi_keeps_the_lost_digit(self):
+        # the zero delta(-27*t) is known mod 3^3; phi of it is too
+        ring = RingSpec(("u",), ("t",), Modulus(3, 4), 30, 12)
+        lift = FrobeniusLift(
+            ring, {"u": ring.gen("u") ** 3, "t": ring.gen("t").scale(3)}
+        )
+        zero = delta(lift, ring.gen("t").scale(-27))
+        assert zero.is_zero() and zero.min_precision() == 3
+        out = apply_phi(lift, zero)
+        assert out.is_zero() and out.min_precision() == 3
+
     def test_refuses_at_precision_one(self):
         lift = line_lift(p=2, N=1)
         with pytest.raises(PrecisionExhausted):

@@ -326,6 +326,22 @@ class TestWindowGuards:
         with pytest.raises(PrecisionExhausted):
             build_p_derham(conn, cap=3)
 
+    def test_image_truncated_to_zero_is_refused(self):
+        # d'x = x^3 dx with poly cap 3: d'(x^2) = 2x^4 leaves the caps and
+        # comes back as a truncated zero
+        ring = poly_ring(3, 2, ("x",), cap=3)
+        conn = PConnection(
+            ring=ring,
+            coordinates=("x",),
+            gen_differentials={"x": {"x": ring.gen("x") ** 3}},
+        )
+        x0, x2 = Monomial((0,), ()), Monomial((2,), ())
+        windows = [[x0, x2], [Monomial((e,), ()) for e in range(4)]]
+        with pytest.raises(WindowOverflow, match="ring caps"):
+            build_p_derham(conn, cap=3, windows=windows)
+        clipped = build_p_derham(conn, cap=3, clip=True, windows=windows)
+        assert clipped.differential(0) == [{}, {}, {}, {}]
+
     def test_unknown_coordinate_rejected(self):
         ring = poly_ring(3, 2, ("x",), cap=4)
         with pytest.raises(ValueError, match="unknown coordinate"):

@@ -190,6 +190,24 @@ class TestAgainstScalarPath:
         assert coefficients(got) == coefficients(want)
         assert got.truncated == want.truncated
 
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_precision_pairs(), st.data())
+    def test_scale_matches(self, pair, data):
+        # the factor is an int or a coefficient of b: low-precision zeros,
+        # p-divisible residues, the ring's modulus or an equal copy of it
+        a, b = pair
+        ring = a.ring
+        c = data.draw(st.one_of(
+            st.integers(-50, 50), st.sampled_from([0, *b.terms.values()])
+        ))
+        s = c if isinstance(c, Scalar) else Scalar(c, ring.modulus)
+        one = Monomial((0, 0), (0, 0))
+        got, want = a.scale(c), scalar_mul(a, Element(ring, {one: s}))
+        assert [(m, c.residue, c.precision) for m, c in got.terms.items()] == [
+            (m, c.residue, c.precision) for m, c in want.terms.items()
+        ]
+        assert got.truncated == want.truncated
+
     @settings(max_examples=100, deadline=None)
     @given(mixed_precision_pairs())
     def test_first_power_is_one_times_element(self, pair):
@@ -266,6 +284,27 @@ class TestDividedPower:
                 acc = fm(acc, want)
             acc = {k: v / Fraction(__import__("math").factorial(n)) for k, v in acc.items()}
             assert element_matches_fracpoly(out, acc)
+
+
+class TestLowPrecisionZeros:
+    """A zero known only mod p^k, k < N, is a term; one mod p^N is none."""
+
+    def test_constant_and_monomial_keep_them(self):
+        ring = ring_with_pd(p=3, N=4)
+        assert ring.constant(Scalar(0, Modulus(3, 1))).min_precision() == 1
+        low = ring.monomial({"x": 2}, {}, Scalar(0, Modulus(3, 2)))
+        assert low.is_zero() and low.min_precision() == 2
+        assert ring.constant(0).terms == {}
+        assert ring.monomial({"x": 2}, {}, 0).terms == {}
+
+    def test_substitute_carries_them(self):
+        ring = ring_with_pd(p=3, N=4)
+        for zero in (
+            ring.constant(Scalar(0, Modulus(3, 2))),
+            ring.monomial({"x": 1}, {"u": 1}, Scalar(0, Modulus(3, 2))),
+        ):
+            out = substitute(zero, {g: ring.gen(g) for g in ring.all_gens()})
+            assert out.is_zero() and out.min_precision() == 2
 
 
 class TestSubstitute:

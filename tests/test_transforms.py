@@ -9,6 +9,7 @@ from prism_forge.padic import Modulus
 from prism_forge.pdpoly import Element, Monomial, RingSpec, equal_reduced
 from prism_forge.deltaring import FrobeniusLift
 from prism_forge.derham import (
+    WindowOverflow,
     apply_pconnection,
     build_p_derham,
     polynomial_connection,
@@ -138,6 +139,24 @@ class TestTransformGuards:
         rf = line_frobenius(3, 2)
         with pytest.raises(ValueError, match=match):
             TRANSFORM_READERS[entry](rf, make(rf))
+
+
+class TestTruncatedTransform:
+    """A Theta the ring caps truncated, even to zero, is refused."""
+
+    @pytest.mark.parametrize("cap, theta", [(5, "xp^2"), (7, "xp^2"), (5, "xp + xp^2")])
+    @pytest.mark.parametrize("entry", sorted(TRANSFORM_READERS))
+    def test_refused(self, entry, cap, theta):
+        rf = line_frobenius(3, 2, cap=cap)
+        dom = rf.domain_ring
+        xp = dom.gen("xp")
+        mat = xp ** 2 if theta == "xp^2" else xp + xp ** 2
+        pconn = polynomial_p_connection(dom, matrices={"xp": [[mat]]})
+        reader = TRANSFORM_READERS[entry]
+        if entry == "check_pushforward_quasi_iso":
+            reader = lambda rf, conn: check_pushforward_quasi_iso(rf, conn, 1)
+        with pytest.raises(WindowOverflow, match="F-transform"):
+            reader(rf, pconn)
 
 
 class TestChecksReadTheTransform:
