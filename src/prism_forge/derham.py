@@ -715,7 +715,7 @@ def _d_walk(conn: PConnection, e: Element) -> Iterator[Tuple[Monomial, Element]]
     window order, leaving out those where d^I e vanishes.
 
     d^I applies the coordinate component k of d' I_k times, coordinate
-    by coordinate, and stops at the first coordinate that kills e.
+    by coordinate, and stops once the term vanishes.
     """
     for mono in window_monomials(conn.ring, conn.ring.pd_degree_cap):
         term = e

@@ -8,6 +8,7 @@ from prism_forge import transforms
 from prism_forge.padic import Modulus
 from prism_forge.pdpoly import Element, Monomial, RingSpec, equal_reduced
 from prism_forge.deltaring import FrobeniusLift
+from prism_forge.exprparse import parse_expression
 from prism_forge.derham import (
     WindowOverflow,
     apply_pconnection,
@@ -144,19 +145,25 @@ class TestTransformGuards:
 class TestTruncatedTransform:
     """A Theta the ring caps truncated, even to zero, is refused."""
 
+    # at the parent, Theta truncated to zero passed both checks at cap 5
+    # and failed the curvature formula at cap 7, and the truncated x^5
+    # passed the pushforward check
     @pytest.mark.parametrize("cap, theta", [(5, "xp^2"), (7, "xp^2"), (5, "xp + xp^2")])
     @pytest.mark.parametrize("entry", sorted(TRANSFORM_READERS))
     def test_refused(self, entry, cap, theta):
         rf = line_frobenius(3, 2, cap=cap)
         dom = rf.domain_ring
-        xp = dom.gen("xp")
-        mat = xp ** 2 if theta == "xp^2" else xp + xp ** 2
-        pconn = polynomial_p_connection(dom, matrices={"xp": [[mat]]})
-        reader = TRANSFORM_READERS[entry]
-        if entry == "check_pushforward_quasi_iso":
-            reader = lambda rf, conn: check_pushforward_quasi_iso(rf, conn, 1)
+        pconn = polynomial_p_connection(
+            dom, matrices={"xp": [[parse_expression(theta, dom)]]}
+        )
+        readers = {
+            **TRANSFORM_READERS,
+            "check_pushforward_quasi_iso": (
+                lambda rf, conn: check_pushforward_quasi_iso(rf, conn, 1)
+            ),
+        }
         with pytest.raises(WindowOverflow, match="F-transform"):
-            reader(rf, pconn)
+            readers[entry](rf, pconn)
 
 
 class TestChecksReadTheTransform:
