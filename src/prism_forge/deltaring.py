@@ -12,15 +12,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
-from .padic import Modulus, NotDivisible, PrecisionExhausted, Scalar
+from .padic import Modulus, PrecisionExhausted
 from .pdpoly import (
     Element,
-    Monomial,
     RingSpec,
     _ImagePowers,
-    _render_monomial,
+    div_p,
     divisible_by_p,
     substitute,
 )
@@ -93,63 +92,13 @@ def delta(lift: FrobeniusLift, a: Element, a_p: Optional[Element] = None) -> Ele
     """(phi(a) - a^p) / p, known to one level less precision.
 
     a_p, when given, must be a ** p; callers that already hold the power
-    pass it to save recomputing it.
-
-    The difference is taken residue by residue, at the lesser of the two
-    precisions, with zeros at full precision dropped, and divided by p
-    coefficient by coefficient, building no element in between.  When
-    nothing is left, the quotient is a zero known mod p^(N-1) at the
-    constant monomial, not an element with no terms, which would claim
-    all N digits; at N = 1 no digit is left and PrecisionExhausted is
-    raised.
+    pass it to save recomputing it.  The quotient is div_p's: a zero
+    where phi(a) - a^p vanishes is known mod p^(N-1), and at N = 1
+    PrecisionExhausted is raised.
     """
-    ring = lift.ring
-    base = ring.modulus
-    p, N = base.p, base.N
     if a_p is None:
-        a_p = a ** p
-    phi = apply_phi(lift, a)
-    phi._check_ring(a_p)
-    # phi(a) - a^p in the order phi(a) + (-a^p) would hold its terms: the
-    # difference at the lesser precision, where a zero at precision N is
-    # no term; each one is then divided by p
-    sub = a_p.terms
-    diff = []
-    for m, c in phi.terms.items():
-        d = sub.get(m)
-        if d is None:
-            diff.append((m, c.residue, c.modulus))
-        else:
-            mod = c.modulus if c.modulus is d.modulus else c._join(d)
-            diff.append((m, (c.residue - d.residue) % mod.cardinality, mod))
-    for m, d in sub.items():
-        if m not in phi.terms:
-            diff.append((m, -d.residue % d.modulus.cardinality, d.modulus))
-    below: Dict[int, Modulus] = {}
-    out = {}
-    for m, r, mod in diff:
-        if not r and mod.N >= N:
-            continue
-        if mod.N < 2:
-            raise PrecisionExhausted(f"cannot drop 1 levels below precision {mod.N}")
-        if r % p:
-            raise NotDivisible(
-                f"coefficient {r} of {_render_monomial(ring, m)} "
-                "is not divisible by p^1"
-            )
-        lower = below.get(mod.N)
-        if lower is None:
-            lower = below[mod.N] = Modulus(p, mod.N - 1)
-        out[m] = Scalar(r // p, lower)
-    truncated = phi.truncated or a_p.truncated
-    if not out:
-        if N < 2:
-            raise PrecisionExhausted(
-                "delta at precision 1 leaves no digit: phi(a) - a^p vanishes mod p"
-            )
-        one = Monomial((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
-        out[one] = Scalar(0, Modulus(p, N - 1))
-    return Element(ring, out, truncated)
+        a_p = a ** lift.ring.modulus.p
+    return div_p(apply_phi(lift, a), a_p)
 
 
 def _powers(a: Element, n: int) -> List[Element]:

@@ -30,8 +30,8 @@ from .pdpoly import (
     RingSpec,
     UnknownGenerator,
     divisible_by_p,
+    div_p,
     equal_reduced,
-    exact_div_p_elem,
     partial_derivative,
     substitute,
 )
@@ -133,7 +133,7 @@ class EnvelopePresentation:
 
         Raises NotDivisible when a does not lie in the cut ideal.
         """
-        return exact_div_p_elem(self.structural_map(a), 1)
+        return div_p(self.structural_map(a))
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -268,8 +268,8 @@ def prismatic_envelope_stages(
     chain of relations p*t[i,j+1] = delta^j(x_i) - t[i,j]^p is recorded
     in rendered form.  Frobenius images are produced by the recursion
     psi(t[i,1]) = phi(x_i)/p, psi(t[i,j+1]) = (phi(delta^j x_i) -
-    psi(t[i,j])^p)/p, every division being exact.  Precision drops by one
-    per stage, so stages must stay below the working precision.
+    psi(t[i,j])^p)/p, each a div_p quotient.  Precision drops by one per
+    stage, so stages must stay below the working precision.
     """
     amb_lift = immersion.ambient
     amb = amb_lift.ring
@@ -333,15 +333,13 @@ def prismatic_envelope_stages(
     for g in survivors:
         images[g] = substitute(amb_lift.images[g], structural, target=ring)
     for x in immersion.cut_gens:
-        prev = exact_div_p_elem(
-            substitute(amb_lift.images[x], structural, target=ring), 1
-        )
+        prev = div_p(substitute(amb_lift.images[x], structural, target=ring))
         images[stage_names[(x, 1)]] = prev
         for j in range(1, stages):
             phi_delta = substitute(
                 apply_phi(amb_lift, deltas[(x, j)]), structural, target=ring
             )
-            prev = exact_div_p_elem(phi_delta - prev ** p, 1)
+            prev = div_p(phi_delta, prev ** p)
             images[stage_names[(x, j + 1)]] = prev
     lift = FrobeniusLift(
         ring=ring,
@@ -452,9 +450,7 @@ def prismatic_envelope_aligned(
     for u in amb.pd_gens:
         images[u] = substitute(amb_lift.images[u], structural, target=ring)
     for x, t in zip(immersion.cut_gens, t_names):
-        images[t] = exact_div_p_elem(
-            substitute(amb_lift.images[x], structural, target=ring), 1
-        )
+        images[t] = div_p(substitute(amb_lift.images[x], structural, target=ring))
     lift = FrobeniusLift(ring=ring, images=images)
     conn: dict[str, dict[str, Element]] = {}
     for g in survivors:
@@ -517,11 +513,9 @@ def two_gen_mixed_envelope(
         "y": t1.scale(p) + s ** p,
     }
     rho_images = {"x": s}
-    psi_s = exact_div_p_elem(
-        substitute(amb_lift.images["x"], structural, target=ring), 1
-    )
-    psi_t = exact_div_p_elem(
-        substitute(amb_lift.images["y"], structural, target=ring) - psi_s ** p, 1
+    psi_s = div_p(substitute(amb_lift.images["x"], structural, target=ring))
+    psi_t = div_p(
+        substitute(amb_lift.images["y"], structural, target=ring), psi_s ** p
     )
     lift = FrobeniusLift(ring=ring, images={"s": psi_s, "t": psi_t})
     conn = {

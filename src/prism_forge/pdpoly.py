@@ -11,7 +11,8 @@ sticky truncation flag so downstream checks can refuse to trust it.
 Products and substitution accumulate integer residues under packed
 monomial keys, one loop for both, and build scalars and an element only
 for their result; substitution reads image powers from a table that a
-Frobenius lift keeps for its images.
+Frobenius lift keeps for its images.  div_p is the one division of an
+element by p, (a - b)/p, and its quotient claims no digit it lost.
 """
 
 from __future__ import annotations
@@ -653,7 +654,7 @@ def divided_power(e: Element, n: int) -> Element:
         acc = ring.zero()
         for i in range(budget + 1):
             head = _single_term_divided_power(ring, m, c, i)
-            if head.is_zero() and not head.truncated and i > 0:
+            if not head.terms and not head.truncated and i > 0:
                 continue
             acc = acc + head * rec(idx + 1, budget - i)
         cache[key] = acc
@@ -877,18 +878,64 @@ def hasse_derivative(a: Element, gen: str, order: int) -> Element:
     return Element(ring, acc, a.truncated)
 
 
-def exact_div_p_elem(a: Element, k: int) -> Element:
-    """Coefficientwise exact division by p^k, shrinking precision by k."""
-    out = {}
+def div_p(a: Element, b: Optional[Element] = None) -> Element:
+    """(a - b) / p, or a / p without b, known to one digit less.
+
+    The one division of an element by p: delta and every Frobenius
+    quotient of an envelope go through it.  The difference is taken
+    residue by residue, at the lesser of the two precisions, with zeros
+    at full precision dropped, in the order a - b would hold its terms,
+    and divided by p coefficient by coefficient, building no element in
+    between.  When nothing is left, the quotient is a zero known mod
+    p^(N-1) at the constant monomial, not an element with no terms,
+    which would claim all N digits; at N = 1 no digit is left and
+    PrecisionExhausted is raised.
+    """
+    ring = a.ring
+    base = ring.modulus
+    p, N = base.p, base.N
+    sub: Mapping[Monomial, Scalar] = {}
+    truncated = a.truncated
+    if b is not None:
+        a._check_ring(b)
+        sub = b.terms
+        truncated = truncated or b.truncated
+    diff = []
     for m, c in a.terms.items():
-        try:
-            out[m] = exact_div_p(c, k)
-        except NotDivisible:
+        d = sub.get(m)
+        if d is None:
+            diff.append((m, c.residue, c.modulus))
+        else:
+            mod = c.modulus if c.modulus is d.modulus else c._join(d)
+            diff.append((m, (c.residue - d.residue) % mod.cardinality, mod))
+    for m, d in sub.items():
+        if m not in a.terms:
+            diff.append((m, -d.residue % d.modulus.cardinality, d.modulus))
+    below: Dict[int, Modulus] = {}
+    out = {}
+    for m, r, mod in diff:
+        if not r and mod.N >= N:
+            continue
+        if mod.N < 2:
+            raise PrecisionExhausted(f"cannot drop 1 levels below precision {mod.N}")
+        if r % p:
             raise NotDivisible(
-                f"coefficient {c.residue} of {_render_monomial(a.ring, m)} "
-                f"is not divisible by p^{k}"
-            ) from None
-    return Element(a.ring, out, a.truncated)
+                f"coefficient {r} of {_render_monomial(ring, m)} "
+                "is not divisible by p^1"
+            )
+        lower = below.get(mod.N)
+        if lower is None:
+            lower = below[mod.N] = Modulus(p, mod.N - 1)
+        out[m] = Scalar(r // p, lower)
+    if not out:
+        if N < 2:
+            raise PrecisionExhausted(
+                "dividing by p at precision 1 leaves no digit: "
+                "the difference vanishes mod p"
+            )
+        one = Monomial((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
+        out[one] = Scalar(0, Modulus(p, N - 1))
+    return Element(ring, out, truncated)
 
 
 def divisible_by_p(a: Element, k: int = 1) -> bool:

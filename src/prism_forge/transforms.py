@@ -60,8 +60,8 @@ from .pdpoly import (
     Element,
     Monomial,
     RingSpec,
+    div_p,
     equal_reduced,
-    exact_div_p_elem,
     partial_derivative,
     substitute,
     window_monomials,
@@ -168,7 +168,7 @@ class RelativeFrobenius:
                     if d.is_zero():
                         continue
                     try:
-                        row[g] = exact_div_p_elem(d, 1)
+                        row[g] = div_p(d)
                     except NotDivisible as exc:
                         raise ZetaUndefined(
                             f"d({gp})/d{g} is not divisible by p: {exc}"

@@ -358,14 +358,34 @@ def element_apply_phi(lift, a):
     return element_substitute(a, lift.images, target=lift.ring)
 
 
+def exact_div_p_elem(a, k: int):
+    """Coefficientwise exact division by p^k, shrinking precision by k.
+
+    The element division as first written, one Scalar division per term:
+    a with no terms gives a quotient with no terms, which claims all N
+    digits.  The library's div_p keeps a zero known mod p^(N-1) there
+    instead, and refuses at N = 1."""
+    from prism_forge.padic import NotDivisible, exact_div_p
+    from prism_forge.pdpoly import Element, _render_monomial
+
+    out = {}
+    for m, c in a.terms.items():
+        try:
+            out[m] = exact_div_p(c, k)
+        except NotDivisible:
+            raise NotDivisible(
+                f"coefficient {c.residue} of {_render_monomial(a.ring, m)} "
+                f"is not divisible by p^{k}"
+            ) from None
+    return Element(a.ring, out, a.truncated)
+
+
 def element_delta(lift, a, a_p=None):
     """(phi(a) - a^p) / p by element subtraction and exact division.
 
     As first written, so a difference with no terms gives a quotient with
     no terms, which claims all N digits; the library keeps a zero known
     to N - 1 digits there instead and refuses at N = 1."""
-    from prism_forge.pdpoly import exact_div_p_elem
-
     if a_p is None:
         a_p = a ** lift.ring.modulus.p
     return exact_div_p_elem(element_sub(element_apply_phi(lift, a), a_p), 1)

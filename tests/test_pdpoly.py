@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prism_forge.padic import Modulus, NotDivisible, Scalar
+from prism_forge.padic import Modulus, NotDivisible, PrecisionExhausted, Scalar
 from prism_forge.pdpoly import (
     Element,
     InvalidPdImage,
@@ -13,8 +13,8 @@ from prism_forge.pdpoly import (
     RingSpec,
     UnknownGenerator,
     divided_power,
+    div_p,
     divisible_by_p,
-    exact_div_p_elem,
     hasse_derivative,
     monomial_weight,
     mul,
@@ -26,12 +26,13 @@ from oracles import (
     element_matches_fracpoly,
     element_sub,
     element_substitute,
+    exact_div_p_elem,
     frac_from_element,
     frac_mul,
     scalar_add,
     scalar_mul,
 )
-from cases import elements, outcome, ring_of, vanishing_factor
+from cases import SHAPES, elements, outcome, ring_of, vanishing_factor
 
 
 def ring_with_pd(p=3, N=4, ordinary=("x", "y"), pd=("u", "v"), poly_cap=20, pd_cap=10):
@@ -306,6 +307,16 @@ class TestLowPrecisionZeros:
             out = substitute(zero, {g: ring.gen(g) for g in ring.all_gens()})
             assert out.is_zero() and out.min_precision() == 2
 
+    def test_divided_power_carries_them(self):
+        # the mixed envelope's psi(t) at p = 2, N = 4: three zeros known
+        # mod 4, each a term of psi(t)^[1] = psi(t)
+        ring = RingSpec(("s",), ("t",), Modulus(2, 4), 12, 12)
+        low = Modulus(2, 2)
+        e = (ring.pd_power("t", 2) + ring.monomial({"s": 2}, {"t": 1})
+             + ring.monomial({"s": 4}, {})).scale(Scalar(0, low))
+        assert len(e.terms) == 3
+        assert divided_power(e, 1) == e
+
 
 class TestSubstitute:
     def test_ordinary_substitution(self):
@@ -408,7 +419,7 @@ class TestExactDivision:
     def test_divides_and_tracks_precision(self):
         ring = ring_with_pd()
         e = ring.gen("x").scale(9) + ring.one().scale(3)
-        out = exact_div_p_elem(e, 1)
+        out = div_p(e)
         want = (ring.gen("x").scale(3) + ring.one()).reduce_precision(3)
         assert out == want
         assert out.min_precision() == 3
@@ -417,12 +428,68 @@ class TestExactDivision:
         ring = ring_with_pd()
         e = ring.gen("x").scale(3) + ring.gen("y")
         with pytest.raises(NotDivisible, match="y"):
-            exact_div_p_elem(e, 1)
+            div_p(e)
 
     def test_divisibility_probe(self):
         ring = ring_with_pd()
         assert divisible_by_p(ring.gen("x").scale(3))
         assert not divisible_by_p(ring.gen("x").scale(4))
+
+
+def quotient_terms(fn, *args):
+    """Terms in order as (monomial, residue, precision) and the truncation
+    flag, or the class of the exception raised."""
+    try:
+        e = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
+
+
+@st.composite
+def division_pairs(draw):
+    """(a, b) for div_p: b absent, arbitrary, equal to a, or a - p*c, so
+    that a - b is divisible by p; a without b is sometimes p*c."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring = ring_of(draw(st.sampled_from(sorted(SHAPES))), p, draw(st.integers(1, 4)),
+                   draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    a, c = (draw(elements(ring, may_be_truncated=True)) for _ in range(2))
+    kind = draw(st.sampled_from(("quotient", "alone", "any", "same", "p-multiple")))
+    if kind == "quotient":
+        return c.scale(p), None
+    if kind == "alone":
+        return a, None
+    if kind == "any":
+        return a, c
+    if kind == "same":
+        return a, a
+    return a, a - c.scale(p)
+
+
+def same_pair(N):
+    ring = ring_of("xy", 3, N, 4, 0)
+    a = ring.gen("x").scale(3) + ring.one()
+    return a, a
+
+
+class TestDivPAgainstExactDivision:
+    """div_p(a, b) is the exact division of element_sub(a, b) where that
+    has terms; where it has none, a zero known mod p^(N-1), and no digit
+    at N = 1."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(division_pairs())
+    @example(same_pair(1))
+    @example(same_pair(3))
+    def test_matches_the_element_path(self, pair):
+        a, b = pair
+        want = quotient_terms(exact_div_p_elem, a if b is None else element_sub(a, b), 1)
+        if isinstance(want, tuple) and not want[0]:
+            ring = a.ring
+            p, N = ring.modulus.p, ring.modulus.N
+            one = Monomial((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
+            want = PrecisionExhausted if N == 1 else ([(one, 0, N - 1)], want[1])
+        assert quotient_terms(div_p, a, b) == want
 
 
 class TestOrderAndRendering:
