@@ -15,8 +15,7 @@ J. Symb. Comput. 32, 2001, specialised to the local ring).
 A chain map holds one block of sparse rows per degree in the same
 format.  Dense matrices are plain lists of integer rows.  The integer
 Smith decomposition, with both change-of-basis matrices and their
-inverses, stays for callers that want explicit lattices over Z:
-kernel_basis_mod_prime_power reads the kernel mod p^N off it.
+inverses, stays for callers that want explicit lattices over Z.
 dense(rows, cols) expands sparse rows for callers that multiply lists.
 
 A chain map between complexes with matching degree ranges yields a
@@ -239,34 +238,6 @@ def smith_normal_form(
         k += 1
 
     return SmithDecomposition(rows=r, cols=c, S=work, U=U, V=V, Uinv=Uinv, Vinv=Vinv)
-
-
-def kernel_basis_mod_prime_power(
-    a: Matrix, modulus: Modulus, cols: Optional[int] = None
-) -> Tuple[Matrix, List[int]]:
-    """Columns spanning {x : a x = 0 mod p^N}, with their p-exponents.
-
-    Returns (B, e) where B = V * diag(p^e) reduced mod p^N: column i of
-    B generates the i-th factor of the kernel, and e[i] is the power of
-    p scaling the i-th column of V.  The generators only have meaning
-    mod p^N, so their entries are residues in [0, p^N).
-    """
-    p, N = modulus.p, modulus.N
-    pN = modulus.cardinality
-    r = len(a)
-    c = (len(a[0]) if a else 0) if cols is None else cols
-    dec = smith_normal_form(a, rows=r, cols=c)
-    exps = []
-    for i in range(c):
-        if i < min(r, c) and dec.S[i][i] != 0:
-            v = min(N, _int_valuation(dec.S[i][i], p))
-        else:
-            v = N
-        exps.append(N - v)
-    basis = [
-        [dec.V[i][j] * p ** exps[j] % pN for j in range(c)] for i in range(c)
-    ]
-    return basis, exps
 
 
 # -- complexes ------------------------------------------------------------------

@@ -268,16 +268,3 @@ def unit_part_inverse(n_factorial_of: int, modulus: Modulus) -> Scalar:
     v = factorial_valuation(n_factorial_of, p)
     u = math.factorial(n_factorial_of) // p ** v
     return Scalar(u, modulus).inverse()
-
-
-def p_power_over_factorial(n: int, modulus: Modulus) -> Scalar:
-    """The integer-valued p-adic number p^n / n!, at full precision.
-
-    Its valuation n - ord_p(n!) is nonnegative, so no precision is lost:
-    the value is p^(n - v) times the inverse of the unit part of n!.
-    """
-    p, N = modulus.p, modulus.N
-    v = factorial_valuation(n, p)
-    if n - v >= N:
-        return Scalar(0, modulus)
-    return Scalar(p ** (n - v), modulus) * unit_part_inverse(n, modulus)

@@ -841,43 +841,6 @@ def partial_derivative(a: Element, gen: str) -> Element:
     return Element(ring, acc, a.truncated)
 
 
-def hasse_derivative(a: Element, gen: str, order: int) -> Element:
-    """Order-m divided differential operator dual to monomials.
-
-    On ordinary generators x^n -> C(n, m) x^(n-m); on divided-power
-    generators u^[n] -> u^[n-m].  These compose with a multinomial
-    factor in the ordinary case and on the nose in the pd case.
-    """
-    if order < 0:
-        raise ValueError("negative operator order")
-    if order == 0:
-        return a
-    ring = a.ring
-    acc: Dict[Monomial, Scalar] = {}
-    if gen in ring.ordinary_gens:
-        i = ring.ordinary_index(gen)
-        for m, c in a.terms.items():
-            e = m.ordinary[i]
-            if e < order:
-                continue
-            o = tuple(x - order if j == i else x for j, x in enumerate(m.ordinary))
-            nm = Monomial(o, m.pd)
-            nc = c * math.comb(e, order)
-            acc[nm] = acc[nm] + nc if nm in acc else nc
-    elif gen in ring.pd_gens:
-        i = ring.pd_index(gen)
-        for m, c in a.terms.items():
-            e = m.pd[i]
-            if e < order:
-                continue
-            d = tuple(x - order if j == i else x for j, x in enumerate(m.pd))
-            nm = Monomial(m.ordinary, d)
-            acc[nm] = acc[nm] + c if nm in acc else c
-    else:
-        raise UnknownGenerator(gen)
-    return Element(ring, acc, a.truncated)
-
-
 def div_p(a: Element, b: Optional[Element] = None) -> Element:
     """(a - b) / p, or a / p without b, known to one digit less.
 
@@ -1014,13 +977,3 @@ def window_monomials(
     rec(0, weight_cap, [])
     found.sort(key=lambda m: m.sort_key())
     return found
-
-
-def monomial_weight(mono: Monomial, ring: RingSpec, weights: Optional[Mapping[str, int]] = None) -> int:
-    weights = weights or {}
-    total = 0
-    for name, e in zip(ring.ordinary_gens, mono.ordinary):
-        total += e * weights.get(name, 1)
-    for name, e in zip(ring.pd_gens, mono.pd):
-        total += e * weights.get(name, 1)
-    return total

@@ -542,3 +542,105 @@ def snf_cohomology(cx, q):
             raise ArithmeticError(f"invariant factor exponent {k} exceeds {N}")
         out.append(k)
     return CohomologyGroup(modulus, tuple(sorted(out)))
+
+
+# ---------------------------------------------------------------------------
+# Helpers no library code calls: the order-m divided differential operator,
+# the weighted degree of a monomial, p^n/n! at full precision, and the
+# kernel mod p^N read off the integer Smith form.  Their tests and the
+# random_complexes strategy read them here.
+# ---------------------------------------------------------------------------
+
+
+def hasse_derivative(a: Element, gen: str, order: int) -> Element:
+    """Order-m divided differential operator dual to monomials.
+
+    On ordinary generators x^n -> C(n, m) x^(n-m); on divided-power
+    generators u^[n] -> u^[n-m].  These compose with a multinomial
+    factor in the ordinary case and on the nose in the pd case.
+    """
+    from prism_forge.pdpoly import Element, Monomial, UnknownGenerator
+
+    if order < 0:
+        raise ValueError("negative operator order")
+    if order == 0:
+        return a
+    ring = a.ring
+    acc: Dict[Monomial, Scalar] = {}
+    if gen in ring.ordinary_gens:
+        i = ring.ordinary_index(gen)
+        for m, c in a.terms.items():
+            e = m.ordinary[i]
+            if e < order:
+                continue
+            o = tuple(x - order if j == i else x for j, x in enumerate(m.ordinary))
+            nm = Monomial(o, m.pd)
+            nc = c * comb(e, order)
+            acc[nm] = acc[nm] + nc if nm in acc else nc
+    elif gen in ring.pd_gens:
+        i = ring.pd_index(gen)
+        for m, c in a.terms.items():
+            e = m.pd[i]
+            if e < order:
+                continue
+            d = tuple(x - order if j == i else x for j, x in enumerate(m.pd))
+            nm = Monomial(m.ordinary, d)
+            acc[nm] = acc[nm] + c if nm in acc else c
+    else:
+        raise UnknownGenerator(gen)
+    return Element(ring, acc, a.truncated)
+
+
+def monomial_weight(mono: Monomial, ring: RingSpec, weights: Optional[Mapping[str, int]] = None) -> int:
+    weights = weights or {}
+    total = 0
+    for name, e in zip(ring.ordinary_gens, mono.ordinary):
+        total += e * weights.get(name, 1)
+    for name, e in zip(ring.pd_gens, mono.pd):
+        total += e * weights.get(name, 1)
+    return total
+
+
+def p_power_over_factorial(n: int, modulus: Modulus) -> Scalar:
+    """The integer-valued p-adic number p^n / n!, at full precision.
+
+    Its valuation n - ord_p(n!) is nonnegative, so no precision is lost:
+    the value is p^(n - v) times the inverse of the unit part of n!.
+    """
+    from prism_forge.padic import Scalar, factorial_valuation, unit_part_inverse
+
+    p, N = modulus.p, modulus.N
+    v = factorial_valuation(n, p)
+    if n - v >= N:
+        return Scalar(0, modulus)
+    return Scalar(p ** (n - v), modulus) * unit_part_inverse(n, modulus)
+
+
+def kernel_basis_mod_prime_power(
+    a: Matrix, modulus: Modulus, cols: Optional[int] = None
+) -> Tuple[Matrix, List[int]]:
+    """Columns spanning {x : a x = 0 mod p^N}, with their p-exponents.
+
+    Returns (B, e) where B = V * diag(p^e) reduced mod p^N: column i of
+    B generates the i-th factor of the kernel, and e[i] is the power of
+    p scaling the i-th column of V.  The generators only have meaning
+    mod p^N, so their entries are residues in [0, p^N).
+    """
+    from prism_forge.homology import _int_valuation, smith_normal_form
+
+    p, N = modulus.p, modulus.N
+    pN = modulus.cardinality
+    r = len(a)
+    c = (len(a[0]) if a else 0) if cols is None else cols
+    dec = smith_normal_form(a, rows=r, cols=c)
+    exps = []
+    for i in range(c):
+        if i < min(r, c) and dec.S[i][i] != 0:
+            v = min(N, _int_valuation(dec.S[i][i], p))
+        else:
+            v = N
+        exps.append(N - v)
+    basis = [
+        [dec.V[i][j] * p ** exps[j] % pN for j in range(c)] for i in range(c)
+    ]
+    return basis, exps

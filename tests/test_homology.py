@@ -21,13 +21,20 @@ from prism_forge.homology import (
     fp_cohomology_dims,
     identity_matrix,
     is_strict_quasi_iso,
-    kernel_basis_mod_prime_power,
     mapping_cone,
     smith_normal_form,
     zero_matrix,
 )
 
-from oracles import det_int, fp_rank, mat_mul, minors_gcd_divisors, snf_cohomology, sparse
+from oracles import (
+    det_int,
+    fp_rank,
+    kernel_basis_mod_prime_power,
+    mat_mul,
+    minors_gcd_divisors,
+    snf_cohomology,
+    sparse,
+)
 
 STALL_DATA = Path(__file__).parent / "data" / "snf_stall_complex.json"
 

@@ -11,10 +11,9 @@ from prism_forge.padic import (
     binomial,
     exact_div_p,
     factorial_valuation,
-    p_power_over_factorial,
     valuation,
 )
-from oracles import legendre_valuation
+from oracles import legendre_valuation, p_power_over_factorial
 
 
 class TestModulus:

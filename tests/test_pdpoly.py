@@ -15,8 +15,6 @@ from prism_forge.pdpoly import (
     divided_power,
     div_p,
     divisible_by_p,
-    hasse_derivative,
-    monomial_weight,
     mul,
     partial_derivative,
     substitute,
@@ -29,6 +27,8 @@ from oracles import (
     exact_div_p_elem,
     frac_from_element,
     frac_mul,
+    hasse_derivative,
+    monomial_weight,
     scalar_add,
     scalar_mul,
 )
