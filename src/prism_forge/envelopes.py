@@ -29,8 +29,8 @@ from .pdpoly import (
     Element,
     RingSpec,
     UnknownGenerator,
-    divisible_by_p,
     div_p,
+    divisible_by_p,
     equal_reduced,
     partial_derivative,
     substitute,

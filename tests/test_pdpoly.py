@@ -12,8 +12,8 @@ from prism_forge.pdpoly import (
     RingMismatch,
     RingSpec,
     UnknownGenerator,
-    divided_power,
     div_p,
+    divided_power,
     divisible_by_p,
     mul,
     partial_derivative,

@@ -87,7 +87,7 @@ class TestVanishingQuotients:
     def test_aligned_image_of_t(self, gens, p, N):
         # phi(x) = x^p under x -> p*t is p^p * p! * t^[p], so
         # psi(t) = p^(p-1) * p! * t^[p]: 4*t^[2] mod 8 at p = 2, 54*t^[3]
-        # mod 81 at p = 3, each 0 mod p^N only to N - 1 digits
+        # mod 81 at p = 3, each zero mod p^(N-1) but not mod p^N
         assert image_disagreements(lambda n: aligned(p, n, gens), N) == {}
         psi = aligned(p, N, gens).lift.images["t"]
         assert psi.is_zero() and psi.min_precision() == N - 1
@@ -98,7 +98,7 @@ class TestVanishingQuotients:
             assert image_disagreements(lambda n: stages(p, n, gens, 1), p) == {}
 
     def test_two_stages_p3(self):
-        # psi(t1) = 9*t1^3 is 0 mod 27 only to two digits
+        # psi(t1) = 9*t1^3 mod 27: zero mod 9 but not mod 27
         assert image_disagreements(lambda n: stages(3, n, ("x", "y"), 2), 3) == {}
         psi = stages(3, 3, ("x", "y"), 2).lift.images["t1"]
         assert psi.is_zero() and psi.min_precision() == 2
