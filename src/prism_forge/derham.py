@@ -120,6 +120,10 @@ class PConnection:
     rank: int = 1
     matrices: Dict[str, EMatrix] = field(default_factory=dict)
     weights: Dict[str, int] = field(default_factory=dict)
+    # images[x][g] is the dx-coefficient of d'g, for the g where it is given
+    images: Dict[str, Dict[str, Element]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -144,16 +148,16 @@ class PConnection:
                 for e in r:
                     if e.ring != self.ring:
                         raise ValueError("connection matrix entry in the wrong ring")
+        self.images = {
+            x: {g: row[x] for g, row in self.gen_differentials.items() if x in row}
+            for x in self.coordinates
+        }
 
     # -- the underlying derivation ------------------------------------------
 
     def d_component(self, a: Element, coord: str) -> Element:
         """dx_coord coefficient of d'a."""
-        images = {
-            g: row[coord]
-            for g, row in self.gen_differentials.items()
-            if coord in row
-        }
+        images = self.images.get(coord)
         if not images:
             return self.ring.zero()
         return apply_derivation(a, images)
@@ -611,6 +615,14 @@ def _is_divided_power_cell(conn: PConnection) -> bool:
     return True
 
 
+def _require_divided_power_cell(conn: PConnection) -> None:
+    if not _is_divided_power_cell(conn):
+        raise ValueError(
+            "contraction is defined for the trivial connection on a "
+            "divided-power cell"
+        )
+
+
 def poincare_homotopy(dr: DeRhamComplex) -> Tuple[SparseRows, ...]:
     """Contracting homotopy h_q: degree q -> degree q-1, for q = 1..top.
 
@@ -621,11 +633,7 @@ def poincare_homotopy(dr: DeRhamComplex) -> Tuple[SparseRows, ...]:
     positive degree; the projection term only survives in degree 0.
     """
     conn = dr.connection
-    if not _is_divided_power_cell(conn):
-        raise ValueError(
-            "contraction is defined for the trivial connection on a "
-            "divided-power cell"
-        )
+    _require_divided_power_cell(conn)
     out: List[SparseRows] = []
     for q in range(1, len(dr.bases)):
         mat: SparseRows = [{} for _ in dr.bases[q - 1]]
@@ -714,18 +722,26 @@ def _d_walk(conn: PConnection, e: Element) -> Iterator[Tuple[Monomial, Element]]
     """(I, d^I e) for the multi-indices I of the divided-power window, in
     window order, leaving out those where d^I e vanishes.
 
-    d^I applies the coordinate component k of d' I_k times, coordinate
-    by coordinate, and stops once the term vanishes.
+    Each d^I e is one coordinate component of its parent d^(I - e_k) e,
+    k the last coordinate with I_k > 0.  So coordinate 0 still comes
+    first, and every yielded term comes from the same d_component calls
+    as applying d^I to e coordinate by coordinate.  Window order lists a
+    parent before its children, and a vanishing parent has only
+    vanishing children; the table of parents lasts for this walk only.
     """
+    found: Dict[Tuple[int, ...], Element] = {}
     for mono in window_monomials(conn.ring, conn.ring.pd_degree_cap):
-        term = e
-        for k, n in enumerate(mono.pd):
-            coord = conn.coordinates[k]
-            for _ in range(n):
-                term = conn.d_component(term, coord)
-            if term.is_zero():
-                break
+        index = mono.pd
+        k = max((j for j, n in enumerate(index) if n), default=None)
+        if k is None:
+            term = e
+        else:
+            parent = found.get(index[:k] + (index[k] - 1,) + index[k + 1:])
+            if parent is None:
+                continue
+            term = conn.d_component(parent, conn.coordinates[k])
         if not term.is_zero():
+            found[index] = term
             yield mono, term
 
 
@@ -738,11 +754,7 @@ def poincare_contraction(conn: PConnection, e: Element) -> Element:
     horizontal representative of its class.
     """
     ring = conn.ring
-    if not _is_divided_power_cell(conn):
-        raise ValueError(
-            "contraction is defined for the trivial connection on a "
-            "divided-power cell"
-        )
+    _require_divided_power_cell(conn)
     out = ring.zero()
     for mono, term in _d_walk(conn, e):
         sign = -1 if sum(mono.pd) % 2 else 1
@@ -760,6 +772,7 @@ def contraction_identity_failures(
     sum_I t^[I] r(d^I e) must recover e on the nose.
     """
     ring = conn.ring
+    _require_divided_power_cell(conn)
     failures: List[str] = []
     for e in elements:
         r_e = poincare_contraction(conn, e)

@@ -644,3 +644,83 @@ def kernel_basis_mod_prime_power(
         [dec.V[i][j] * p ** exps[j] % pN for j in range(c)] for i in range(c)
     ]
     return basis, exps
+
+
+# ---------------------------------------------------------------------------
+# The element-level contraction as first written: every d^I e is rebuilt
+# from e, one coordinate component at a time, so a multi-index I costs |I|
+# derivations.  The library builds each d^I e from its parent instead and
+# must agree term by term, residue, precision and truncation flag.
+# ---------------------------------------------------------------------------
+
+
+def d_walk(conn, e):
+    """(I, d^I e) for the multi-indices I of the divided-power window, in
+    window order, leaving out those where d^I e vanishes.
+
+    d^I applies the coordinate component k of d' I_k times, coordinate
+    by coordinate, and stops once the term vanishes.
+    """
+    from prism_forge.pdpoly import window_monomials
+
+    for mono in window_monomials(conn.ring, conn.ring.pd_degree_cap):
+        term = e
+        for k, n in enumerate(mono.pd):
+            coord = conn.coordinates[k]
+            for _ in range(n):
+                term = conn.d_component(term, coord)
+            if term.is_zero():
+                break
+        if not term.is_zero():
+            yield mono, term
+
+
+def poincare_contraction(conn, e):
+    """Project onto horizontal elements: sum over I of (-t)^[I] d^I e."""
+    from prism_forge.derham import _is_divided_power_cell
+    from prism_forge.padic import Scalar
+    from prism_forge.pdpoly import Element
+
+    ring = conn.ring
+    if not _is_divided_power_cell(conn):
+        raise ValueError(
+            "contraction is defined for the trivial connection on a "
+            "divided-power cell"
+        )
+    out = ring.zero()
+    for mono, term in d_walk(conn, e):
+        sign = -1 if sum(mono.pd) % 2 else 1
+        out = out + Element(ring, {mono: Scalar(sign, ring.modulus)}) * term
+    return out
+
+
+def contraction_identity_failures(conn, elements):
+    """Per-element obstructions to horizontality of the contraction and to
+    the Taylor reconstruction sum_I t^[I] r(d^I e) = e."""
+    from prism_forge.padic import Scalar
+    from prism_forge.pdpoly import Element, equal_reduced
+
+    ring = conn.ring
+    failures = []
+    for e in elements:
+        r_e = poincare_contraction(conn, e)
+        for coord in conn.coordinates:
+            img = conn.d_component(r_e, coord)
+            if not img.is_zero():
+                failures.append(
+                    f"contraction of {e.render()} is not horizontal in {coord}"
+                )
+                break
+        rebuilt = ring.zero()
+        for mono, term in d_walk(conn, e):
+            coeff = poincare_contraction(conn, term)
+            if coeff.is_zero():
+                continue
+            rebuilt = rebuilt + Element(
+                ring, {mono: Scalar(1, ring.modulus)}
+            ) * coeff
+        if not equal_reduced(rebuilt, e):
+            failures.append(
+                f"reconstruction of {e.render()} gave {rebuilt.render()}"
+            )
+    return failures

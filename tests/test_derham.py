@@ -1,6 +1,8 @@
 """Window de Rham complexes: frozen matrices, cohomology, contraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prism_forge.padic import Modulus, PrecisionExhausted, valuation, Scalar
 from prism_forge.pdpoly import Element, Monomial, RingSpec
@@ -14,6 +16,7 @@ from prism_forge.envelopes import (
 )
 from prism_forge.derham import (
     NotIntegrable,
+    _d_walk,
     PConnection,
     WindowOverflow,
     apply_pconnection,
@@ -32,6 +35,8 @@ from prism_forge.derham import (
 )
 from prism_forge.homology import dense
 
+import oracles
+from cases import elements
 from oracles import mat_vec
 from test_homology import brute_group_exponents
 
@@ -399,6 +404,56 @@ class TestContraction:
         conn = polynomial_p_connection(ring)
         with pytest.raises(ValueError, match="divided-power cell"):
             poincare_contraction(conn, ring.one())
+
+    def test_identities_refuse_other_connections_before_any_element(self):
+        ring = poly_ring(3, 2, ("x",), cap=4)
+        conn = polynomial_p_connection(ring)
+        for batch in ([], [ring.one()]):
+            with pytest.raises(ValueError, match="divided-power cell"):
+                contraction_identity_failures(conn, batch)
+
+
+@st.composite
+def cells_with_elements(draw):
+    """A divided-power cell over Z/p^N in one to three coordinates and two
+    or three of its elements, with low-precision coefficients and zeros,
+    and possibly the truncation flag."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(1, 4))
+    num_vars = draw(st.integers(1, 3))
+    cap = draw(st.integers(0, 4 if num_vars == 3 else 8))
+    conn = divided_power_cell(Modulus(p, N), num_vars, cap)
+    batch = draw(st.lists(
+        elements(conn.ring, max_exp=cap, may_be_truncated=True),
+        min_size=2, max_size=3,
+    ))
+    return conn, batch
+
+
+def in_order(e):
+    """Terms in the element's own order, with residue and precision, and
+    the truncation flag."""
+    return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
+
+
+class TestContractionAgainstOracle:
+    """The walk that builds each d^I e from its parent against the one that
+    rebuilds every d^I e from e."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cells_with_elements())
+    def test_walk_contraction_and_identities(self, case):
+        conn, batch = case
+        for e in batch:
+            assert [(m, in_order(t)) for m, t in _d_walk(conn, e)] == [
+                (m, in_order(t)) for m, t in oracles.d_walk(conn, e)
+            ]
+            assert in_order(poincare_contraction(conn, e)) == in_order(
+                oracles.poincare_contraction(conn, e)
+            )
+        assert contraction_identity_failures(
+            conn, batch
+        ) == oracles.contraction_identity_failures(conn, batch)
 
 
 # -- untwisted connections and the Leibniz rule ----------------------------------
