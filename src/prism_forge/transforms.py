@@ -37,9 +37,7 @@ from .derham import (
     PConnection,
     WindowOverflow,
     _e_all,
-    _e_identity,
     _e_map,
-    _e_mul,
     _e_zero,
     build_p_derham,
     polynomial_connection,
@@ -60,6 +58,8 @@ from .pdpoly import (
     Element,
     Monomial,
     RingSpec,
+    _from_packed,
+    _multiply_into,
     div_p,
     equal_reduced,
     partial_derivative,
@@ -104,11 +104,15 @@ class WindowTooSmall(ValueError):
     """The ring caps cannot hold the window a comparison needs."""
 
 
+def _overflow(context: str) -> WindowOverflow:
+    return WindowOverflow(
+        f"{context} left the coefficient ring caps; raise poly_degree_cap"
+    )
+
+
 def _refuse_truncated(a: EMatrix, context: str) -> None:
     if not _e_all(lambda x: not x.truncated, a):
-        raise WindowOverflow(
-            f"{context} left the coefficient ring caps; raise poly_degree_cap"
-        )
+        raise _overflow(context)
 
 
 # -- the relative Frobenius ----------------------------------------------------
@@ -525,6 +529,84 @@ def check_frobenius_isogeny(
 
 # -- p-curvature -----------------------------------------------------------------
 
+# A mod-p element as {packed monomial key: nonzero residue}, and a matrix
+# of them; the composition and the formula's matrix products run on these.
+Packed = Dict[int, int]
+PMatrix = List[List[Packed]]
+
+
+def _packed(e: Element) -> Packed:
+    codec, p = e.ring._codec, e.ring.modulus.p
+    out: Packed = {}
+    for m, c in e.terms.items():
+        r = c.residue % p
+        if r:
+            out[codec.entry(m)[0]] = r
+    return out
+
+
+def _packed_matrix(mat: EMatrix) -> PMatrix:
+    return [[_packed(e) for e in row] for row in mat]
+
+
+def _packed_identity(n: int) -> PMatrix:
+    # the constant monomial packs to the key 0
+    return [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
+
+
+def _reduced(acc: Dict[int, int], p: int) -> Packed:
+    out: Packed = {}
+    for k, r in acc.items():
+        r %= p
+        if r:
+            out[k] = r
+    return out
+
+
+def _add(a: Packed, b: Packed, p: int) -> Packed:
+    acc = dict(a)
+    for k, r in b.items():
+        acc[k] = acc.get(k, 0) + r
+    return _reduced(acc, p)
+
+
+def _mat_add(a: PMatrix, b: PMatrix, p: int) -> PMatrix:
+    return _e_map(lambda x, y: _add(x, y, p), a, b)
+
+
+def _derivative(a: Packed, shift: int, mask: int, p: int) -> Packed:
+    """The derivative in the generator whose exponent field starts at bit
+    `shift`: each key loses one from that field and its residue is scaled
+    by the exponent it had.  Keys stay distinct, and a key whose field
+    was 0 gets residue 0 and is dropped."""
+    one = 1 << shift
+    return _reduced({k - one: r * (k >> shift & mask) for k, r in a.items()}, p)
+
+
+def _mat_mul(a: PMatrix, b: PMatrix, ring: RingSpec) -> Tuple[PMatrix, bool]:
+    """a b mod p through pdpoly's product loop, and whether any product
+    of two terms left the ring's caps (those are dropped)."""
+    codec, p = ring._codec, ring.modulus.p
+    cap_o, cap_d = ring.poly_degree_cap, ring.pd_degree_cap
+
+    def entries(d: Packed) -> list:
+        return [codec.key_entry(k) + (r, 1, 0) for k, r in d.items()]
+
+    ta = [[entries(d) for d in row] for row in a]
+    tb = [[entries(d) for d in col] for col in zip(*b)]
+    truncated = False
+    out = []
+    for row in ta:
+        new_row = []
+        for col in tb:
+            acc: Dict[int, int] = {}
+            for ea, eb in zip(row, col):
+                if _multiply_into(ea, eb, cap_o, cap_d, False, acc, {}):
+                    truncated = True
+            new_row.append(_reduced(acc, p))
+        out.append(new_row)
+    return out, truncated
+
 
 def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
     """Matrix of the p-th power of each coordinate connection operator.
@@ -535,6 +617,13 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
     single matrix, returned per coordinate.  The intermediate orders
     1..p-1 must cancel (this is what makes the operator linear over
     p-th powers); a nonzero residue there is raised, not returned.
+
+    The composition runs on packed residues mod p: each matrix entry is
+    a map from packed monomial keys to residues, products go through
+    pdpoly's product loop, and elements are built only for the result.
+    A product that leaves the caps, or an input entry flagged truncated,
+    raises WindowOverflow.  tests/oracles.py keeps the composition one
+    Element operation at a time as the oracle.
     """
     ring = conn.ring
     if ring.modulus.N != 1:
@@ -556,34 +645,39 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
             )
     p = ring.modulus.p
     n = conn.rank
+    codec = ring._codec
+    mask = (1 << codec.width) - 1
+    identity = _packed_identity(n)
     out: Dict[str, EMatrix] = {}
     for coord in conn.coordinates:
+        # the first generator's exponent field is the most significant
+        shift = codec.width * (codec.n - 1 - ring.ordinary_index(coord))
         amat = conn.matrix(coord)
+        _refuse_truncated(amat, "the operator composition")
+        apacked = _packed_matrix(amat)
         # powers[e] is the coefficient of the e-th power of d/dx in the
         # composite so far; p steps fill every order 0..p
-        powers: Dict[int, EMatrix] = {0: _e_identity(ring, n)}
+        powers: Dict[int, PMatrix] = {0: identity}
         for _ in range(p):
-            new: Dict[int, EMatrix] = {}
-
-            def bump(e: int, mat: EMatrix) -> None:
-                new[e] = _e_map(operator.add, new[e], mat) if e in new else mat
-
+            new: Dict[int, PMatrix] = {}
             for e, bmat in powers.items():
-                db = _e_map(lambda x: partial_derivative(x, coord), bmat)
-                bump(e, _e_map(operator.add, db, _e_mul(amat, bmat)))
-                bump(e + 1, bmat)
+                prod, truncated = _mat_mul(apacked, bmat, ring)
+                if truncated:
+                    raise _overflow("the operator composition")
+                db = _e_map(lambda b: _derivative(b, shift, mask, p), bmat)
+                step = _mat_add(db, prod, p)
+                new[e] = _mat_add(new[e], step, p) if e in new else step
+                new[e + 1] = bmat
             powers = new
-            for bmat in powers.values():
-                _refuse_truncated(bmat, "the operator composition")
-        if not _e_all(equal_reduced, powers[p], _e_identity(ring, n)):
+        if powers[p] != identity:
             raise ArithmeticError("leading symbol of the p-th power is wrong")
         for i in range(1, p):
-            if not _e_all(Element.is_zero, powers[i]):
+            if any(d for row in powers[i] for d in row):
                 raise ArithmeticError(
                     f"p-th power keeps a derivation term of order {i}; "
                     "the operator is not linear over p-th powers"
                 )
-        out[coord] = powers[0]
+        out[coord] = _e_map(lambda d: _from_packed(ring, d, {}, False), powers[0])
     return out
 
 
@@ -616,38 +710,46 @@ def check_pcurvature_formula(
 
     an exact matrix identity.  Theta is f_transform reduced mod p.  The
     report also verifies that the psi matrices commute with each other
-    and with every Theta.
+    and with every Theta.  Theta^p and the commutation products run on
+    packed residues mod p, through the product of p_curvature; the
+    oracle in tests/oracles.py takes them one Element operation at a
+    time.
     """
     dom1 = rf.domain_ring.at_precision(1)
     img1 = rf.image_ring.at_precision(1)
     n = pconn.rank
+    p = img1.modulus.p
     theta_source, theta_pullback, images1 = _mod_p(rf, pconn, dom1, img1)
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
+    packed_psi = {x: _packed_matrix(m) for x, m in psi.items()}
+    packed_theta = {x: _packed_matrix(m) for x, m in theta_pullback.items()}
     failures: List[str] = []
     for xp, x in rf.coordinate_pairs():
-        power = _e_identity(img1, n)
-        for _ in range(img1.modulus.p):
-            power = _e_mul(power, theta_pullback[x])
-        _refuse_truncated(power, "the matrix p-th power")
-        pulled = _e_map(
+        power = _packed_identity(n)
+        for _ in range(p):
+            power, truncated = _mat_mul(power, packed_theta[x], img1)
+            if truncated:
+                raise _overflow("the matrix p-th power")
+        pulled = _packed_matrix(_e_map(
             lambda e: substitute(e, images1, target=img1), theta_source[xp]
-        )
-        rhs = _e_map(operator.sub, power, pulled)
-        if not _e_all(equal_reduced, psi[x], rhs):
+        ))
+        # psi = Theta^p - F(theta'), read as psi + F(theta') = Theta^p
+        if _mat_add(packed_psi[x], pulled, p) != power:
             failures.append(f"curvature formula fails in the coordinate {x}")
     coords = list(img1.ordinary_gens)
     for x, y in combinations(coords, 2):
-        ab, ba = _e_mul(psi[x], psi[y]), _e_mul(psi[y], psi[x])
-        _refuse_truncated(ab, "the psi product")
-        if not _e_all(equal_reduced, ab, ba):
+        ab, truncated = _mat_mul(packed_psi[x], packed_psi[y], img1)
+        if truncated:
+            raise _overflow("the psi product")
+        if ab != _mat_mul(packed_psi[y], packed_psi[x], img1)[0]:
             failures.append(f"psi matrices in {x} and {y} do not commute")
     for x in coords:
         for y in coords:
-            lhs = _e_mul(psi[x], theta_pullback[y])
-            rhs = _e_mul(theta_pullback[y], psi[x])
-            _refuse_truncated(lhs, "the psi-twist product")
-            if not _e_all(equal_reduced, lhs, rhs):
+            lhs, truncated = _mat_mul(packed_psi[x], packed_theta[y], img1)
+            if truncated:
+                raise _overflow("the psi-twist product")
+            if lhs != _mat_mul(packed_theta[y], packed_psi[x], img1)[0]:
                 failures.append(
                     f"psi in {x} does not commute with the twist matrix in {y}"
                 )

@@ -3,9 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from prism_forge import transforms
-from prism_forge.padic import Modulus
+from prism_forge.padic import Modulus, Scalar
 from prism_forge.pdpoly import Element, Monomial, RingSpec, equal_reduced
 from prism_forge.deltaring import FrobeniusLift
 from prism_forge.exprparse import parse_expression
@@ -36,6 +38,8 @@ from prism_forge.transforms import (
     pullback_factorization_failures,
 )
 
+import oracles
+from cases import elements
 from oracles import mat_mul
 
 
@@ -412,6 +416,133 @@ class TestPCurvature:
         x = ring.gen("x")
         with pytest.raises(WindowOverflow, match="caps"):
             p_curvature(polynomial_connection(ring, matrices={"x": [[x**2]]}))
+
+
+def curvature_outcome(fn, *args):
+    """What fn returned, or the class and message of the WindowOverflow
+    it raised."""
+    try:
+        return fn(*args)
+    except WindowOverflow as exc:
+        return WindowOverflow, str(exc)
+
+
+def same_matrices(a, b):
+    """Per coordinate, the same entries by Element equality and
+    truncation flag; the order of terms is free."""
+    return a.keys() == b.keys() and all(
+        x == y and x.truncated == y.truncated
+        for k in a for ra, rb in zip(a[k], b[k]) for x, y in zip(ra, rb)
+    )
+
+
+@st.composite
+def curvature_connections(draw):
+    """An untwisted connection of rank 1 or 2 on F_p[x] or F_p[x,y],
+    p <= 7, with sparse random matrices, one entry sometimes flagged
+    truncated, and caps that some compositions leave."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    gens = draw(st.sampled_from((("x",), ("x", "y"))))
+    # entries have degree at most 2, so psi has degree at most 2p
+    cap = draw(st.integers(0, 2 * p + 2))
+    ring = RingSpec(gens, (), Modulus(p, 1), cap, 0)
+    rank = draw(st.integers(1, 2))
+    matrices = {
+        g: [[draw(elements(ring, max_exp=2 // len(gens)))
+             for _ in range(rank)] for _ in range(rank)]
+        for g in gens
+    }
+    if draw(st.integers(0, 4)) == 0:
+        row = matrices[draw(st.sampled_from(gens))][draw(st.integers(0, rank - 1))]
+        slot = draw(st.integers(0, rank - 1))
+        row[slot] = Element(ring, row[slot].terms, truncated=True)
+    return polynomial_connection(ring, rank=rank, matrices=matrices)
+
+
+@st.composite
+def curvature_transforms(draw):
+    """A relative Frobenius of W[x] or W[x,y] at N = 2, with twisted
+    images or not, and a p-connection of rank 1 or 2 with sparse random
+    matrices; the caps are drawn so that some formulas leave them."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    # Theta has degree at most 2p - 1, and psi Theta at most p + 1 times that
+    cap = draw(st.integers(p, (p + 1) * (2 * p - 1)))
+    if p <= 3 and draw(st.booleans()):
+        rf = plane_frobenius(p, 2, cap=cap, twist=draw(st.booleans()))
+    else:
+        rf = line_frobenius(p, 2, cap=cap)
+    dom = rf.domain_ring
+    rank = draw(st.integers(1, 2))
+    matrices = {
+        g: [[draw(elements(dom, max_exp=1)) for _ in range(rank)]
+            for _ in range(rank)]
+        for g in dom.ordinary_gens
+    }
+    return rf, polynomial_p_connection(dom, rank=rank, matrices=matrices)
+
+
+def non_commuting_plane():
+    """Rank two on W[x,y], p = 3, with nilpotent twists in transposed
+    slots: the psi matrices commute neither with each other nor with
+    the twist matrices, so the report lists three failures."""
+    rf = plane_frobenius(3, 2, cap=8)
+    dom = rf.domain_ring
+    one, zero = dom.one(), dom.zero()
+    return rf, polynomial_p_connection(dom, rank=2, matrices={
+        "xp": [[zero, one], [zero, zero]], "yp": [[zero, zero], [one, zero]],
+    })
+
+
+class TestPCurvatureAgainstOracle:
+    """The composition on packed residues mod p against the one that takes
+    every step as an Element operation."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(curvature_connections())
+    def test_p_curvature(self, conn):
+        got = curvature_outcome(p_curvature, conn)
+        want = curvature_outcome(oracles.p_curvature, conn)
+        event("overflow" if isinstance(want, tuple) else "psi")
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert same_matrices(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(curvature_transforms())
+    @example(non_commuting_plane())
+    def test_formula_report(self, case):
+        got = curvature_outcome(check_pcurvature_formula, *case)
+        want = curvature_outcome(oracles.check_pcurvature_formula, *case)
+        event("overflow" if isinstance(want, tuple) else "report")
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert (got.passed, got.failures) == (want.passed, want.failures)
+        for name in ("psi", "theta_source", "theta_pullback"):
+            assert same_matrices(getattr(got.data, name), getattr(want.data, name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 5, 7, 11, 13)),
+        st.lists(st.integers(0, 12), max_size=5),
+    )
+    def test_jacobson_closed_form(self, p, coeffs):
+        # rank one: psi = a^p + (d/dx)^(p-1) a over F_p[x]
+        a = [c % p for c in coeffs]
+        while a and not a[-1]:
+            a.pop()
+        ring = RingSpec(("x",), (), Modulus(p, 1), p * max(len(a) - 1, 0), 0)
+        entry = Element(ring, {
+            Monomial((i,), ()): Scalar(c, ring.modulus) for i, c in enumerate(a)
+        })
+        psi = p_curvature(polynomial_connection(ring, matrices={"x": [[entry]]}))
+        got = [0] * (ring.poly_degree_cap + 1)
+        for m, c in psi["x"][0][0].terms.items():
+            got[m.ordinary[0]] = c.residue
+        while got and not got[-1]:
+            got.pop()
+        assert got == oracles.jacobson_psi(a, p)
 
 
 class TestCartier:
