@@ -536,13 +536,9 @@ PMatrix = List[List[Packed]]
 
 
 def _packed(e: Element) -> Packed:
-    codec, p = e.ring._codec, e.ring.modulus.p
-    out: Packed = {}
-    for m, c in e.terms.items():
-        r = c.residue % p
-        if r:
-            out[codec.entry(m)[0]] = r
-    return out
+    # at N = 1 an element holds no zero residue
+    codec = e.ring._codec
+    return {codec.entry(m)[0]: c.residue for m, c in e.terms.items()}
 
 
 def _packed_matrix(mat: EMatrix) -> PMatrix:

@@ -10,12 +10,13 @@ Usage, from the root of a checkout:
 Each revision is exported with `git archive` into its own temporary
 directory, so both sides run from committed files only.  For every
 (workload, seed) the two sides run `perfbench/run.py --trace 0` back to
-back, one process at a time; the side that runs first alternates from
-pair to pair.  Each --traced (workload, seed) runs once per side with
---trace 1.  The output file holds every run, the traced runs and, per
-workload and end-to-end metric, each side's median and quartiles and the
-number of pairs the after side won.  It is rewritten after every run, so
-an interrupted session keeps what it measured.  Standard library only.
+back for the run_seconds of BENCHMARK.json, one process at a time; the
+side that runs first alternates from pair to pair.  Each --traced
+(workload, seed) runs once per side with --trace 1.  The output file
+holds every run, the traced runs and, per workload and end-to-end
+metric, each side's median and quartiles and the number of pairs the
+after side won.  It is rewritten after every run, so an interrupted
+session keeps what it measured.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Dict, Iterable, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("before", "after")
+TRACED_SECONDS = 10  # per-layer figures are medians over rounds; a short run will do
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -138,9 +140,6 @@ def parse_args(argv: List[str]) -> argparse.Namespace:
                         help="untraced pairs, seeds as 1-3,7; repeatable")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEEDS",
                         help="one traced run per side and seed; repeatable")
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--traced-seconds", type=float, default=10)
-    parser.add_argument("--host", default="", help="one line on the machine")
     parser.add_argument("--workdir", default=None, help="parent of the exported trees")
     parser.add_argument("--out", default=None, help="default BENCH_<label>.json")
     return parser.parse_args(argv)
@@ -152,16 +151,17 @@ def main(argv: List[str]) -> int:
     out_path = Path(args.out or f"BENCH_{args.label}.json")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     doc = {
         "label": args.label,
         "change": args.change,
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "traced_command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                          f"--seconds {args.traced_seconds:g} --trace 1",
+                          f"--seconds {TRACED_SECONDS:g} --trace 1",
         "sides": {},
-        "host": args.host or f"{os.cpu_count()}-CPU {platform.system()} host, "
-                             "one benchmark process at a time",
+        "host": f"{os.cpu_count()}-CPU {platform.system()} host, one benchmark "
+                "process at a time",
         "pairs": "each seed runs both sides back to back; the side that runs "
                  "first alternates from pair to pair; each side in its own "
                  "git archive copy",
@@ -188,11 +188,11 @@ def main(argv: List[str]) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 record("runs", side, workload, seed, {"ran_first": order[0]},
-                       args.seconds, 0)
+                       seconds, 0)
         for workload, seed in traced_jobs:
             for side in SIDES:
                 record("traced", side, workload, seed,
-                       {"seconds": args.traced_seconds}, args.traced_seconds, 1)
+                       {"seconds": TRACED_SECONDS}, TRACED_SECONDS, 1)
     finally:
         for where in trees.values():
             shutil.rmtree(where, ignore_errors=True)
