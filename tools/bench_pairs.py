@@ -15,8 +15,8 @@ side that runs first alternates from pair to pair.  Each --traced
 (workload, seed) runs once per side with --trace 1.  The output file
 holds every run, the traced runs and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs the
-after side won.  It is rewritten after every run, so an interrupted
-session keeps what it measured.  Standard library only.
+after side won.  It is rewritten after every run, so what was measured
+survives an interruption.  Standard library only.
 """
 
 from __future__ import annotations
