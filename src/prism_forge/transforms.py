@@ -604,22 +604,38 @@ def _mat_mul(a: PMatrix, b: PMatrix, ring: RingSpec) -> Tuple[PMatrix, bool]:
     return out, truncated
 
 
+def _commute(a: PMatrix, b: PMatrix, ring: RingSpec, context: str) -> bool:
+    """Whether a b = b a mod p; a truncated product on either side is
+    refused, so dropped terms never read as a failure to commute."""
+    ab, ab_truncated = _mat_mul(a, b, ring)
+    ba, ba_truncated = _mat_mul(b, a, ring)
+    if ab_truncated or ba_truncated:
+        raise _overflow(context)
+    return ab == ba
+
+
 def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
     """Matrix of the p-th power of each coordinate connection operator.
 
     Works over a mod-p polynomial coefficient ring, where the p-th
-    power of the coordinate derivation vanishes; the p-fold symbolic
-    composition of (d/dx + A) then collapses to multiplication by a
-    single matrix, returned per coordinate.  The intermediate orders
-    1..p-1 must cancel (this is what makes the operator linear over
-    p-th powers); a nonzero residue there is raised, not returned.
+    power of the coordinate derivation vanishes; the p-fold composition
+    of (d/dx + A) then collapses to multiplication by a single matrix,
+    the p-curvature, returned per coordinate.
 
-    The composition runs on packed residues mod p: each matrix entry is
-    a map from packed monomial keys to residues, products go through
+    Katz's recursion A_0 = 1, A_(k+1) = dA_k + A A_k reaches it in p
+    matrix products.  By the Leibniz rule the coefficient of d^e in
+    (d/dx + A)^s is C(s, e) A_(s-e), so the p-curvature is the order-0
+    coefficient A_p.  The orders 1..p-1 are C(p, e) A_(p-e), which vanish
+    mod p for every prime p, and order p is the identity; no check here
+    can fail, so tests/test_transforms.py holds those identities against
+    the oracle instead.
+
+    The recursion runs on packed residues mod p: each matrix entry is a
+    map from packed monomial keys to residues, products go through
     pdpoly's product loop, and elements are built only for the result.
     A product that leaves the caps, or an input entry flagged truncated,
-    raises WindowOverflow.  tests/oracles.py keeps the composition one
-    Element operation at a time as the oracle.
+    raises WindowOverflow.  tests/oracles.py keeps the composition of
+    every order, one Element operation at a time, as the oracle.
     """
     ring = conn.ring
     if ring.modulus.N != 1:
@@ -640,10 +656,8 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
                 f"(d{g} = dg); apply the F-transform first"
             )
     p = ring.modulus.p
-    n = conn.rank
     codec = ring._codec
     mask = (1 << codec.width) - 1
-    identity = _packed_identity(n)
     out: Dict[str, EMatrix] = {}
     for coord in conn.coordinates:
         # the first generator's exponent field is the most significant
@@ -651,29 +665,14 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
         amat = conn.matrix(coord)
         _refuse_truncated(amat, "the operator composition")
         apacked = _packed_matrix(amat)
-        # powers[e] is the coefficient of the e-th power of d/dx in the
-        # composite so far; p steps fill every order 0..p
-        powers: Dict[int, PMatrix] = {0: identity}
+        ak = _packed_identity(conn.rank)
         for _ in range(p):
-            new: Dict[int, PMatrix] = {}
-            for e, bmat in powers.items():
-                prod, truncated = _mat_mul(apacked, bmat, ring)
-                if truncated:
-                    raise _overflow("the operator composition")
-                db = _e_map(lambda b: _derivative(b, shift, mask, p), bmat)
-                step = _mat_add(db, prod, p)
-                new[e] = _mat_add(new[e], step, p) if e in new else step
-                new[e + 1] = bmat
-            powers = new
-        if powers[p] != identity:
-            raise ArithmeticError("leading symbol of the p-th power is wrong")
-        for i in range(1, p):
-            if any(d for row in powers[i] for d in row):
-                raise ArithmeticError(
-                    f"p-th power keeps a derivation term of order {i}; "
-                    "the operator is not linear over p-th powers"
-                )
-        out[coord] = _e_map(lambda d: _from_packed(ring, d, {}, False), powers[0])
+            prod, truncated = _mat_mul(apacked, ak, ring)
+            if truncated:
+                raise _overflow("the operator composition")
+            dak = _e_map(lambda b: _derivative(b, shift, mask, p), ak)
+            ak = _mat_add(dak, prod, p)
+        out[coord] = _e_map(lambda d: _from_packed(ring, d, {}, False), ak)
     return out
 
 
@@ -735,17 +734,12 @@ def check_pcurvature_formula(
             failures.append(f"curvature formula fails in the coordinate {x}")
     coords = list(img1.ordinary_gens)
     for x, y in combinations(coords, 2):
-        ab, truncated = _mat_mul(packed_psi[x], packed_psi[y], img1)
-        if truncated:
-            raise _overflow("the psi product")
-        if ab != _mat_mul(packed_psi[y], packed_psi[x], img1)[0]:
+        if not _commute(packed_psi[x], packed_psi[y], img1, "the psi product"):
             failures.append(f"psi matrices in {x} and {y} do not commute")
     for x in coords:
         for y in coords:
-            lhs, truncated = _mat_mul(packed_psi[x], packed_theta[y], img1)
-            if truncated:
-                raise _overflow("the psi-twist product")
-            if lhs != _mat_mul(packed_theta[y], packed_psi[x], img1)[0]:
+            psi_x, theta_y = packed_psi[x], packed_theta[y]
+            if not _commute(psi_x, theta_y, img1, "the psi-twist product"):
                 failures.append(
                     f"psi in {x} does not commute with the twist matrix in {y}"
                 )

@@ -730,17 +730,18 @@ def contraction_identity_failures(conn, elements):
 # p-curvature as first written: (d/dx + A)^p composed one Element operation
 # at a time, every order of d/dx kept, and the curvature formula's matrix
 # products taken entry by entry with Element sums and products.  The
-# library composes on packed residues mod p and must agree on every psi,
-# report and WindowOverflow message.
+# library runs Katz's recursion on packed residues mod p instead and must
+# agree on every psi, report and WindowOverflow message.
 # ---------------------------------------------------------------------------
 
 
-def p_curvature(conn):
-    """Matrix of the p-th power of each coordinate connection operator."""
+def composition_orders(conn):
+    """Per coordinate, the coefficients of every order of d/dx in
+    (d/dx + A)^p, as a list indexed by the order 0..p."""
     import operator
 
-    from prism_forge.derham import _e_all, _e_identity, _e_map, _e_mul
-    from prism_forge.pdpoly import Element, equal_reduced, partial_derivative
+    from prism_forge.derham import _e_identity, _e_map, _e_mul
+    from prism_forge.pdpoly import equal_reduced, partial_derivative
     from prism_forge.transforms import _refuse_truncated
 
     ring = conn.ring
@@ -782,7 +783,22 @@ def p_curvature(conn):
             powers = new
             for bmat in powers.values():
                 _refuse_truncated(bmat, "the operator composition")
-        if not _e_all(equal_reduced, powers[p], _e_identity(ring, n)):
+        out[coord] = [powers[e] for e in range(p + 1)]
+    return out
+
+
+def p_curvature(conn):
+    """Matrix of the p-th power of each coordinate connection operator:
+    the order-0 coefficient of the composition, once the leading symbol
+    is the identity and the orders 1..p-1 vanish."""
+    from prism_forge.derham import _e_all, _e_identity
+    from prism_forge.pdpoly import Element, equal_reduced
+
+    ring = conn.ring
+    p = ring.modulus.p
+    out = {}
+    for coord, powers in composition_orders(conn).items():
+        if not _e_all(equal_reduced, powers[p], _e_identity(ring, conn.rank)):
             raise ArithmeticError("leading symbol of the p-th power is wrong")
         for i in range(1, p):
             if not _e_all(Element.is_zero, powers[i]):
@@ -830,6 +846,7 @@ def check_pcurvature_formula(rf, pconn):
     for x, y in combinations(coords, 2):
         ab, ba = _e_mul(psi[x], psi[y]), _e_mul(psi[y], psi[x])
         _refuse_truncated(ab, "the psi product")
+        _refuse_truncated(ba, "the psi product")
         if not _e_all(equal_reduced, ab, ba):
             failures.append(f"psi matrices in {x} and {y} do not commute")
     for x in coords:
@@ -837,6 +854,7 @@ def check_pcurvature_formula(rf, pconn):
             lhs = _e_mul(psi[x], theta_pullback[y])
             rhs = _e_mul(theta_pullback[y], psi[x])
             _refuse_truncated(lhs, "the psi-twist product")
+            _refuse_truncated(rhs, "the psi-twist product")
             if not _e_all(equal_reduced, lhs, rhs):
                 failures.append(
                     f"psi in {x} does not commute with the twist matrix in {y}"

@@ -1,6 +1,8 @@
-"""The summary of tools/bench_pairs.py on canned runs; nothing is run."""
+"""The summary and guards of tools/bench_pairs.py on canned input;
+nothing is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,43 @@ def test_seed_and_job_parsing():
     assert bench_pairs.parse_jobs(["w:1-2", "v:7"]) == [("w", 1), ("w", 2), ("v", 7)]
     with pytest.raises(SystemExit):
         bench_pairs.parse_jobs(["w"])
+
+
+SPEC = {"workloads": [{"name": "w"}, {"name": "v"}]}
+
+
+def test_unknown_workload_refused():
+    bench_pairs.check_workloads([("w", 1), ("v", 2)], SPEC)
+    with pytest.raises(SystemExit, match="unknown workload nope; BENCHMARK.json declares v, w"):
+        bench_pairs.check_workloads([("w", 1), ("nope", 2)], SPEC)
+
+
+def test_unknown_workload_refused_before_export(monkeypatch, tmp_path):
+    def export(rev, parent):
+        raise AssertionError("exported before the workload check")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    out = tmp_path / "BENCH_x.json"
+    for flag in ("--run", "--traced"):
+        with pytest.raises(SystemExit, match="unknown workload no-such-workload"):
+            bench_pairs.main(["--before", "HEAD", "--after", "HEAD", "--label", "x",
+                              flag, "no-such-workload:1", "--out", str(out)])
+    assert not out.exists()
+
+
+def canned_output(correct, failed):
+    last = {"correct": correct, "attempted": 12, "failed": failed,
+            "metrics": {"checks_per_s": {"value": 3.5, "unit": "1/s"}}}
+    return "workload w, seed 1, 20 s, trace 0: 12 checks attempted\n" + json.dumps(last) + "\n"
+
+
+def test_result_keeps_metric_values():
+    got = bench_pairs.parse_result(canned_output(True, 0), "run")
+    assert got["metrics"] == {"checks_per_s": 3.5}
+    assert (got["correct"], got["attempted"], got["failed"]) == (True, 12, 0)
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1), (False, 2)])
+def test_wrong_or_failed_run_stops(correct, failed):
+    with pytest.raises(SystemExit, match=f"reported correct {correct} and {failed} failed"):
+        bench_pairs.parse_result(canned_output(correct, failed), "run")

@@ -1,6 +1,9 @@
 """Frobenius transforms: frozen fixtures and oracle cross-checks."""
 
 import itertools
+import operator
+import random
+from math import comb
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -8,11 +11,17 @@ from hypothesis import strategies as st
 
 from prism_forge import transforms
 from prism_forge.padic import Modulus, Scalar
-from prism_forge.pdpoly import Element, Monomial, RingSpec, equal_reduced
+from prism_forge.pdpoly import (
+    Element, Monomial, RingSpec, equal_reduced, partial_derivative,
+)
 from prism_forge.deltaring import FrobeniusLift
 from prism_forge.exprparse import parse_expression
 from prism_forge.derham import (
     WindowOverflow,
+    _e_all,
+    _e_identity,
+    _e_map,
+    _e_mul,
     apply_pconnection,
     build_p_derham,
     polynomial_connection,
@@ -493,6 +502,72 @@ def non_commuting_plane():
     })
 
 
+def seeded_entry(rng, ring, max_exp):
+    """A random element of ring with every exponent at most max_exp, each
+    monomial kept with probability 1/2 and a random residue."""
+    q = ring.modulus.p ** ring.modulus.N
+    terms = {}
+    for exps in itertools.product(range(max_exp + 1), repeat=len(ring.ordinary_gens)):
+        c = rng.randrange(q)
+        if c and rng.random() < 0.5:
+            terms[Monomial(exps, ())] = Scalar(c, ring.modulus)
+    return Element(ring, terms)
+
+
+def seeded_plane(cap, seed):
+    """Rank two on W[x,y], p = 2, N = 2, entries of degree at most 1 in
+    each variable drawn from random.Random(seed)."""
+    rf = plane_frobenius(2, 2, cap=cap)
+    dom = rf.domain_ring
+    rng = random.Random(seed)
+    matrices = {g: [[seeded_entry(rng, dom, 1) for _ in range(2)] for _ in range(2)]
+                for g in dom.ordinary_gens}
+    return rf, polynomial_p_connection(dom, rank=2, matrices=matrices)
+
+
+def seeded_line_connection(p, cap, rank, seed, max_exp=2):
+    """An untwisted connection on F_p[x] whose entries have every
+    coefficient up to x^max_exp nonzero, drawn from random.Random(seed)."""
+    ring = RingSpec(("x",), (), Modulus(p, 1), cap, 0)
+    rng = random.Random(seed)
+
+    def entry():
+        return Element(ring, {Monomial((i,), ()): Scalar(rng.randrange(1, p), ring.modulus)
+                              for i in range(max_exp + 1)})
+
+    amat = [[entry() for _ in range(rank)] for _ in range(rank)]
+    return polynomial_connection(ring, rank=rank, matrices={"x": amat})
+
+
+def katz_coefficients(conn, coord):
+    """[A_0, ..., A_p] with A_0 = 1 and A_(k+1) = dA_k + A A_k, as Element
+    matrices."""
+    amat = conn.matrix(coord)
+    out = [_e_identity(conn.ring, conn.rank)]
+    for _ in range(conn.ring.modulus.p):
+        ak = out[-1]
+        dak = _e_map(lambda e: partial_derivative(e, coord), ak)
+        out.append(_e_map(operator.add, dak, _e_mul(amat, ak)))
+    return out
+
+
+def degree(e):
+    return max(sum(m.ordinary) for m in e.terms)
+
+
+def cap_for_last_product(conn, coord):
+    """The least poly_degree_cap that holds every product of two terms in
+    A A_(p-1), the widest product of the recursion, as the caps of conn's
+    ring hold A_(p-1)."""
+    amat = conn.matrix(coord)
+    last = katz_coefficients(conn, coord)[-2]
+    return max(
+        degree(amat[i][k]) + degree(last[k][j])
+        for i, k, j in itertools.product(range(conn.rank), repeat=3)
+        if amat[i][k].terms and last[k][j].terms
+    )
+
+
 class TestPCurvatureAgainstOracle:
     """The composition on packed residues mod p against the one that takes
     every step as an Element operation."""
@@ -522,6 +597,36 @@ class TestPCurvatureAgainstOracle:
         for name in ("psi", "theta_source", "theta_pullback"):
             assert same_matrices(getattr(got.data, name), getattr(want.data, name))
 
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_benchmark_primes(self, p, rank):
+        # the benchmark's scenarios take p = 11 and 13, past the draws
+        # above; one cap short of the last product A A_(p-1), and at it
+        wide = seeded_line_connection(p, 4 * p, rank, seed=p + rank)
+        need = cap_for_last_product(wide, "x")
+        for cap in (need - 1, need):
+            conn = seeded_line_connection(p, cap, rank, seed=p + rank)
+            got = curvature_outcome(p_curvature, conn)
+            want = curvature_outcome(oracles.p_curvature, conn)
+            if cap < need:
+                assert want == (WindowOverflow, "the operator composition left "
+                                "the coefficient ring caps; raise poly_degree_cap")
+                assert got == want
+            else:
+                assert same_matrices(got, want)
+
+    @pytest.mark.parametrize("cap, seed, context", [
+        (15, 74, "the psi product"), (10, 105, "the psi-twist product"),
+    ])
+    def test_reversed_product_truncation_refused(self, cap, seed, context):
+        # psi_x psi_y (or psi_x Theta_y) keeps every term at these caps
+        # while the reversed product drops some; comparing the two would
+        # report a failure to commute that the caps made up
+        rf, pconn = seeded_plane(cap, seed)
+        for fn in (check_pcurvature_formula, oracles.check_pcurvature_formula):
+            with pytest.raises(WindowOverflow, match=context):
+                fn(rf, pconn)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from((2, 3, 5, 7, 11, 13)),
@@ -543,6 +648,29 @@ class TestPCurvatureAgainstOracle:
         while got and not got[-1]:
             got.pop()
         assert got == oracles.jacobson_psi(a, p)
+
+
+class TestKatzRecursion:
+    """The Leibniz identity that lets p_curvature run Katz's recursion: in
+    (d/dx + A)^p, composed with every order kept, the coefficient of d^e
+    is C(p, e) A_(p-e).  So the orders 1..p-1 vanish mod p, order p is
+    the identity, and order 0 is A_p.  The library no longer forms the
+    orders 1..p, so their check lives here."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_leibniz_orders(self, p, rank):
+        conn = seeded_line_connection(p, p, rank, seed=10 * p + rank, max_exp=1)
+        orders = oracles.composition_orders(conn)["x"]
+        katz = katz_coefficients(conn, "x")
+        assert len(orders) == p + 1
+        for e, got in enumerate(orders):
+            want = _e_map(lambda a: a.scale(comb(p, e)), katz[p - e])
+            assert _e_all(equal_reduced, got, want), e
+        for got in orders[1:p]:
+            assert _e_all(Element.is_zero, got)
+        assert _e_all(equal_reduced, orders[p], _e_identity(conn.ring, rank))
+        assert same_matrices(p_curvature(conn), {"x": orders[0]})
 
 
 class TestCartier:

@@ -16,7 +16,10 @@ side that runs first alternates from pair to pair.  Each --traced
 holds every run, the traced runs and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs the
 after side won.  It is rewritten after every run, so what was measured
-survives an interruption.  Standard library only.
+survives an interruption.  A workload that BENCHMARK.json does not
+declare is refused before anything is exported, and a run that reports
+a wrong output or a failed operation stops the driver.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -58,6 +61,15 @@ def parse_jobs(specs: Iterable[str]) -> List[Tuple[str, int]]:
             raise SystemExit(f"error: expected WORKLOAD:SEEDS, got {spec!r}")
         jobs.extend((workload, seed) for seed in parse_seeds(seeds))
     return jobs
+
+
+def check_workloads(jobs: Iterable[Tuple[str, int]], spec: dict) -> None:
+    """Refuse a workload that BENCHMARK.json (here `spec`) does not declare."""
+    known = {w["name"] for w in spec["workloads"]}
+    unknown = sorted({workload for workload, _ in jobs} - known)
+    if unknown:
+        raise SystemExit(f"error: unknown workload {', '.join(unknown)}; "
+                         f"BENCHMARK.json declares {', '.join(sorted(known))}")
 
 
 def quartiles(values: List[float]) -> Dict[str, float]:
@@ -125,7 +137,19 @@ def run_one(checkout: str, workload: str, seed: int, seconds: float, trace: int)
     if res.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited "
                          f"{res.returncode}:\n{res.stderr[-2000:]}")
-    out = json.loads(res.stdout.strip().splitlines()[-1])
+    return parse_result(res.stdout, f"{' '.join(cmd)} in {checkout}")
+
+
+def parse_result(stdout: str, what: str) -> dict:
+    """The last line of perfbench/run.py's output, with metric values only.
+    A run with a wrong output or a failed operation stops the driver, so
+    that no summary counts it."""
+    lines = stdout.strip().splitlines()
+    out = json.loads(lines[-1])
+    if not out["correct"] or out["failed"]:
+        report = "\n".join(lines[:-1])[-2000:]
+        raise SystemExit(f"error: {what} reported correct {out['correct']} and "
+                         f"{out['failed']} failed operations:\n{report}")
     out["metrics"] = {name: m["value"] for name, m in out["metrics"].items()}
     return out
 
@@ -150,6 +174,7 @@ def main(argv: List[str]) -> int:
     jobs, traced_jobs = parse_jobs(args.run), parse_jobs(args.traced)
     out_path = Path(args.out or f"BENCH_{args.label}.json")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    check_workloads(jobs + traced_jobs, spec)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     doc = {
