@@ -532,8 +532,10 @@ def seeded_line_connection(p, cap, rank, seed, max_exp=2):
     rng = random.Random(seed)
 
     def entry():
-        return Element(ring, {Monomial((i,), ()): Scalar(rng.randrange(1, p), ring.modulus)
-                              for i in range(max_exp + 1)})
+        return Element(ring, {
+            Monomial((i,), ()): Scalar(rng.randrange(1, p), ring.modulus)
+            for i in range(max_exp + 1)
+        })
 
     amat = [[entry() for _ in range(rank)] for _ in range(rank)]
     return polynomial_connection(ring, rank=rank, matrices={"x": amat})
@@ -557,8 +559,8 @@ def degree(e):
 
 def cap_for_last_product(conn, coord):
     """The least poly_degree_cap that holds every product of two terms in
-    A A_(p-1), the widest product of the recursion, as the caps of conn's
-    ring hold A_(p-1)."""
+    A A_(p-1), the widest product of the recursion; conn's own caps must
+    hold A_(p-1)."""
     amat = conn.matrix(coord)
     last = katz_coefficients(conn, coord)[-2]
     return max(
@@ -569,8 +571,8 @@ def cap_for_last_product(conn, coord):
 
 
 class TestPCurvatureAgainstOracle:
-    """The composition on packed residues mod p against the one that takes
-    every step as an Element operation."""
+    """The recursion on packed residues mod p against the composition of
+    every order that takes each step as an Element operation."""
 
     @settings(max_examples=120, deadline=None)
     @given(curvature_connections())

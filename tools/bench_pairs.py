@@ -18,7 +18,7 @@ metric, each side's median and quartiles and the number of pairs the
 after side won.  It is rewritten after every run, so what was measured
 survives an interruption.  A workload that BENCHMARK.json does not
 declare is refused before anything is exported, and a run that reports
-a wrong output or a failed operation stops the driver.  Standard
+a wrong output or a failed operation stops the comparison.  Standard
 library only.
 """
 
@@ -142,8 +142,8 @@ def run_one(checkout: str, workload: str, seed: int, seconds: float, trace: int)
 
 def parse_result(stdout: str, what: str) -> dict:
     """The last line of perfbench/run.py's output, with metric values only.
-    A run with a wrong output or a failed operation stops the driver, so
-    that no summary counts it."""
+    A run with a wrong output or a failed operation stops the comparison,
+    so that no summary counts it."""
     lines = stdout.strip().splitlines()
     out = json.loads(lines[-1])
     if not out["correct"] or out["failed"]:
