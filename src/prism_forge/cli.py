@@ -64,6 +64,10 @@ class Scenario:
     cut: Tuple[str, ...]
     checks: Tuple[dict, ...]
     seed: int
+    # relative Frobenius per ordinary cap, built once for all the checks
+    frobenius_maps: Dict[int, RelativeFrobenius] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         # refuse, before any work, what a check cannot use
@@ -348,13 +352,16 @@ def _check_cohomology(sc: Scenario, params: dict) -> CheckResult:
 
 
 def _relative_frobenius(sc: Scenario, min_poly_cap: int) -> RelativeFrobenius:
-    ring = sc.ring(poly_cap=max(sc.poly_degree, min_poly_cap), pd_cap=0)
-    if not ring.ordinary_gens:
-        raise ParseError("this check needs a polynomial ring")
-    try:
-        return RelativeFrobenius.from_lift(sc.lift(ring))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    cap = max(sc.poly_degree, min_poly_cap)
+    if cap not in sc.frobenius_maps:
+        ring = sc.ring(poly_cap=cap, pd_cap=0)
+        if not ring.ordinary_gens:
+            raise ParseError("this check needs a polynomial ring")
+        try:
+            sc.frobenius_maps[cap] = RelativeFrobenius.from_lift(sc.lift(ring))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+    return sc.frobenius_maps[cap]
 
 
 def _nilpotent_pconn(rf: RelativeFrobenius, rank: int):

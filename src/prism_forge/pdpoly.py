@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .padic import (
@@ -85,8 +86,8 @@ class _MonomialCodec:
 
     __slots__ = ("width", "n_ord", "n", "_entries", "_monomials", "_key_entries")
 
-    def __init__(self, n_ord: int, n_pd: int, cap: int) -> None:
-        self.width = max(cap, 1).bit_length()
+    def __init__(self, n_ord: int, n_pd: int, width: int) -> None:
+        self.width = width
         self.n_ord = n_ord
         self.n = n_ord + n_pd
         self._entries: Dict[Monomial, tuple] = {}
@@ -127,6 +128,11 @@ class _MonomialCodec:
         return hit
 
 
+# keys depend only on the generator counts and the width, so rings that
+# agree in those share one codec and its memo tables
+_codec_for = lru_cache(maxsize=None)(_MonomialCodec)
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Generators, modulus and degree caps for one polynomial ring."""
@@ -147,10 +153,10 @@ class RingSpec:
                 raise ValueError(f"bad generator name {name!r}")
         if self.poly_degree_cap < 0 or self.pd_degree_cap < 0:
             raise ValueError("degree caps must be nonnegative")
-        object.__setattr__(self, "_codec", _MonomialCodec(
+        object.__setattr__(self, "_codec", _codec_for(
             len(self.ordinary_gens),
             len(self.pd_gens),
-            max(self.poly_degree_cap, self.pd_degree_cap),
+            max(self.poly_degree_cap, self.pd_degree_cap, 1).bit_length(),
         ))
 
     # -- generator bookkeeping -------------------------------------------

@@ -579,22 +579,26 @@ def _derivative(a: Packed, shift: int, mask: int, p: int) -> Packed:
     return _reduced({k - one: r * (k >> shift & mask) for k, r in a.items()}, p)
 
 
-def _mat_mul(a: PMatrix, b: PMatrix, ring: RingSpec) -> Tuple[PMatrix, bool]:
-    """a b mod p through pdpoly's product loop, and whether any product
-    of two terms left the ring's caps (those are dropped)."""
-    codec, p = ring._codec, ring.modulus.p
+def _decoded(a: PMatrix, ring: RingSpec) -> list:
+    """Each entry of a as the term list of pdpoly's product loop; a matrix
+    used in several products is decoded once."""
+    codec = ring._codec
+    return [[[codec.key_entry(k) + (r, 1, 0) for k, r in d.items()] for d in row]
+            for row in a]
+
+
+def _mat_mul(ta: list, tb: list, ring: RingSpec) -> Tuple[PMatrix, bool]:
+    """a b mod p from the _decoded a and b, through pdpoly's product loop,
+    and whether any product of two terms left the ring's caps (those are
+    dropped)."""
+    p = ring.modulus.p
     cap_o, cap_d = ring.poly_degree_cap, ring.pd_degree_cap
-
-    def entries(d: Packed) -> list:
-        return [codec.key_entry(k) + (r, 1, 0) for k, r in d.items()]
-
-    ta = [[entries(d) for d in row] for row in a]
-    tb = [[entries(d) for d in col] for col in zip(*b)]
+    cols = list(zip(*tb))
     truncated = False
     out = []
     for row in ta:
         new_row = []
-        for col in tb:
+        for col in cols:
             acc: Dict[int, int] = {}
             for ea, eb in zip(row, col):
                 if _multiply_into(ea, eb, cap_o, cap_d, False, acc, {}):
@@ -604,11 +608,12 @@ def _mat_mul(a: PMatrix, b: PMatrix, ring: RingSpec) -> Tuple[PMatrix, bool]:
     return out, truncated
 
 
-def _commute(a: PMatrix, b: PMatrix, ring: RingSpec, context: str) -> bool:
-    """Whether a b = b a mod p; a truncated product on either side is
-    refused, so dropped terms never read as a failure to commute."""
-    ab, ab_truncated = _mat_mul(a, b, ring)
-    ba, ba_truncated = _mat_mul(b, a, ring)
+def _commute(ta: list, tb: list, ring: RingSpec, context: str) -> bool:
+    """Whether a b = b a mod p, from the _decoded a and b; a truncated
+    product on either side is refused, so dropped terms never read as a
+    failure to commute."""
+    ab, ab_truncated = _mat_mul(ta, tb, ring)
+    ba, ba_truncated = _mat_mul(tb, ta, ring)
     if ab_truncated or ba_truncated:
         raise _overflow(context)
     return ab == ba
@@ -664,10 +669,10 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
         shift = codec.width * (codec.n - 1 - ring.ordinary_index(coord))
         amat = conn.matrix(coord)
         _refuse_truncated(amat, "the operator composition")
-        apacked = _packed_matrix(amat)
+        ta = _decoded(_packed_matrix(amat), ring)
         ak = _packed_identity(conn.rank)
         for _ in range(p):
-            prod, truncated = _mat_mul(apacked, ak, ring)
+            prod, truncated = _mat_mul(ta, _decoded(ak, ring), ring)
             if truncated:
                 raise _overflow("the operator composition")
             dak = _e_map(lambda b: _derivative(b, shift, mask, p), ak)
@@ -718,12 +723,13 @@ def check_pcurvature_formula(
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
     packed_psi = {x: _packed_matrix(m) for x, m in psi.items()}
-    packed_theta = {x: _packed_matrix(m) for x, m in theta_pullback.items()}
+    t_psi = {x: _decoded(m, img1) for x, m in packed_psi.items()}
+    t_theta = {x: _decoded(_packed_matrix(m), img1) for x, m in theta_pullback.items()}
     failures: List[str] = []
     for xp, x in rf.coordinate_pairs():
         power = _packed_identity(n)
         for _ in range(p):
-            power, truncated = _mat_mul(power, packed_theta[x], img1)
+            power, truncated = _mat_mul(_decoded(power, img1), t_theta[x], img1)
             if truncated:
                 raise _overflow("the matrix p-th power")
         pulled = _packed_matrix(_e_map(
@@ -734,12 +740,11 @@ def check_pcurvature_formula(
             failures.append(f"curvature formula fails in the coordinate {x}")
     coords = list(img1.ordinary_gens)
     for x, y in combinations(coords, 2):
-        if not _commute(packed_psi[x], packed_psi[y], img1, "the psi product"):
+        if not _commute(t_psi[x], t_psi[y], img1, "the psi product"):
             failures.append(f"psi matrices in {x} and {y} do not commute")
     for x in coords:
         for y in coords:
-            psi_x, theta_y = packed_psi[x], packed_theta[y]
-            if not _commute(psi_x, theta_y, img1, "the psi-twist product"):
+            if not _commute(t_psi[x], t_theta[y], img1, "the psi-twist product"):
                 failures.append(
                     f"psi in {x} does not commute with the twist matrix in {y}"
                 )

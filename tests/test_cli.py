@@ -17,6 +17,7 @@ from prism_forge.cli import (
     run_scenario,
 )
 from prism_forge.exprparse import ParseError
+from prism_forge.transforms import RelativeFrobenius
 
 
 def scenario_path(name: str) -> str:
@@ -343,6 +344,24 @@ class TestScenarioChecks:
         ))
         assert passed
         assert report["checks"][0]["failures"] == []
+
+    def test_checks_share_one_relative_frobenius_per_cap(self, monkeypatch):
+        thetas = ["xp^2 + 1", "2*xp^2 + xp", "xp^2"]
+        alone = [
+            self.run(minimal(checks=[{"name": "pcurvature", "theta": t}]))[1]
+            for t in thetas
+        ]
+        built = []
+        from_lift = RelativeFrobenius.from_lift
+        monkeypatch.setattr(RelativeFrobenius, "from_lift", classmethod(
+            lambda cls, lift: built.append(lift.ring.poly_degree_cap) or from_lift(lift)
+        ))
+        passed, report, _ = self.run(minimal(
+            checks=[{"name": "pcurvature", "theta": t} for t in thetas],
+        ))
+        # one probe ring and one working ring, as all three thetas have degree 2
+        assert passed and len(built) == 2
+        assert report["checks"] == [r["checks"][0] for r in alone]
 
     def test_quasi_iso_checks_write_a_report(self, tmp_path, capsys):
         path, out = tmp_path / "transforms.json", tmp_path / "rep.json"

@@ -233,6 +233,27 @@ class TestTruncation:
         assert (out * ring.one()).truncated
 
 
+class TestSharedCodec:
+    def test_rings_of_one_key_layout_share_a_codec(self):
+        a = RingSpec(("x",), (), Modulus(3, 2), 10, 0)
+        assert RingSpec(("t",), (), Modulus(5, 1), 12, 0)._codec is a._codec
+        assert RingSpec(("x",), (), Modulus(3, 2), 16, 0)._codec is not a._codec
+        assert RingSpec(("x", "y"), (), Modulus(3, 2), 10, 0)._codec is not a._codec
+        assert RingSpec(("x",), ("u",), Modulus(3, 2), 10, 0)._codec is not a._codec
+
+    def test_each_ring_keeps_its_own_caps(self):
+        # caps 9 and 12 pack keys alike; only the cap-9 ring drops x^10
+        small = RingSpec(("x",), (), Modulus(3, 2), 9, 0)
+        big = RingSpec(("x",), (), Modulus(3, 2), 12, 0)
+        assert small._codec is big._codec
+        for ring, kept in ((big, True), (small, False)):
+            x = ring.gen("x")
+            sq = (x ** 5 + ring.one()) * (x ** 5 + ring.one())
+            low = ring.constant(2) * x ** 5 + ring.one()
+            assert sq.truncated is not kept
+            assert sq == (x ** 10 + low if kept else low)
+
+
 class TestDividedPower:
     def test_sum_rule(self):
         ring = ring_with_pd()
