@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -66,7 +66,7 @@ class Scenario:
     seed: int
     # relative Frobenius per ordinary cap, built once for all the checks
     frobenius_maps: Dict[int, RelativeFrobenius] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -550,7 +550,7 @@ def _seed_override(seed: int) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     sc = load_scenario(args.scenario)
-    sc = Scenario(**{**sc.__dict__, "seed": _seed_override(sc.seed)})
+    sc = replace(sc, seed=_seed_override(sc.seed))
     passed, report, lines = run_scenario(sc)
     out = args.out or Path(args.scenario).stem + ".report.json"
     _write_report(report, out)
