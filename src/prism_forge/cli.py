@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -104,6 +105,19 @@ class Scenario:
             return FrobeniusLift(ring=ring, images=images)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+
+    @cached_property
+    def _theta_degrees(self) -> Tuple[RingSpec, int]:
+        """The primed ring a p-curvature check parses theta in, and the
+        largest degree of a Frobenius image, at least p: both at the cap
+        p(p + 1), or the scenario's own if larger."""
+        p = self.prime
+        ring = self.ring(poly_cap=max(self.poly_degree, p * (p + 1)), pd_cap=0)
+        if not ring.ordinary_gens:
+            raise ParseError("this check needs a polynomial ring")
+        images = self.lift(ring).images.values()
+        degree = max([p] + [im.ordinary_degree() for im in images])
+        return RelativeFrobenius.primed_ring(ring), degree
 
     def to_json_dict(self) -> dict:
         return {
@@ -427,16 +441,14 @@ def _check_pcurvature(sc: Scenario, params: dict) -> CheckResult:
     p = sc.prime
     # phi-images of degree e put Theta in degree (deg + 1) e - 1; psi is p
     # times that, and its products with Theta and with psi p + 1 and 2p
-    probe = _relative_frobenius(sc, p * (p + 1))
-    deg = parse_expression(theta_text, probe.domain_ring).ordinary_degree()
-    e = max([p] + [im.ordinary_degree() for im in probe.images.values()])
-    factor = 2 * p if len(probe.domain_ring.ordinary_gens) > 1 else p + 1
-    need = factor * ((deg + 1) * e - 1)
+    theta_ring, e = sc._theta_degrees
+    theta = parse_expression(theta_text, theta_ring)
+    factor = 2 * p if len(theta_ring.ordinary_gens) > 1 else p + 1
+    need = factor * ((theta.ordinary_degree() + 1) * e - 1)
     rf = _relative_frobenius(sc, need)
     dom = rf.domain_ring
-    theta = parse_expression(theta_text, dom)
     pconn = polynomial_p_connection(
-        dom, matrices={dom.ordinary_gens[0]: [[theta]]}
+        dom, matrices={dom.ordinary_gens[0]: [[theta.map_to(dom)]]}
     )
     rep = check_pcurvature_formula(rf, pconn)
     psi = {
@@ -698,9 +710,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args gives each call a fresh namespace, so one parser serves
+# every call in a process
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

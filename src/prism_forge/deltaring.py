@@ -4,7 +4,9 @@ A lift assigns to every generator an image congruent to its p-th power
 mod p; delta(a) = (phi(a) - a^p) / p then carries one level less
 precision than a.  The two delta-ring axioms (additivity with its
 binomial correction, and the twisted Leibniz rule) are checked on
-seeded random samples rather than assumed.
+seeded random samples rather than assumed; the check keeps every sample
+as integer residues under packed monomial keys and builds elements only
+for the witnesses of a failure.
 """
 
 from __future__ import annotations
@@ -12,16 +14,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .padic import Modulus, PrecisionExhausted
+from .padic import Modulus, NotDivisible, PrecisionExhausted
 from .pdpoly import (
     Element,
     RingSpec,
     _ImagePowers,
+    _from_packed,
+    _multiply_into,
+    _render_monomial,
+    _substitute_into,
     div_p,
     divisible_by_p,
     substitute,
+    validate_pd_image,
 )
 
 
@@ -88,29 +95,13 @@ def apply_phi(lift: FrobeniusLift, a: Element) -> Element:
     return substitute(a, lift.images, target=lift.ring, _powers=lift._powers)
 
 
-def delta(lift: FrobeniusLift, a: Element, a_p: Optional[Element] = None) -> Element:
+def delta(lift: FrobeniusLift, a: Element) -> Element:
     """(phi(a) - a^p) / p, known to one level less precision.
 
-    a_p, when given, must be a ** p; callers that already hold the power
-    pass it to save recomputing it.  The quotient is div_p's: a zero
-    where phi(a) - a^p vanishes is known mod p^(N-1), and at N = 1
-    PrecisionExhausted is raised.
+    The quotient is div_p's: a zero where phi(a) - a^p vanishes is known
+    mod p^(N-1), and at N = 1 PrecisionExhausted is raised.
     """
-    if a_p is None:
-        a_p = a ** lift.ring.modulus.p
-    return div_p(apply_phi(lift, a), a_p)
-
-
-def _powers(a: Element, n: int) -> List[Element]:
-    """[a^0, ..., a^n], each formed by the same products as a ** i."""
-    out = [a.ring.one(), a]
-    for i in range(2, n + 1):
-        top = 1 << (i.bit_length() - 1)
-        if i == top:
-            out.append(out[top // 2] * out[top // 2])
-        else:
-            out.append(out[i - top] * out[top])
-    return out
+    return div_p(apply_phi(lift, a), a ** lift.ring.modulus.p)
 
 
 def delta_iterate(lift: FrobeniusLift, a: Element, j: int) -> Element:
@@ -149,28 +140,251 @@ class AxiomReport:
         return self.checked > 0 and self.skipped == 0 and not self.failures
 
 
-def _random_element(rng: random.Random, ring: RingSpec, max_degree: int,
-                    max_pd_weight: int, max_terms: int) -> Element:
-    out = ring.zero()
-    n_terms = rng.randint(1, max_terms)
-    for _ in range(n_terms):
-        ordinary = {}
-        budget = max_degree
-        for name in ring.ordinary_gens:
-            e = rng.randint(0, budget)
-            if e:
-                ordinary[name] = e
+class _Residues:
+    """An element as integer residues under packed monomial keys.
+
+    terms holds each residue reduced mod p^prec with no zero known to
+    the ring's precision N, in the order Element would hold the terms;
+    precs holds the precision of each key known below N, and is empty
+    when every coefficient is at N; truncated is Element's sticky flag.
+    """
+
+    __slots__ = ("terms", "precs", "truncated", "entries")
+
+    def __init__(self, terms: Dict[int, int], truncated: bool,
+                 precs: Optional[Dict[int, int]] = None) -> None:
+        self.terms = terms
+        self.precs = precs or {}
+        self.truncated = truncated
+        # the entries _multiply_into reads, formed on first use
+        self.entries: Optional[list] = None
+
+
+class _PackedLift:
+    """The element arithmetic check_delta_axioms needs, on _Residues.
+
+    Each step keeps the rules of the element operation it stands for:
+    products by pdpoly._multiply_into, phi by pdpoly._substitute_into
+    over the lift's image powers, and division by p by div_p's rules, so
+    every residue, precision, truncation flag, exception and term order
+    is the one the element computation gives.  Products, sums and powers
+    are only formed of elements known to N everywhere, so they track no
+    precision, and the residuals of the two identities are summed at the
+    precision they are compared at (residual).
+    """
+
+    def __init__(self, lift: FrobeniusLift) -> None:
+        if lift._powers.high:
+            raise ValueError(
+                "the lift's images claim digits above the ring's precision"
+            )
+        ring = lift.ring
+        self.lift = lift
+        self.ring = ring
+        self.codec = ring._codec
+        self.p, self.N = ring.modulus.p, ring.modulus.N
+        self.card = ring.modulus.cardinality
+        self.cap_o, self.cap_d = ring.poly_degree_cap, ring.pd_degree_cap
+
+    def draw(self, rng: random.Random, max_degree: int, max_pd_weight: int,
+             max_terms: int) -> _Residues:
+        """A random element: a sum of ring.monomial terms with random
+        exponents and coefficients, drawn from rng in that order."""
+        ring, width, card = self.ring, self.codec.width, self.card
+        terms: Dict[int, int] = {}
+        for _ in range(rng.randint(1, max_terms)):
+            key = 0
+            budget = max_degree
+            for _ in ring.ordinary_gens:
+                e = rng.randint(0, budget)
                 budget -= e
-        pd = {}
-        pd_budget = max_pd_weight
-        for name in ring.pd_gens:
-            e = rng.randint(0, pd_budget)
-            if e:
-                pd[name] = e
-                pd_budget -= e
-        coeff = rng.randrange(ring.modulus.cardinality)
-        out = out + ring.monomial(ordinary, pd, coeff)
-    return out
+                key = key << width | e
+            degree = max_degree - budget
+            budget = max_pd_weight
+            for _ in ring.pd_gens:
+                e = rng.randint(0, budget)
+                budget -= e
+                key = key << width | e
+            weight = max_pd_weight - budget
+            c = rng.randrange(card)
+            if degree > self.cap_o:
+                raise ValueError("monomial exceeds ordinary degree cap")
+            if weight > self.cap_d:
+                raise ValueError("monomial exceeds divided-power weight cap")
+            if c:
+                c = (terms.get(key, 0) + c) % card
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        return _Residues(terms, False)
+
+    def element(self, x: _Residues) -> Element:
+        return _from_packed(self.ring, x.terms, x.precs, x.truncated)
+
+    def _entries(self, x: _Residues, factor: int = 1) -> list:
+        """The entries of factor * x for an untracked product."""
+        out = x.entries
+        if out is None:
+            key_entry, N = self.codec.key_entry, self.N
+            out = x.entries = [key_entry(k) + (r, N, 0) for k, r in x.terms.items()]
+        if factor != 1:
+            out = [(k, o, w, d, factor * r, n, v) for k, o, w, d, r, n, v in out]
+        return out
+
+    def mul(self, x: _Residues, y: _Residues) -> _Residues:
+        """x * y for x and y known to N everywhere."""
+        acc: Dict[int, int] = {}
+        truncated = _multiply_into(
+            self._entries(x), self._entries(y), self.cap_o, self.cap_d,
+            False, acc, {},
+        )
+        card = self.card
+        return _Residues(
+            {k: r for k, s in acc.items() if (r := s % card)},
+            truncated or x.truncated or y.truncated,
+        )
+
+    def add(self, x: _Residues, y: _Residues) -> _Residues:
+        """x + y for x and y known to N everywhere."""
+        terms = dict(x.terms)
+        card = self.card
+        for k, r in y.terms.items():
+            terms[k] = (terms.get(k, 0) + r) % card
+        return _Residues(
+            {k: r for k, r in terms.items() if r}, x.truncated or y.truncated
+        )
+
+    def power(self, x: _Residues, n: int) -> _Residues:
+        """x^n by the products of Element.__pow__."""
+        result = None
+        base = x
+        while n:
+            if n & 1:
+                result = base if result is None else self.mul(result, base)
+            base_needed = n > 1
+            n >>= 1
+            if base_needed and n:
+                base = self.mul(base, base)
+        return result
+
+    def powers(self, x: _Residues, n: int) -> List[_Residues]:
+        """[x^0, ..., x^n], each by the products of Element.__pow__."""
+        out = [_Residues({0: 1}, False), x]
+        for i in range(2, n + 1):
+            top = 1 << (i.bit_length() - 1)
+            if i == top:
+                out.append(self.mul(out[top // 2], out[top // 2]))
+            else:
+                out.append(self.mul(out[i - top], out[top]))
+        return out
+
+    def delta(self, x: _Residues, x_p: _Residues) -> _Residues:
+        """(phi(x) - x_p) / p, x_p being x^p."""
+        lift = self.lift
+        for name in self.ring.pd_gens:
+            validate_pd_image(name, lift.images[name])
+        p, N, monomial = self.p, self.N, self.codec.monomial
+        acc: Dict[int, int] = {}
+        precs: Dict[int, int] = {}
+        truncated = _substitute_into(
+            [(monomial(k), r, N) for k, r in x.terms.items()],
+            lift._powers, acc, precs,
+        )
+        # phi(x) as _from_packed holds it: reduced, zeros at N dropped
+        phi: Dict[int, int] = {}
+        phi_precs: Dict[int, int] = {}
+        for k, r in acc.items():
+            prec = precs.get(k, N)
+            r %= p ** prec
+            if r or prec < N:
+                phi[k] = r
+                if prec < N:
+                    phi_precs[k] = prec
+        return self.div_p(
+            _Residues(phi, truncated or x.truncated, phi_precs), x_p
+        )
+
+    def div_p(self, a: _Residues, b: _Residues) -> _Residues:
+        """(a - b) / p by the rules of pdpoly.div_p."""
+        p, N = self.p, self.N
+        at, ap, bt, bp = a.terms, a.precs, b.terms, b.precs
+        diff = []
+        for k, r in at.items():
+            n = ap.get(k, N)
+            d = bt.get(k)
+            if d is not None:
+                n = min(n, bp.get(k, N))
+                r = (r - d) % p ** n
+            diff.append((k, r, n))
+        for k, d in bt.items():
+            if k not in at:
+                n = bp.get(k, N)
+                diff.append((k, -d % p ** n, n))
+        terms: Dict[int, int] = {}
+        precs: Dict[int, int] = {}
+        for k, r, n in diff:
+            if not r and n >= N:
+                continue
+            if n < 2:
+                raise PrecisionExhausted(f"cannot drop 1 levels below precision {n}")
+            if r % p:
+                raise NotDivisible(
+                    f"coefficient {r} of "
+                    f"{_render_monomial(self.ring, self.codec.monomial(k))} "
+                    "is not divisible by p^1"
+                )
+            terms[k] = r // p
+            precs[k] = n - 1
+        if not terms:
+            if N < 2:
+                raise PrecisionExhausted(
+                    "dividing by p at precision 1 leaves no digit: "
+                    "the difference vanishes mod p"
+                )
+            terms[0] = 0
+            precs[0] = N - 1
+        return _Residues(terms, a.truncated or b.truncated, precs)
+
+    def min_precision(self, x: _Residues) -> int:
+        # precs holds every key known below N
+        return min(x.precs.values(), default=self.N)
+
+    def residual(self, claim: int, parts: Sequence[Tuple[int, _Residues]],
+                 products: Sequence[Tuple[int, _Residues, _Residues]]) -> tuple:
+        """(sum of sign * x over parts and of c * x * y over products, as
+        residues mod p^claim, truncation flag).
+
+        Every term of every piece is known to claim digits or more: the
+        delta outputs by the choice of claim, which is below N as no
+        image claims more than N digits, the rest to N, and a product to
+        the lesser precision of its factors at least.  So the chain of Element sums, differences and products,
+        reduced to claim, holds this sum mod p^claim at every key, at
+        precision claim: a zero it drops at precision N is a zero mod
+        p^claim too.  Only the truncation flags and the products dropped
+        to the caps need carrying, and the products' factors are the
+        same terms the element products would read.
+        """
+        acc: Dict[int, int] = {}
+        truncated = False
+        for sign, x in parts:
+            truncated = truncated or x.truncated
+            for k, r in x.terms.items():
+                acc[k] = acc.get(k, 0) + sign * r
+        for c, x, y in products:
+            if _multiply_into(self._entries(x), self._entries(y, c), self.cap_o,
+                              self.cap_d, False, acc, {}) or x.truncated or y.truncated:
+                truncated = True
+        q = self.p ** claim
+        return {k: r % q for k, r in acc.items()}, truncated
+
+    def witness(self, axiom: str, a: _Residues, b: _Residues, claim: int,
+                lhs: Dict[int, int]) -> AxiomWitness:
+        """The failure as AxiomWitness renders it from elements."""
+        return AxiomWitness(
+            axiom, self.element(a).render(), self.element(b).render(),
+            _from_packed(self.ring, lhs, dict.fromkeys(lhs, claim), False).render(),
+        )
 
 
 def check_delta_axioms(
@@ -188,44 +402,48 @@ def check_delta_axioms(
 
     Pairs whose intermediate products overflow the ring caps are skipped
     (the identities are only meaningful untruncated) and counted.
+
+    Every step runs on packed residues (_PackedLift) and gives what the
+    element computation gives, kept as check_delta_axioms in
+    tests/oracles.py; elements are built only for a failing pair's
+    witnesses.  A lift whose images claim digits above the ring's
+    precision is refused with ValueError.
     """
-    ring = lift.ring
-    p = ring.modulus.p
+    ops = _PackedLift(lift)
+    p = ops.p
     rng = random.Random(seed)
     report = AxiomReport(samples=samples, checked=0, skipped=0)
     correction_coeffs = [math.comb(p, i) // p for i in range(1, p)]
 
     for _ in range(samples):
-        a = _random_element(rng, ring, max_degree, max_pd_weight, max_terms)
-        b = _random_element(rng, ring, max_degree, max_pd_weight, max_terms)
-        pa, pb = _powers(a, p), _powers(b, p)
-        da, db = delta(lift, a, pa[p]), delta(lift, b, pb[p])
-        d_sum = delta(lift, a + b)
-        correction = ring.zero()
-        for i in range(1, p):
-            correction = correction + (pa[i] * pb[p - i]).scale(
-                correction_coeffs[i - 1]
-            )
+        a = ops.draw(rng, max_degree, max_pd_weight, max_terms)
+        b = ops.draw(rng, max_degree, max_pd_weight, max_terms)
+        pa, pb = ops.powers(a, p), ops.powers(b, p)
+        da, db = ops.delta(a, pa[p]), ops.delta(b, pb[p])
+        a_plus_b = ops.add(a, b)
+        d_sum = ops.delta(a_plus_b, ops.power(a_plus_b, p))
+        ab = ops.mul(a, b)
+        d_prod = ops.delta(ab, ops.power(ab, p))
         # the identities hold at the precision the delta outputs carry
-        claim = min(d_sum.min_precision(), da.min_precision(), db.min_precision())
-        lhs_sum = (d_sum - da - db + correction).reduce_precision(claim)
-        d_prod = delta(lift, a * b)
-        claim_prod = min(claim, d_prod.min_precision())
-        lhs_prod = (
-            d_prod - pa[p] * db - pb[p] * da - (da * db).scale(p)
-        ).reduce_precision(claim_prod)
-        if lhs_sum.truncated or lhs_prod.truncated:
+        claim = min(ops.min_precision(d_sum), ops.min_precision(da),
+                    ops.min_precision(db))
+        claim_prod = min(claim, ops.min_precision(d_prod))
+        lhs_sum, truncated_sum = ops.residual(
+            claim, [(1, d_sum), (-1, da), (-1, db)],
+            [(correction_coeffs[i - 1], pa[i], pb[p - i]) for i in range(1, p)],
+        )
+        lhs_prod, truncated_prod = ops.residual(
+            claim_prod, [(1, d_prod)],
+            [(-1, pa[p], db), (-1, pb[p], da), (-p, da, db)],
+        )
+        if truncated_sum or truncated_prod:
             report.skipped += 1
             continue
         report.checked += 1
-        if not lhs_sum.is_zero():
-            report.failures.append(AxiomWitness(
-                "sum", a.render(), b.render(), lhs_sum.render()
-            ))
-        if not lhs_prod.is_zero():
-            report.failures.append(AxiomWitness(
-                "product", a.render(), b.render(), lhs_prod.render()
-            ))
+        if any(lhs_sum.values()):
+            report.failures.append(ops.witness("sum", a, b, claim, lhs_sum))
+        if any(lhs_prod.values()):
+            report.failures.append(ops.witness("product", a, b, claim_prod, lhs_prod))
         if len(report.failures) >= 5:
             break
     return report

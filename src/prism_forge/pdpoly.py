@@ -508,7 +508,11 @@ def _multiply_into(
             k = ka + kb
             acc[k] = acc.get(k, 0) + r
             if tracked:
-                prec = min(na + vb, nb + va, na if na > nb else nb)
+                # min(na + vb, nb + va, max(na, nb)), spelt out: a call
+                # to min would cost more than the rest of the pair
+                prec = na + vb if na + vb < nb + va else nb + va
+                if prec > na and prec > nb:
+                    prec = na if na > nb else nb
                 if prec < precs.get(k, prec + 1):
                     precs[k] = prec
     return truncated
@@ -567,10 +571,11 @@ def _from_packed(
 
 
 def _repack(
-    acc: Dict[int, int], precs: Dict[int, int], codec: _MonomialCodec, base: Modulus
+    acc: Dict[int, int], precs: Dict[int, int], codec: _MonomialCodec,
+    base: Modulus, valued: bool = True,
 ) -> Tuple[list, bool]:
     """The packed entries _from_packed would turn into an element, with
-    their valuations, and whether any is below precision N."""
+    their valuations when valued, and whether any is below precision N."""
     p, N = base.p, base.N
     out = []
     low = False
@@ -580,7 +585,7 @@ def _repack(
         if r or prec < N:
             low = low or prec != N
             out.append(codec.key_entry(k) + (
-                r, prec, min(_residue_valuation(r, p), prec)
+                r, prec, min(_residue_valuation(r, p), prec) if valued else 0
             ))
     return out, low
 
@@ -696,7 +701,7 @@ class _ImagePowers:
     builds one per call.
     """
 
-    __slots__ = ("ordinary", "pd", "target", "high", "_table")
+    __slots__ = ("ordinary", "pd", "target", "high", "_table", "_factors")
 
     def __init__(
         self, source: RingSpec, images: Mapping[str, Element], target: RingSpec
@@ -713,6 +718,7 @@ class _ImagePowers:
             for c in img.terms.values()
         )
         self._table: Dict[Tuple[bool, int, int], tuple] = {}
+        self._factors: Dict[Monomial, tuple] = {}
 
     def get(self, divided: bool, slot: int, n: int) -> tuple:
         key = (divided, slot, n)
@@ -726,6 +732,17 @@ class _ImagePowers:
             entries = _pack(power, self.target._codec, base.p, True)
             low = any(e[5] != base.N for e in entries)
             hit = self._table[key] = (entries, low, power.truncated)
+        return hit
+
+    def factors(self, mono: Monomial) -> tuple:
+        """The powers of a source monomial's factors, ordinary generators
+        then divided-power ones, and whether some entry of them is below
+        the target's precision."""
+        hit = self._factors.get(mono)
+        if hit is None:
+            powers = [self.get(False, i, e) for i, e in enumerate(mono.ordinary) if e]
+            powers += [self.get(True, i, e) for i, e in enumerate(mono.pd) if e]
+            hit = self._factors[mono] = (powers, any(low for _, low, _ in powers))
         return hit
 
 
@@ -744,13 +761,9 @@ def substitute(
     term of weight >= 1 or with p-divisible coefficient), and
     u^[n] |-> image^[n].
 
-    Each term c * x^e * ... * u^[f] * ... is carried as packed residues
-    from factor to factor, left to right, with the rule of mul.  Between
-    factors its sums are reduced and its zeros at full precision dropped,
-    exactly as the element mul returns would hold them, so that a term
-    that vanishes drops no later product to the caps; the last factor
-    adds into one accumulator for all terms.  _powers, the image powers
-    of a FrobeniusLift, must belong to these images and target.
+    The terms are summed as packed residues by _substitute_into, which
+    the delta-ring check also calls.  _powers, the image powers of a
+    FrobeniusLift, must belong to these images and target.
     """
     ring = a.ring
     for name in images:
@@ -771,32 +784,51 @@ def substitute(
     for name in ring.pd_gens:
         validate_pd_image(name, images[name])
     powers = _powers if _powers is not None else _ImagePowers(ring, images, target)
+    p = target.modulus.p
+    if any(c.modulus.p != p for c in a.terms.values()):
+        raise RingMismatch("constant from a different prime")
+    acc: Dict[int, int] = {}
+    precs: Dict[int, int] = {}
+    truncated = _substitute_into(
+        [(m, c.residue, c.modulus.N) for m, c in a.terms.items()], powers, acc, precs
+    )
+    return _from_packed(target, acc, precs, truncated or a.truncated)
 
+
+def _substitute_into(
+    terms: list, powers: _ImagePowers, acc: Dict[int, int], precs: Dict[int, int]
+) -> bool:
+    """Add the images of terms (monomial, residue, precision) into acc and
+    precs under the target's packed keys, as substitute's sum; the return
+    value says whether some product was dropped to the caps.
+
+    Each term c * x^e * ... * u^[f] * ... is carried as packed residues
+    from factor to factor, left to right, with the rule of mul.  Between
+    factors its sums are reduced and its zeros at full precision dropped,
+    exactly as the element mul returns would hold them, so that a term
+    that vanishes drops no later product to the caps; the last factor
+    adds into one accumulator for all terms.
+    """
+    target = powers.target
     base = target.modulus
     p, N = base.p, base.N
     codec = target._codec
     cap_o, cap_d = target.poly_degree_cap, target.pd_degree_cap
     # Element addition drops a zero at precision N or above and restarts
     # the sum's precision at the next term, which a single accumulator
-    # cannot see once some precision exceeds N; terms are then summed as
-    # elements
-    high = powers.high or any(c.modulus.N > N for c in a.terms.values())
-    result = target.zero() if high else None
-    acc: Dict[int, int] = {}
-    precs: Dict[int, int] = {}
-    truncated = a.truncated
-    for mono, coeff in a.terms.items():
-        mod = coeff.modulus
-        if mod.p != p:
-            raise RingMismatch("constant from a different prime")
-        r = coeff.residue
+    # cannot see once some precision exceeds N; terms are then summed one
+    # by one as elements would sum them
+    high = powers.high or any(n > N for _, _, n in terms)
+    truncated = False
+    for mono, r, n in terms:
+        factors, factors_low = powers.factors(mono)
+        # valuations matter only to a product with a coefficient below N
+        valued = n != N or factors_low
         # the coefficient as a constant; a zero known below precision N
         # stays a term, as in Element
-        v = min(_residue_valuation(r, p), mod.N)
-        cur = [(0, 0, 0, None, r, mod.N, v)] if r or mod.N < N else []
-        low = mod.N != N
-        factors = [(False, i, e) for i, e in enumerate(mono.ordinary) if e]
-        factors += [(True, i, e) for i, e in enumerate(mono.pd) if e]
+        v = min(_residue_valuation(r, p), n) if valued else 0
+        cur = [(0, 0, 0, None, r, n, v)] if r or n < N else []
+        low = n != N
         term_acc, term_precs = ({}, {}) if high else (acc, precs)
         if not factors:
             for k, _, _, _, rk, nk, _ in cur:
@@ -804,19 +836,44 @@ def substitute(
                 if nk != N:
                     term_precs[k] = min(nk, term_precs.get(k, nk))
         last = len(factors) - 1
-        for j, (divided, i, e) in enumerate(factors):
-            entries, power_low, power_truncated = powers.get(divided, i, e)
+        for j, (entries, power_low, power_truncated) in enumerate(factors):
             step_acc, step_precs = (term_acc, term_precs) if j == last else ({}, {})
             if _multiply_into(cur, entries, cap_o, cap_d, low or power_low,
                               step_acc, step_precs) or power_truncated:
                 truncated = True
             if j < last:
-                cur, low = _repack(step_acc, step_precs, codec, base)
+                cur, low = _repack(step_acc, step_precs, codec, base, valued)
         if high:
-            result = result + _from_packed(target, term_acc, term_precs, False)
-    if high:
-        return Element._trusted(target, result.terms, truncated)
-    return _from_packed(target, acc, precs, truncated)
+            _add_into(acc, precs, term_acc, term_precs, base)
+    return truncated
+
+
+def _add_into(
+    acc: Dict[int, int], precs: Dict[int, int],
+    term_acc: Dict[int, int], term_precs: Dict[int, int], base: Modulus,
+) -> None:
+    """acc += the element _from_packed would make of term_acc, as Element
+    addition sums it: a key's precision is the lesser of the two, and a
+    zero at precision N or above leaves acc at once, so a later term at
+    that key starts afresh."""
+    p, N = base.p, base.N
+    for k, r in term_acc.items():
+        prec = term_precs.get(k, N)
+        r %= p ** prec
+        if not r and prec >= N:
+            continue
+        if k in acc:
+            prec = min(prec, precs.get(k, N))
+            r = (acc[k] + r) % p ** prec
+            if not r and prec >= N:
+                del acc[k]
+                precs.pop(k, None)
+                continue
+        acc[k] = r
+        if prec != N:
+            precs[k] = prec
+        else:
+            precs.pop(k, None)
 
 
 def partial_derivative(a: Element, gen: str) -> Element:

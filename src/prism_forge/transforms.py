@@ -192,12 +192,10 @@ class RelativeFrobenius:
         """Substitute the images into an element of the primed ring."""
         return substitute(a, self.images, target=self.image_ring)
 
-    @classmethod
-    def from_lift(cls, lift: FrobeniusLift) -> "RelativeFrobenius":
-        """Split a Frobenius lift into a map from a primed coordinate copy."""
-        ring = lift.ring
-        if ring.pd_gens:
-            raise ValueError("relative Frobenius is defined on polynomial rings")
+    @staticmethod
+    def primed_ring(ring: RingSpec) -> RingSpec:
+        """The primed coordinate copy of a ring's ordinary generators: x
+        becomes xp, with underscores added until the name is free."""
         taken = set(ring.ordinary_gens)
         primed = []
         for g in ring.ordinary_gens:
@@ -206,15 +204,24 @@ class RelativeFrobenius:
                 name += "_"
             taken.add(name)
             primed.append(name)
-        domain = RingSpec(
+        return RingSpec(
             ordinary_gens=tuple(primed),
             pd_gens=(),
             modulus=ring.modulus,
             poly_degree_cap=ring.poly_degree_cap,
             pd_degree_cap=ring.pd_degree_cap,
         )
+
+    @classmethod
+    def from_lift(cls, lift: FrobeniusLift) -> "RelativeFrobenius":
+        """Split a Frobenius lift into a map from a primed coordinate copy."""
+        ring = lift.ring
+        if ring.pd_gens:
+            raise ValueError("relative Frobenius is defined on polynomial rings")
+        domain = cls.primed_ring(ring)
         images = {
-            name: lift.images[g] for name, g in zip(primed, ring.ordinary_gens)
+            name: lift.images[g]
+            for name, g in zip(domain.ordinary_gens, ring.ordinary_gens)
         }
         return cls(domain_ring=domain, image_ring=ring, images=images)
 

@@ -8,6 +8,7 @@ wrong, not to be fast.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Tuple
@@ -389,6 +390,116 @@ def element_delta(lift, a, a_p=None):
     if a_p is None:
         a_p = a ** lift.ring.modulus.p
     return exact_div_p_elem(element_sub(element_apply_phi(lift, a), a_p), 1)
+
+
+# ---------------------------------------------------------------------------
+# The delta-ring axiom check on elements.
+#
+# check_delta_axioms as the library first computed it, one Element per
+# step, with the sampler and power list it used.  The library runs the
+# same steps on packed residues and must give the same report.
+# ---------------------------------------------------------------------------
+
+
+def _random_element(rng, ring, max_degree: int, max_pd_weight: int,
+                    max_terms: int):
+    out = ring.zero()
+    n_terms = rng.randint(1, max_terms)
+    for _ in range(n_terms):
+        ordinary = {}
+        budget = max_degree
+        for name in ring.ordinary_gens:
+            e = rng.randint(0, budget)
+            if e:
+                ordinary[name] = e
+                budget -= e
+        pd = {}
+        pd_budget = max_pd_weight
+        for name in ring.pd_gens:
+            e = rng.randint(0, pd_budget)
+            if e:
+                pd[name] = e
+                pd_budget -= e
+        coeff = rng.randrange(ring.modulus.cardinality)
+        out = out + ring.monomial(ordinary, pd, coeff)
+    return out
+
+
+def _powers(a, n: int):
+    """[a^0, ..., a^n], each formed by the same products as a ** i."""
+    out = [a.ring.one(), a]
+    for i in range(2, n + 1):
+        top = 1 << (i.bit_length() - 1)
+        if i == top:
+            out.append(out[top // 2] * out[top // 2])
+        else:
+            out.append(out[i - top] * out[top])
+    return out
+
+
+def check_delta_axioms(
+    lift,
+    samples: int = 200,
+    seed: int = 0,
+    max_degree: int = 2,
+    max_pd_weight: int = 1,
+    max_terms: int = 3,
+):
+    """Exercise both delta-ring axioms on seeded random pairs.
+
+    delta(a+b) = delta(a) + delta(b) - sum_{0<i<p} (C(p,i)/p) a^i b^(p-i)
+    delta(ab)  = a^p delta(b) + b^p delta(a) + p delta(a) delta(b)
+
+    Pairs whose intermediate products overflow the ring caps are skipped
+    (the identities are only meaningful untruncated) and counted.
+    """
+    from prism_forge.deltaring import (
+        AxiomReport, AxiomWitness, apply_phi, delta,
+    )
+    from prism_forge.pdpoly import div_p
+
+    ring = lift.ring
+    p = ring.modulus.p
+    rng = random.Random(seed)
+    report = AxiomReport(samples=samples, checked=0, skipped=0)
+    correction_coeffs = [comb(p, i) // p for i in range(1, p)]
+
+    for _ in range(samples):
+        a = _random_element(rng, ring, max_degree, max_pd_weight, max_terms)
+        b = _random_element(rng, ring, max_degree, max_pd_weight, max_terms)
+        pa, pb = _powers(a, p), _powers(b, p)
+        # delta(a) with the power already formed
+        da = div_p(apply_phi(lift, a), pa[p])
+        db = div_p(apply_phi(lift, b), pb[p])
+        d_sum = delta(lift, a + b)
+        correction = ring.zero()
+        for i in range(1, p):
+            correction = correction + (pa[i] * pb[p - i]).scale(
+                correction_coeffs[i - 1]
+            )
+        # the identities hold at the precision the delta outputs carry
+        claim = min(d_sum.min_precision(), da.min_precision(), db.min_precision())
+        lhs_sum = (d_sum - da - db + correction).reduce_precision(claim)
+        d_prod = delta(lift, a * b)
+        claim_prod = min(claim, d_prod.min_precision())
+        lhs_prod = (
+            d_prod - pa[p] * db - pb[p] * da - (da * db).scale(p)
+        ).reduce_precision(claim_prod)
+        if lhs_sum.truncated or lhs_prod.truncated:
+            report.skipped += 1
+            continue
+        report.checked += 1
+        if not lhs_sum.is_zero():
+            report.failures.append(AxiomWitness(
+                "sum", a.render(), b.render(), lhs_sum.render()
+            ))
+        if not lhs_prod.is_zero():
+            report.failures.append(AxiomWitness(
+                "product", a.render(), b.render(), lhs_prod.render()
+            ))
+        if len(report.failures) >= 5:
+            break
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from prism_forge import cli
 from prism_forge.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -16,7 +17,7 @@ from prism_forge.cli import (
     parse_scenario_dict,
     run_scenario,
 )
-from prism_forge.exprparse import ParseError
+from prism_forge.exprparse import ParseError, parse_expression
 from prism_forge.transforms import RelativeFrobenius
 
 
@@ -174,6 +175,26 @@ class TestDeterminism:
         monkeypatch.setenv("PRISM_FORGE_SEED", "many")
         assert main(["axioms", "--samples", "5"]) == EXIT_PARSE
         capsys.readouterr()
+
+    def test_calls_in_one_process_behave_as_fresh_calls(self, capsys):
+        # main builds its parser once per process; options of one call must
+        # not reach the next: poincare keeps the default prime, and a
+        # repeated --phi is not appended to the last call's
+        axioms = ["axioms", "--prime", "3", "--precision", "2", "--samples", "20",
+                  "--ring", "W[x]", "--phi", "x->x^3 + 3*x"]
+        poincare = ["poincare", "--pd-degree", "6"]
+
+        def call(argv):
+            return main(argv), capsys.readouterr()
+
+        fresh = []
+        for argv in (axioms, poincare):
+            cli._parser.cache_clear()
+            fresh.append(call(argv))
+        assert fresh[0][0] == EXIT_OK and "Z/2^3" in fresh[1][1].out
+        assert [call(argv) for argv in (axioms, poincare, axioms)] == [
+            fresh[0], fresh[1], fresh[0]
+        ]
 
 
 class TestSubcommands:
@@ -351,16 +372,20 @@ class TestScenarioChecks:
             self.run(minimal(checks=[{"name": "pcurvature", "theta": t}]))[1]
             for t in thetas
         ]
-        built = []
+        built, parsed = [], []
         from_lift = RelativeFrobenius.from_lift
         monkeypatch.setattr(RelativeFrobenius, "from_lift", classmethod(
             lambda cls, lift: built.append(lift.ring.poly_degree_cap) or from_lift(lift)
         ))
+        monkeypatch.setattr(cli, "parse_expression", lambda text, ring: (
+            parsed.append(text) or parse_expression(text, ring)
+        ))
         passed, report, _ = self.run(minimal(
             checks=[{"name": "pcurvature", "theta": t} for t in thetas],
         ))
-        # one probe ring and one working ring, as all three thetas have degree 2
-        assert passed and len(built) == 2
+        # one working ring, as all three thetas have degree 2; the degrees
+        # are read without a relative Frobenius, and each theta is parsed once
+        assert passed and len(built) == 1 and parsed == thetas
         assert report["checks"] == [r["checks"][0] for r in alone]
 
     def test_quasi_iso_checks_write_a_report(self, tmp_path, capsys):

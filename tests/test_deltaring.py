@@ -12,7 +12,8 @@ from prism_forge.deltaring import (
     delta_iterate,
     free_phi_ring,
 )
-from prism_forge.pdpoly import Element, Monomial, RingSpec, equal_reduced
+from prism_forge.pdpoly import Element, Monomial, RingSpec, _pack, equal_reduced
+import oracles
 from oracles import (
     element_apply_phi,
     element_delta,
@@ -310,3 +311,110 @@ class TestAgainstRationalModel:
             prec = c.precision if c is not None else out.min_precision()
             residue = c.residue if c is not None else 0
             assert (residue - frac_to_residue(want, p, prec)) % p ** prec == 0, key
+
+
+# -- the packed axiom check against the element check --------------------------
+
+
+def axiom_outcome(check, lift, samples, seed):
+    """(samples, checked, skipped, each witness field by field) of a
+    report, or the class of the exception raised."""
+    try:
+        rep = check(lift, samples=samples, seed=seed)
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc)
+    witnesses = [(w.axiom, w.a, w.b, w.discrepancy) for w in rep.failures]
+    return rep.samples, rep.checked, rep.skipped, witnesses
+
+
+@st.composite
+def axiom_lifts(draw):
+    """A lift on W[x,y], W[x] or W[u]<t>, p in {2, 3, 5}, N in 1-4, plain
+    or twisted, with caps down to where pairs are skipped; some images
+    gain a term with a p-divisible coefficient known below N."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    # N = 1 last, since the strategy favours the first: it only refuses
+    N = draw(st.sampled_from((4, 3, 2, 1)))
+    lift = make_lift(
+        draw(st.sampled_from(("xy", "x", "ut"))), p, N,
+        draw(st.integers(2, 5 * p)), draw(st.integers(1, 3 * p)), draw(st.booleans()),
+    )
+    ring = lift.ring
+    images = dict(lift.images)
+    for g in ring.all_gens():
+        if N == 1 or not draw(st.booleans()):
+            continue
+        o = tuple(draw(st.integers(0, 2)) for _ in ring.ordinary_gens)
+        d = tuple(draw(st.integers(0, 1)) for _ in ring.pd_gens)
+        if sum(o) > ring.poly_degree_cap or sum(d) > ring.pd_degree_cap:
+            continue
+        # favouring N - 1: a coefficient known mod p alone refuses division
+        prec = N - 1 - draw(st.integers(0, N - 2))
+        c = Scalar(p * draw(st.integers(0, p ** prec - 1)), Modulus(p, prec))
+        images[g] = images[g] + Element(ring, {Monomial(o, d): c})
+    return FrobeniusLift(ring, images)
+
+
+def skipping_lift():
+    """The lift of TestSkippedPairs: 28 of 60 pairs at seed 0 leave the caps."""
+    ring = RingSpec(("x",), (), Modulus(3, 3), 12, 6)
+    x = ring.gen("x")
+    return FrobeniusLift(ring, {"x": x ** 3 + (x ** 5).scale(3)})
+
+
+def low_precision_lift():
+    """phi(u) = u^2 + 2*u^2 known mod 2 only, phi(t) = 2*t, over Z/8."""
+    ring = RingSpec(("u",), ("t",), Modulus(2, 3), 12, 6)
+    u = ring.gen("u")
+    low = Element(ring, {Monomial((2,), (0,)): Scalar(2, Modulus(2, 1))})
+    return FrobeniusLift(ring, {"u": u ** 2 + low, "t": ring.gen("t").scale(2)})
+
+
+def broken_square_lift(p, N):
+    """x -> x^p on W[x], except that the image powers of the lift hold
+    phi(x^2) = (1 + p)*x^(2p): phi stays congruent to Frobenius and
+    additive, so every delta exists, but it is not multiplicative and the
+    product axiom fails."""
+    ring = RingSpec(("x",), (), Modulus(p, N), 30, 0)
+    x = ring.gen("x")
+    lift = FrobeniusLift(ring, {"x": x ** p})
+    wrong = (x ** (2 * p)).scale(1 + p)
+    lift._powers._table[(False, 0, 2)] = (_pack(wrong, ring._codec, p, True), False, False)
+    return lift
+
+
+class TestPackedAgainstElementCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(axiom_lifts(), st.integers(1, 8), st.integers(0, 1 << 16))
+    @example(skipping_lift(), 60, 0)
+    @example(low_precision_lift(), 40, 1)
+    @example(divided_lift(5, 4, 30, 12), 8, 3)
+    def test_same_report(self, lift, samples, seed):
+        assert axiom_outcome(check_delta_axioms, lift, samples, seed) == (
+            axiom_outcome(oracles.check_delta_axioms, lift, samples, seed)
+        )
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_same_witnesses_of_failing_pairs(self, p):
+        lift = broken_square_lift(p, 3)
+        got = axiom_outcome(check_delta_axioms, lift, 20, 0)
+        assert got[3] and all(w[0] == "product" for w in got[3])
+        assert got == axiom_outcome(oracles.check_delta_axioms, lift, 20, 0)
+
+    def test_refuses_images_above_the_ring_precision(self):
+        ring = RingSpec(("x",), (), Modulus(2, 2), 8, 0)
+        x2 = Monomial((2,), ())
+        lift = FrobeniusLift(ring, {"x": Element(ring, {x2: Scalar(1, Modulus(2, 4))})})
+        with pytest.raises(ValueError):
+            check_delta_axioms(lift, samples=1)
+
+
+class TestDividedPowerLines:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_no_failure_and_no_skip(self, p):
+        # W[u]<t> at caps 30/12 and N = 4: no pair leaves the caps, and no
+        # delta claims a digit it does not have
+        lift = divided_lift(p, 4, 30, 12)
+        for seed in range(12):
+            report = check_delta_axioms(lift, samples=100, seed=seed)
+            assert (report.checked, report.skipped, report.failures) == (100, 0, []), seed
