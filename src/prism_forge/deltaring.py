@@ -16,14 +16,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .padic import Modulus, NotDivisible, PrecisionExhausted
+from .padic import Modulus, PrecisionExhausted
 from .pdpoly import (
     Element,
     RingSpec,
     _ImagePowers,
+    _divide_by_p,
     _from_packed,
     _multiply_into,
-    _render_monomial,
     _substitute_into,
     div_p,
     divisible_by_p,
@@ -306,7 +306,7 @@ class _PackedLift:
         )
 
     def div_p(self, a: _Residues, b: _Residues) -> _Residues:
-        """(a - b) / p by the rules of pdpoly.div_p."""
+        """(a - b) / p as pdpoly.div_p forms it."""
         p, N = self.p, self.N
         at, ap, bt, bp = a.terms, a.precs, b.terms, b.precs
         diff = []
@@ -323,27 +323,9 @@ class _PackedLift:
                 diff.append((k, -d % p ** n, n))
         terms: Dict[int, int] = {}
         precs: Dict[int, int] = {}
-        for k, r, n in diff:
-            if not r and n >= N:
-                continue
-            if n < 2:
-                raise PrecisionExhausted(f"cannot drop 1 levels below precision {n}")
-            if r % p:
-                raise NotDivisible(
-                    f"coefficient {r} of "
-                    f"{_render_monomial(self.ring, self.codec.monomial(k))} "
-                    "is not divisible by p^1"
-                )
-            terms[k] = r // p
-            precs[k] = n - 1
-        if not terms:
-            if N < 2:
-                raise PrecisionExhausted(
-                    "dividing by p at precision 1 leaves no digit: "
-                    "the difference vanishes mod p"
-                )
-            terms[0] = 0
-            precs[0] = N - 1
+        for k, q, n in _divide_by_p(diff, self.ring, 0, self.codec.monomial):
+            terms[k] = q
+            precs[k] = n
         return _Residues(terms, a.truncated or b.truncated, precs)
 
     def min_precision(self, x: _Residues) -> int:

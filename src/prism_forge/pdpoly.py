@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .padic import (
     Modulus,
@@ -918,8 +918,6 @@ def div_p(a: Element, b: Optional[Element] = None) -> Element:
     PrecisionExhausted is raised.
     """
     ring = a.ring
-    base = ring.modulus
-    p, N = base.p, base.N
     sub: Mapping[Monomial, Scalar] = {}
     truncated = a.truncated
     if b is not None:
@@ -930,38 +928,54 @@ def div_p(a: Element, b: Optional[Element] = None) -> Element:
     for m, c in a.terms.items():
         d = sub.get(m)
         if d is None:
-            diff.append((m, c.residue, c.modulus))
+            diff.append((m, c.residue, c.modulus.N))
         else:
             mod = c.modulus if c.modulus is d.modulus else c._join(d)
-            diff.append((m, (c.residue - d.residue) % mod.cardinality, mod))
+            diff.append((m, (c.residue - d.residue) % mod.cardinality, mod.N))
     for m, d in sub.items():
         if m not in a.terms:
-            diff.append((m, -d.residue % d.modulus.cardinality, d.modulus))
+            diff.append((m, -d.residue % d.modulus.cardinality, d.modulus.N))
+    one = Monomial((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
     below: Dict[int, Modulus] = {}
     out = {}
-    for m, r, mod in diff:
-        if not r and mod.N >= N:
+    for m, q, n in _divide_by_p(diff, ring, one, lambda m: m):
+        lower = below.get(n)
+        if lower is None:
+            lower = below[n] = Modulus(ring.modulus.p, n)
+        out[m] = Scalar(q, lower)
+    return Element(ring, out, truncated)
+
+
+def _divide_by_p(
+    diff: list, ring: RingSpec, one, monomial_of: Callable[[object], Monomial]
+) -> list:
+    """div_p's division of a difference held as (key, residue, precision)
+    in term order: (key, residue / p, precision - 1) for each term but a
+    zero at precision N or above.  A term known mod p alone raises
+    PrecisionExhausted and one not divisible by p NotDivisible, naming
+    monomial_of(key).  When nothing is left the quotient is a zero known
+    mod p^(N-1) under the key one, the constant monomial's."""
+    p, N = ring.modulus.p, ring.modulus.N
+    out = []
+    for k, r, n in diff:
+        if not r and n >= N:
             continue
-        if mod.N < 2:
-            raise PrecisionExhausted(f"cannot drop 1 levels below precision {mod.N}")
+        if n < 2:
+            raise PrecisionExhausted(f"cannot drop 1 levels below precision {n}")
         if r % p:
             raise NotDivisible(
-                f"coefficient {r} of {_render_monomial(ring, m)} "
+                f"coefficient {r} of {_render_monomial(ring, monomial_of(k))} "
                 "is not divisible by p^1"
             )
-        lower = below.get(mod.N)
-        if lower is None:
-            lower = below[mod.N] = Modulus(p, mod.N - 1)
-        out[m] = Scalar(r // p, lower)
+        out.append((k, r // p, n - 1))
     if not out:
         if N < 2:
             raise PrecisionExhausted(
                 "dividing by p at precision 1 leaves no digit: "
                 "the difference vanishes mod p"
             )
-        one = Monomial((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
-        out[one] = Scalar(0, Modulus(p, N - 1))
-    return Element(ring, out, truncated)
+        out.append((one, 0, N - 1))
+    return out
 
 
 def divisible_by_p(a: Element, k: int = 1) -> bool:
