@@ -219,9 +219,6 @@ class _PackedLift:
                     del terms[key]
         return _Residues(terms, False)
 
-    def element(self, x: _Residues) -> Element:
-        return _from_packed(self.ring, x.terms, x.precs, x.truncated)
-
     def _entries(self, x: _Residues, factor: int = 1) -> list:
         """The entries of factor * x for an untracked product."""
         out = x.entries
@@ -362,10 +359,14 @@ class _PackedLift:
 
     def witness(self, axiom: str, a: _Residues, b: _Residues, claim: int,
                 lhs: Dict[int, int]) -> AxiomWitness:
-        """The failure as AxiomWitness renders it from elements."""
+        """The failure as AxiomWitness renders it from elements: a and b
+        known to N, the residual to claim digits at every key."""
+        ring = self.ring
         return AxiomWitness(
-            axiom, self.element(a).render(), self.element(b).render(),
-            _from_packed(self.ring, lhs, dict.fromkeys(lhs, claim), False).render(),
+            axiom,
+            _from_packed(ring, a.terms, {}, False).render(),
+            _from_packed(ring, b.terms, {}, False).render(),
+            _from_packed(ring, lhs, dict.fromkeys(lhs, claim), False).render(),
         )
 
 
