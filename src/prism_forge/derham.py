@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .envelopes import EnvelopePresentation
 from .homology import (
@@ -718,31 +718,60 @@ def check_poincare(
 # -- the element-level contraction --------------------------------------------
 
 
-def _d_walk(conn: PConnection, e: Element) -> Iterator[Tuple[Monomial, Element]]:
-    """(I, d^I e) for the multi-indices I of the divided-power window, in
-    window order, leaving out those where d^I e vanishes.
+# multi-index I -> (t^[I], d^I e), in window order
+DTable = Dict[Tuple[int, ...], Tuple[Monomial, Element]]
+
+
+def _d_table(conn: PConnection, e: Element, window: Sequence[Monomial]) -> DTable:
+    """I -> (t^[I], d^I e) for the multi-indices I of the divided-power
+    window, in window order, leaving out those where d^I e vanishes.
 
     Each d^I e is one coordinate component of its parent d^(I - e_k) e,
     k the last coordinate with I_k > 0.  So coordinate 0 still comes
-    first, and every yielded term comes from the same d_component calls
-    as applying d^I to e coordinate by coordinate.  Window order lists a
+    first, and every entry comes from the same d_component calls as
+    applying d^I to e coordinate by coordinate.  Window order lists a
     parent before its children, and a vanishing parent has only
-    vanishing children; the table of parents lasts for this walk only.
+    vanishing children.  The table lasts for one element only.
     """
-    found: Dict[Tuple[int, ...], Element] = {}
-    for mono in window_monomials(conn.ring, conn.ring.pd_degree_cap):
+    table: DTable = {}
+    for mono in window:
         index = mono.pd
         k = max((j for j, n in enumerate(index) if n), default=None)
         if k is None:
             term = e
         else:
-            parent = found.get(index[:k] + (index[k] - 1,) + index[k + 1:])
+            parent = table.get(index[:k] + (index[k] - 1,) + index[k + 1:])
             if parent is None:
                 continue
-            term = conn.d_component(parent, conn.coordinates[k])
+            term = conn.d_component(parent[1], conn.coordinates[k])
         if not term.is_zero():
-            found[index] = term
-            yield mono, term
+            table[index] = (mono, term)
+    return table
+
+
+def _d_walk(conn: PConnection, e: Element) -> Iterable[Tuple[Monomial, Element]]:
+    """The (t^[I], d^I e) pairs of e's table, in window order."""
+    return _d_table(conn, e, window_monomials(conn.ring, conn.ring.pd_degree_cap)).values()
+
+
+def _contract(ring: RingSpec, table: DTable, at: Tuple[int, ...]) -> Element:
+    """r(d^at e) = sum over J of (-t)^[J] d^(at + J) e, read off e's table.
+
+    On the cell every coordinate component of d' shifts terms and keeps
+    their residues, precisions and order, so d^J(d^at e) is the entry at
+    at + J term for term, and it vanishes where the table has no entry.
+    Translation by at keeps window order, so the sum runs over J in the
+    order a walk of d^at e would give them.
+    """
+    out = ring.zero()
+    for index, (mono, term) in table.items():
+        j = tuple(a - b for a, b in zip(index, at))
+        if min(j, default=0) < 0:
+            continue
+        sign = -1 if sum(j) % 2 else 1
+        shift = Monomial(mono.ordinary, j)
+        out = out + Element(ring, {shift: Scalar(sign, ring.modulus)}) * term
+    return out
 
 
 def poincare_contraction(conn: PConnection, e: Element) -> Element:
@@ -753,13 +782,9 @@ def poincare_contraction(conn: PConnection, e: Element) -> Element:
     the window the result is the constant term of e, the unique
     horizontal representative of its class.
     """
-    ring = conn.ring
     _require_divided_power_cell(conn)
-    out = ring.zero()
-    for mono, term in _d_walk(conn, e):
-        sign = -1 if sum(mono.pd) % 2 else 1
-        out = out + Element(ring, {mono: Scalar(sign, ring.modulus)}) * term
-    return out
+    table = _d_table(conn, e, window_monomials(conn.ring, conn.ring.pd_degree_cap))
+    return _contract(conn.ring, table, (0,) * len(conn.coordinates))
 
 
 def contraction_identity_failures(
@@ -769,28 +794,29 @@ def contraction_identity_failures(
 
     The image must be horizontal (every coordinate component of d'
     vanishes on it) and the Taylor reconstruction
-    sum_I t^[I] r(d^I e) must recover e on the nose.
+    sum_I t^[I] r(d^I e) must recover e on the nose.  Both read one d^I
+    table per element: r(d^I e) sums the entries at I + J.
     """
     ring = conn.ring
     _require_divided_power_cell(conn)
+    window = window_monomials(ring, ring.pd_degree_cap)
+    origin = (0,) * len(conn.coordinates)
     failures: List[str] = []
     for e in elements:
-        r_e = poincare_contraction(conn, e)
+        table = _d_table(conn, e, window)
+        r_e = _contract(ring, table, origin)
         for coord in conn.coordinates:
-            img = conn.d_component(r_e, coord)
-            if not img.is_zero():
+            if not conn.d_component(r_e, coord).is_zero():
                 failures.append(
                     f"contraction of {e.render()} is not horizontal in {coord}"
                 )
                 break
         rebuilt = ring.zero()
-        for mono, term in _d_walk(conn, e):
-            coeff = poincare_contraction(conn, term)
+        for index, (mono, _) in table.items():
+            coeff = _contract(ring, table, index)
             if coeff.is_zero():
                 continue
-            rebuilt = rebuilt + Element(
-                ring, {mono: Scalar(1, ring.modulus)}
-            ) * coeff
+            rebuilt = rebuilt + Element(ring, {mono: Scalar(1, ring.modulus)}) * coeff
         if not equal_reduced(rebuilt, e):
             failures.append(
                 f"reconstruction of {e.render()} gave {rebuilt.render()}"

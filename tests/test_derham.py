@@ -1,7 +1,7 @@
 """Window de Rham complexes: frozen matrices, cohomology, contraction."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prism_forge.padic import Modulus, PrecisionExhausted, valuation, Scalar
@@ -412,6 +412,46 @@ class TestContraction:
             with pytest.raises(ValueError, match="divided-power cell"):
                 contraction_identity_failures(conn, batch)
 
+    def test_one_derivation_per_nonzero_d_i(self, monkeypatch):
+        # the Taylor reconstruction reads r(d^I e) off e's own d^I table,
+        # so the only derivations are the walk's and the horizontality
+        # check's, one per coordinate
+        from prism_forge.pdpoly import window_monomials
+
+        conn = self.cell(p=3, N=2, num_vars=2, cap=8)
+        ring = conn.ring
+        dense_e = Element(ring, {
+            m: Scalar(1 + i % 8, ring.modulus)
+            for i, m in enumerate(window_monomials(ring, 8))
+        })
+        nonzero = len(list(oracles.d_walk(conn, dense_e)))
+        assert nonzero == len(window_monomials(ring, 8))
+        calls = []
+        original = PConnection.d_component
+
+        def counted(self, a, coord):
+            calls.append(coord)
+            return original(self, a, coord)
+
+        monkeypatch.setattr(PConnection, "d_component", counted)
+        assert contraction_identity_failures(conn, [dense_e]) == []
+        assert len(calls) <= nonzero + len(conn.coordinates)
+
+
+def cell_case(p, N, num_vars, cap, *elements_terms, truncated=False):
+    """A divided-power cell and elements given as {pd index: (residue,
+    precision)} dicts; the last element carries the truncation flag when
+    truncated is set."""
+    conn = divided_power_cell(Modulus(p, N), num_vars, cap)
+    batch = [
+        Element(conn.ring, {
+            Monomial((), index): Scalar(r, Modulus(p, prec))
+            for index, (r, prec) in terms.items()
+        }, truncated and k == len(elements_terms) - 1)
+        for k, terms in enumerate(elements_terms)
+    ]
+    return conn, batch
+
 
 @st.composite
 def cells_with_elements(draw):
@@ -442,6 +482,17 @@ class TestContractionAgainstOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(cells_with_elements())
+    # cap 0: the window is the constant monomial alone
+    @example(cell_case(3, 2, 2, 0, {(0, 0): (5, 2)}, {}))
+    # one term at pd weight equal to the cap, in 2 and in 3 coordinates
+    @example(cell_case(2, 3, 2, 4, {(1, 3): (3, 3)}, {(4, 0): (1, 3)}))
+    @example(cell_case(5, 2, 3, 4, {(1, 2, 1): (7, 2)}, {(0, 0, 4): (1, 1)}))
+    # a truncated element carrying a low-precision zero, at the cap and
+    # below it
+    @example(cell_case(
+        3, 3, 2, 3, {(1, 0): (2, 3)}, {(2, 1): (0, 1), (0, 1): (4, 3)}, truncated=True,
+    ))
+    @example(cell_case(2, 4, 3, 3, {(0, 0, 0): (1, 4)}, {(1, 1, 0): (0, 2)}, truncated=True))
     def test_walk_contraction_and_identities(self, case):
         conn, batch = case
         for e in batch:
