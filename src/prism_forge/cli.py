@@ -522,12 +522,20 @@ CHECKS: Dict[str, Callable[[Scenario, dict], CheckResult]] = {
 
 
 def run_scenario(sc: Scenario) -> Tuple[bool, dict, List[str]]:
-    """Execute the checks in order; report dict is JSON-ready."""
+    """Execute the checks in order; report dict is JSON-ready.  A check
+    that raises anything but ParseError fails alone: its entry names the
+    exception, and the rest still run."""
     results = []
     lines: List[str] = []
     for chk in sc.checks:
         params = {k: v for k, v in chk.items() if k != "name"}
-        res = CHECKS[chk["name"]](sc, params)
+        try:
+            res = CHECKS[chk["name"]](sc, params)
+        except ParseError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - the check fails, not the scenario
+            info = {"error": type(exc).__name__, "message": str(exc)}
+            res = CheckResult(chk["name"], False, info, [f"{info['error']}: {exc}"])
         results.append(res)
         lines.extend(res.lines)
         lines.append(f"{'PASS' if res.passed else 'FAIL'} {res.name}")

@@ -424,3 +424,37 @@ class TestScenarioChecks:
         assert report["scenario"]["prime"] == 3
         assert report["passed"] == passed is True
         assert any(line.startswith("PASS cohomology") for line in lines)
+
+    def test_a_raising_check_fails_alone(self, tmp_path, monkeypatch, capsys):
+        def explode(sc, params):
+            raise RuntimeError("no such luck")
+
+        monkeypatch.setitem(cli.CHECKS, "explode", explode)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "isolated.json"
+        path.write_text(json.dumps(minimal(checks=[
+            {"name": "cohomology"}, {"name": "explode"}, {"name": "poincare"},
+        ])))
+        assert main(["run", str(path)]) == EXIT_CHECK
+        out = capsys.readouterr().out
+        report = json.loads((tmp_path / "isolated.report.json").read_text())
+        first, failed, last = report["checks"]
+        assert first["passed"] and last["passed"] and not report["passed"]
+        assert failed == {
+            "name": "explode", "passed": False,
+            "error": "RuntimeError", "message": "no such luck",
+        }
+        assert "RuntimeError: no such luck\nFAIL explode\n" in out
+        assert out.index("FAIL explode") < out.index("PASS poincare")
+
+    def test_a_parse_error_inside_a_check_still_exits_two(self, tmp_path, monkeypatch, capsys):
+        def refuse(sc, params):
+            raise ParseError("bad parameter")
+
+        monkeypatch.setitem(cli.CHECKS, "refuse", refuse)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(minimal(checks=[{"name": "refuse"}])))
+        assert main(["run", str(path)]) == EXIT_PARSE
+        assert "bad parameter" in capsys.readouterr().err
+        assert not (tmp_path / "refused.report.json").exists()
