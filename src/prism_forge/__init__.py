@@ -17,7 +17,6 @@ from .deltaring import (
     check_delta_axioms,
     delta,
     delta_iterate,
-    free_phi_ring,
 )
 from .envelopes import (
     CoordinateImmersion,

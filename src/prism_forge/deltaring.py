@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .padic import Modulus, PrecisionExhausted
+from .padic import PrecisionExhausted
 from .pdpoly import (
     Element,
     RingSpec,
@@ -431,31 +431,3 @@ def check_delta_axioms(
             break
     return report
 
-
-def free_phi_ring(
-    modulus: Modulus,
-    names: Union[int, Sequence[str]] = 1,
-    level_cap: int = 2,
-    poly_degree_cap: int = 16,
-    pd_degree_cap: int = 0,
-) -> FrobeniusLift:
-    """Polynomial ring on formal phi-towers x_(i,0), ..., x_(i,J).
-
-    phi(x_(i,j)) = x_(i,j)^p + p x_(i,j+1) below the cap, so
-    delta(x_(i,j)) = x_(i,j+1) on the nose; the top level gets the
-    plain lift phi = (.)^p, which caps the tower at delta^J = 0.
-    """
-    if isinstance(names, int):
-        names = tuple(f"u{i + 1}" for i in range(names)) if names > 1 else ("u",)
-    gens = tuple(f"{n}_{j}" for n in names for j in range(level_cap + 1))
-    ring = RingSpec(gens, (), modulus, poly_degree_cap, pd_degree_cap)
-    p = modulus.p
-    images = {}
-    for n in names:
-        for j in range(level_cap + 1):
-            g = ring.gen(f"{n}_{j}")
-            img = g ** p
-            if j < level_cap:
-                img = img + ring.gen(f"{n}_{j + 1}").scale(p)
-            images[f"{n}_{j}"] = img
-    return FrobeniusLift(ring, images)

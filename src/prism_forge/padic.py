@@ -251,13 +251,6 @@ def exact_div_p(a: Scalar, k: int) -> Scalar:
     return Scalar(a.residue // pk, mod)
 
 
-def binomial(m: int, n: int, modulus: Modulus) -> Scalar:
-    """The coefficient C(m+n, n) appearing in x^[m] * x^[n]."""
-    if m < 0 or n < 0:
-        raise ValueError("divided-power weights are nonnegative")
-    return Scalar(math.comb(m + n, n), modulus)
-
-
 def unit_part_inverse(n_factorial_of: int, modulus: Modulus) -> Scalar:
     """Inverse of the prime-to-p part of (n!), as a scalar.
 

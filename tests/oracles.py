@@ -657,8 +657,9 @@ def snf_cohomology(cx, q):
 
 # ---------------------------------------------------------------------------
 # Helpers no library code calls: the order-m divided differential operator,
-# the weighted degree of a monomial, p^n/n! at full precision, and the
-# kernel mod p^N read off the integer Smith form.  Their tests and the
+# the weighted degree of a monomial, p^n/n! at full precision, the
+# divided-power binomial coefficient, the kernel mod p^N read off the
+# integer Smith form, and the free phi-tower ring.  Their tests and the
 # random_complexes strategy read them here.
 # ---------------------------------------------------------------------------
 
@@ -727,6 +728,15 @@ def p_power_over_factorial(n: int, modulus: Modulus) -> Scalar:
     return Scalar(p ** (n - v), modulus) * unit_part_inverse(n, modulus)
 
 
+def binomial(m: int, n: int, modulus: Modulus) -> Scalar:
+    """The coefficient C(m+n, n) appearing in x^[m] * x^[n]."""
+    from prism_forge.padic import Scalar
+
+    if m < 0 or n < 0:
+        raise ValueError("divided-power weights are nonnegative")
+    return Scalar(comb(m + n, n), modulus)
+
+
 def kernel_basis_mod_prime_power(
     a: Matrix, modulus: Modulus, cols: Optional[int] = None
 ) -> Tuple[Matrix, List[int]]:
@@ -755,6 +765,38 @@ def kernel_basis_mod_prime_power(
         [dec.V[i][j] * p ** exps[j] % pN for j in range(c)] for i in range(c)
     ]
     return basis, exps
+
+
+def free_phi_ring(
+    modulus: Modulus,
+    names: Union[int, Sequence[str]] = 1,
+    level_cap: int = 2,
+    poly_degree_cap: int = 16,
+    pd_degree_cap: int = 0,
+):
+    """Polynomial ring on formal phi-towers x_(i,0), ..., x_(i,J).
+
+    phi(x_(i,j)) = x_(i,j)^p + p x_(i,j+1) below the cap, so
+    delta(x_(i,j)) = x_(i,j+1) on the nose; the top level gets the
+    plain lift phi = (.)^p, which caps the tower at delta^J = 0.
+    """
+    from prism_forge.deltaring import FrobeniusLift
+    from prism_forge.pdpoly import RingSpec
+
+    if isinstance(names, int):
+        names = tuple(f"u{i + 1}" for i in range(names)) if names > 1 else ("u",)
+    gens = tuple(f"{n}_{j}" for n in names for j in range(level_cap + 1))
+    ring = RingSpec(gens, (), modulus, poly_degree_cap, pd_degree_cap)
+    p = modulus.p
+    images = {}
+    for n in names:
+        for j in range(level_cap + 1):
+            g = ring.gen(f"{n}_{j}")
+            img = g ** p
+            if j < level_cap:
+                img = img + ring.gen(f"{n}_{j + 1}").scale(p)
+            images[f"{n}_{j}"] = img
+    return FrobeniusLift(ring, images)
 
 
 # ---------------------------------------------------------------------------

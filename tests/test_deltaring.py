@@ -10,7 +10,6 @@ from prism_forge.deltaring import (
     check_delta_axioms,
     delta,
     delta_iterate,
-    free_phi_ring,
 )
 from prism_forge.pdpoly import Element, Monomial, RingSpec, _pack, equal_reduced
 import oracles
@@ -23,6 +22,7 @@ from oracles import (
     frac_pow,
     frac_substitute,
     frac_to_residue,
+    free_phi_ring,
 )
 from cases import SHAPES, elements, outcome, ring_of, vanishing_factor
 

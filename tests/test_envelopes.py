@@ -6,7 +6,7 @@ import pytest
 
 from prism_forge.padic import Modulus, NotDivisible, Scalar
 from prism_forge.pdpoly import RingSpec, divisible_by_p, equal_reduced
-from prism_forge.deltaring import FrobeniusLift, delta, free_phi_ring
+from prism_forge.deltaring import FrobeniusLift, delta
 from prism_forge.envelopes import (
     CoordinateImmersion,
     EnvelopeKind,

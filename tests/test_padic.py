@@ -8,12 +8,11 @@ from prism_forge.padic import (
     NotDivisible,
     PrecisionExhausted,
     Scalar,
-    binomial,
     exact_div_p,
     factorial_valuation,
     valuation,
 )
-from oracles import legendre_valuation, p_power_over_factorial
+from oracles import binomial, legendre_valuation, p_power_over_factorial
 
 
 class TestModulus:
