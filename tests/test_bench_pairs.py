@@ -55,6 +55,21 @@ def test_summary_skips_metrics_a_run_lacks():
     assert list(bench_pairs.summarize(runs, BETTER)["a"]) == ["checks_per_s"]
 
 
+def test_summary_gives_attempted_quartiles_without_wins():
+    runs = [run("a", seed, side, 2.0, 5.0) for seed in (1, 2, 3) for side in ("before", "after")]
+    for r, attempted in zip(runs, (300, 610, 320, 590, 310, 600)):
+        r["attempted"] = attempted
+    got = bench_pairs.summarize(runs, BETTER)["a"]["attempted"]
+    assert got == {
+        "before": {"q1": 305.0, "median": 310, "q3": 315.0},
+        "after": {"q1": 595.0, "median": 600, "q3": 605.0},
+        "pairs": 3,
+    }
+    # a run that lacks the count leaves it out
+    del runs[0]["attempted"]
+    assert "attempted" not in bench_pairs.summarize(runs, BETTER)["a"]
+
+
 def test_seed_and_job_parsing():
     assert bench_pairs.parse_seeds("1401-1403,1410") == [1401, 1402, 1403, 1410]
     assert bench_pairs.parse_jobs(["w:1-2", "v:7"]) == [("w", 1), ("w", 2), ("v", 7)]

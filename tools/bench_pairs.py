@@ -83,7 +83,9 @@ def summarize(runs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
     """Per workload and metric of `better` ("higher" or "lower" is
     better): each side's quartiles over its runs, and how many of the
     pairs (the same workload and seed on both sides) the after side won
-    strictly."""
+    strictly.  Under "attempted", each side's quartiles of the checks a
+    run attempted, with no win count: perfbench keeps every check's
+    output, so peak_rss_mb reads against that count."""
     by_key: Dict[Tuple[str, int], Dict[str, dict]] = {}
     for run in runs:
         by_key.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run
@@ -107,6 +109,11 @@ def summarize(runs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
                 "after_wins": wins,
                 "pairs": len(pairs),
             }
+        if per_metric and all("attempted" in s[side] for s in pairs for side in SIDES):
+            per_metric["attempted"] = {
+                side: quartiles([s[side]["attempted"] for s in pairs]) for side in SIDES
+            }
+            per_metric["attempted"]["pairs"] = len(pairs)
         if per_metric:
             out[workload] = per_metric
     return out
