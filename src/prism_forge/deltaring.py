@@ -430,4 +430,3 @@ def check_delta_axioms(
         if len(report.failures) >= 5:
             break
     return report
-
