@@ -24,7 +24,6 @@ from .envelopes import (
     check_envelope_frobenius,
     dilatation,
     mod_p_dimensions,
-    pd_envelope,
     polynomial_dimensions,
     prismatic_envelope_aligned,
     prismatic_envelope_stages,

@@ -6,7 +6,9 @@ precision than a.  The two delta-ring axioms (additivity with its
 binomial correction, and the twisted Leibniz rule) are checked on
 seeded random samples rather than assumed; the check keeps every sample
 as integer residues under packed monomial keys and builds elements only
-for the witnesses of a failure.
+for the witnesses of a failure.  It forms phi of each monomial once per
+lift, computes each delta in one pass over the sample's terms, and
+multiplies residues directly where no product can reach the caps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .padic import PrecisionExhausted
+from .padic import PrecisionExhausted, _residue_valuation
 from .pdpoly import (
     Element,
     RingSpec,
@@ -146,18 +148,32 @@ class _Residues:
     terms holds each residue reduced mod p^prec with no zero known to
     the ring's precision N, in the order Element would hold the terms;
     precs holds the precision of each key known below N, and is empty
-    when every coefficient is at N; truncated is Element's sticky flag.
+    when every coefficient is at N; truncated is Element's sticky flag;
+    degree bounds the ordinary degree of every key from above.
     """
 
-    __slots__ = ("terms", "precs", "truncated", "entries")
+    __slots__ = ("terms", "precs", "truncated", "degree", "entries")
 
-    def __init__(self, terms: Dict[int, int], truncated: bool,
+    def __init__(self, terms: Dict[int, int], degree: int, truncated: bool,
                  precs: Optional[Dict[int, int]] = None) -> None:
         self.terms = terms
         self.precs = precs or {}
         self.truncated = truncated
+        self.degree = degree
         # the entries _multiply_into reads, formed on first use
         self.entries: Optional[list] = None
+
+
+def _bare_product_into(x: _Residues, y: _Residues, c: int,
+                       acc: Dict[int, int]) -> None:
+    """acc += c * x * y for a product no pair of which leaves the caps, in
+    _multiply_into's order: x's terms outer, y's inner."""
+    ty = list(y.terms.items())
+    for kx, rx in x.terms.items():
+        rx *= c
+        for ky, ry in ty:
+            k = kx + ky
+            acc[k] = acc.get(k, 0) + rx * ry
 
 
 class _PackedLift:
@@ -171,6 +187,16 @@ class _PackedLift:
     are only formed of elements known to N everywhere, so they track no
     precision, and the residuals of the two identities are summed at the
     precision they are compared at (residual).
+
+    Two shortcuts keep those rules.  A product whose factors' degree
+    bounds add up to no more than the ordinary cap, in a ring without
+    divided-power generators, drops no pair and needs no binomial, so it
+    is summed over the residue dicts directly (_bare_product_into).  A
+    delta is one pass: phi(x) sums c times the lift's memo image of each
+    monomial (_ImagePowers.image) where the memo allows, and the chain
+    of _substitute_into otherwise; the sum is then reduced and x^p
+    subtracted in the order div_p would subtract it, and the difference
+    goes to _divide_by_p.
     """
 
     def __init__(self, lift: FrobeniusLift) -> None:
@@ -185,6 +211,10 @@ class _PackedLift:
         self.p, self.N = ring.modulus.p, ring.modulus.N
         self.card = ring.modulus.cardinality
         self.cap_o, self.cap_d = ring.poly_degree_cap, ring.pd_degree_cap
+        # without divided powers, only the ordinary cap can drop a pair
+        self.bare_cap = -1 if ring.pd_gens else self.cap_o
+        # the divided-power images are validated at the first delta
+        self.validated = False
 
     def draw(self, rng: random.Random, max_degree: int, max_pd_weight: int,
              max_terms: int) -> _Residues:
@@ -192,6 +222,7 @@ class _PackedLift:
         exponents and coefficients, drawn from rng in that order."""
         ring, width, card = self.ring, self.codec.width, self.card
         terms: Dict[int, int] = {}
+        top = 0
         for _ in range(rng.randint(1, max_terms)):
             key = 0
             budget = max_degree
@@ -212,12 +243,13 @@ class _PackedLift:
             if weight > self.cap_d:
                 raise ValueError("monomial exceeds divided-power weight cap")
             if c:
+                top = max(top, degree)
                 c = (terms.get(key, 0) + c) % card
                 if c:
                     terms[key] = c
                 else:
                     del terms[key]
-        return _Residues(terms, False)
+        return _Residues(terms, top, False)
 
     def _entries(self, x: _Residues, factor: int = 1) -> list:
         """The entries of factor * x for an untracked product."""
@@ -232,13 +264,18 @@ class _PackedLift:
     def mul(self, x: _Residues, y: _Residues) -> _Residues:
         """x * y for x and y known to N everywhere."""
         acc: Dict[int, int] = {}
-        truncated = _multiply_into(
-            self._entries(x), self._entries(y), self.cap_o, self.cap_d,
-            False, acc, {},
-        )
+        degree = x.degree + y.degree
+        if degree <= self.bare_cap:
+            _bare_product_into(x, y, 1, acc)
+            truncated = False
+        else:
+            truncated = _multiply_into(
+                self._entries(x), self._entries(y), self.cap_o, self.cap_d,
+                False, acc, {},
+            )
         card = self.card
         return _Residues(
-            {k: r for k, s in acc.items() if (r := s % card)},
+            {k: r for k, s in acc.items() if (r := s % card)}, degree,
             truncated or x.truncated or y.truncated,
         )
 
@@ -249,7 +286,8 @@ class _PackedLift:
         for k, r in y.terms.items():
             terms[k] = (terms.get(k, 0) + r) % card
         return _Residues(
-            {k: r for k, r in terms.items() if r}, x.truncated or y.truncated
+            {k: r for k, r in terms.items() if r}, max(x.degree, y.degree),
+            x.truncated or y.truncated,
         )
 
     def power(self, x: _Residues, n: int) -> _Residues:
@@ -267,7 +305,7 @@ class _PackedLift:
 
     def powers(self, x: _Residues, n: int) -> List[_Residues]:
         """[x^0, ..., x^n], each by the products of Element.__pow__."""
-        out = [_Residues({0: 1}, False), x]
+        out = [_Residues({0: 1}, 0, False), x]
         for i in range(2, n + 1):
             top = 1 << (i.bit_length() - 1)
             if i == top:
@@ -277,53 +315,55 @@ class _PackedLift:
         return out
 
     def delta(self, x: _Residues, x_p: _Residues) -> _Residues:
-        """(phi(x) - x_p) / p, x_p being x^p."""
-        lift = self.lift
-        for name in self.ring.pd_gens:
-            validate_pd_image(name, lift.images[name])
-        p, N, monomial = self.p, self.N, self.codec.monomial
+        """(phi(x) - x_p) / p for x and x_p = x^p known to N everywhere,
+        as delta(lift, x) forms it with div_p."""
+        lift, ring = self.lift, self.ring
+        if not self.validated:
+            for name in ring.pd_gens:
+                validate_pd_image(name, lift.images[name])
+            self.validated = True
+        p, N, card = self.p, self.N, self.card
+        powers, monomial = lift._powers, self.codec.monomial
         acc: Dict[int, int] = {}
         precs: Dict[int, int] = {}
-        truncated = _substitute_into(
-            [(monomial(k), r, N) for k, r in x.terms.items()],
-            lift._powers, acc, precs,
-        )
-        # phi(x) as _from_packed holds it: reduced, zeros at N dropped
-        phi: Dict[int, int] = {}
-        phi_precs: Dict[int, int] = {}
-        for k, r in acc.items():
-            prec = precs.get(k, N)
-            r %= p ** prec
-            if r or prec < N:
-                phi[k] = r
-                if prec < N:
-                    phi_precs[k] = prec
-        return self.div_p(
-            _Residues(phi, truncated or x.truncated, phi_precs), x_p
-        )
-
-    def div_p(self, a: _Residues, b: _Residues) -> _Residues:
-        """(a - b) / p as pdpoly.div_p forms it."""
-        p, N = self.p, self.N
-        at, ap, bt, bp = a.terms, a.precs, b.terms, b.precs
+        truncated = x.truncated or x_p.truncated
+        degree = x_p.degree
+        for k, r in x.terms.items():
+            mono = monomial(k)
+            image = powers.image(mono)
+            if image is not None and (
+                    not image[1] or _residue_valuation(r, p) + image[1] < N):
+                for key, s in image[0]:
+                    acc[key] = acc.get(key, 0) + r * s
+                if image[2] > degree:
+                    degree = image[2]
+            else:
+                if _substitute_into([(mono, r, N)], powers, acc, precs):
+                    truncated = True
+                degree = self.cap_o
+        # phi(x) - x_p as div_p takes it: phi's terms, reduced with its
+        # zeros at N dropped, then the keys only x_p holds
+        xp = x_p.terms
         diff = []
-        for k, r in at.items():
-            n = ap.get(k, N)
-            d = bt.get(k)
-            if d is not None:
-                n = min(n, bp.get(k, N))
-                r = (r - d) % p ** n
-            diff.append((k, r, n))
-        for k, d in bt.items():
-            if k not in at:
-                n = bp.get(k, N)
-                diff.append((k, -d % p ** n, n))
+        gone = []
+        for k, s in acc.items():
+            n = precs.get(k, N)
+            mod = card if n == N else p ** n
+            r = s % mod
+            if r or n < N:
+                d = xp.get(k)
+                diff.append((k, r if d is None else (r - d) % mod, n))
+            else:
+                gone.append(k)
+        for k in gone:
+            del acc[k]
+        diff += [(k, -d % card, N) for k, d in xp.items() if k not in acc]
         terms: Dict[int, int] = {}
-        precs: Dict[int, int] = {}
-        for k, q, n in _divide_by_p(diff, self.ring, 0, self.codec.monomial):
+        out_precs: Dict[int, int] = {}
+        for k, q, n in _divide_by_p(diff, ring, 0, monomial):
             terms[k] = q
-            precs[k] = n
-        return _Residues(terms, a.truncated or b.truncated, precs)
+            out_precs[k] = n
+        return _Residues(terms, degree, truncated, out_precs)
 
     def min_precision(self, x: _Residues) -> int:
         # precs holds every key known below N
@@ -351,8 +391,12 @@ class _PackedLift:
             for k, r in x.terms.items():
                 acc[k] = acc.get(k, 0) + sign * r
         for c, x, y in products:
-            if _multiply_into(self._entries(x), self._entries(y, c), self.cap_o,
-                              self.cap_d, False, acc, {}) or x.truncated or y.truncated:
+            if x.degree + y.degree <= self.bare_cap:
+                _bare_product_into(x, y, c, acc)
+            elif _multiply_into(self._entries(x), self._entries(y, c), self.cap_o,
+                                self.cap_d, False, acc, {}):
+                truncated = True
+            if x.truncated or y.truncated:
                 truncated = True
         q = self.p ** claim
         return {k: r % q for k, r in acc.items()}, truncated

@@ -2,13 +2,12 @@
 
 A closed immersion is presented by an ambient ring with a Frobenius lift
 together with a list of cut generators spanning the defining ideal along
-with p.  Four constructions produce explicit presentations on top of this
-data: the dilatation that freely divides each cut generator by p, the
-divided-power envelope, the stagewise prismatic envelope that adjoins one
-new variable per delta-iterate, and the aligned prismatic envelope that
-collapses those stages into a single divided-power variable when the
-Frobenius image of each cut generator falls back into the cut ideal up to
-p^2-terms.
+with p.  Constructions on top of this data produce explicit
+presentations: the dilatation that freely divides each cut generator by
+p, the stagewise prismatic envelope that adjoins one new variable per
+delta-iterate, and the aligned prismatic envelope that collapses those
+stages into a single divided-power variable when the Frobenius image of
+each cut generator falls back into the cut ideal up to p^2-terms.
 
 Monomials in the new variables, constrained stage-by-stage below the
 prime, form a normal-form basis mod p; the presentations expose enough
@@ -224,39 +223,6 @@ def dilatation(immersion: CoordinateImmersion) -> EnvelopePresentation:
         gen_weights=weights,
         connection_images=conn,
     )
-
-
-def pd_envelope(base: RingSpec, section_gens: Sequence[str]) -> RingSpec:
-    """Adjoin divided powers of the listed ordinary generators.
-
-    Returns the ring with those generators moved to the divided-power
-    block; names are preserved, so base elements substitute along
-    g -> g^[1] via pd_section_images.
-    """
-    sections = tuple(section_gens)
-    if not sections:
-        raise ValueError("need at least one generator to adjoin divided powers")
-    for g in sections:
-        if g not in base.ordinary_gens:
-            raise UnknownGenerator(f"{g!r} is not an ordinary generator")
-    ordinary = tuple(g for g in base.ordinary_gens if g not in sections)
-    cap = base.pd_degree_cap if base.pd_degree_cap > 0 else base.poly_degree_cap
-    return RingSpec(
-        ordinary_gens=ordinary,
-        pd_gens=base.pd_gens + sections,
-        modulus=base.modulus,
-        poly_degree_cap=base.poly_degree_cap,
-        pd_degree_cap=cap,
-    )
-
-
-def pd_section_images(base: RingSpec, target: RingSpec) -> dict[str, Element]:
-    """Substitution images base -> pd_envelope(base).
-
-    Names are preserved by pd_envelope, so each generator maps to the
-    generator of the same name; sectioned ones land on g^[1].
-    """
-    return {g: target.gen(g) for g in base.all_gens()}
 
 
 def prismatic_envelope_stages(

@@ -699,9 +699,13 @@ class _ImagePowers:
     target's precision, truncation flag of the power).  FrobeniusLift
     keeps one for its images, which never change; substitute otherwise
     builds one per call.
+
+    image(m) memoizes the image of a source monomial with coefficient 1
+    for the delta-ring axiom check, which scales it by each coefficient
+    where that gives what _substitute_into gives.
     """
 
-    __slots__ = ("ordinary", "pd", "target", "high", "_table", "_factors")
+    __slots__ = ("ordinary", "pd", "target", "high", "_table", "_factors", "_images")
 
     def __init__(
         self, source: RingSpec, images: Mapping[str, Element], target: RingSpec
@@ -719,6 +723,7 @@ class _ImagePowers:
         )
         self._table: Dict[Tuple[bool, int, int], tuple] = {}
         self._factors: Dict[Monomial, tuple] = {}
+        self._images: Dict[Monomial, Optional[tuple]] = {}
 
     def get(self, divided: bool, slot: int, n: int) -> tuple:
         key = (divided, slot, n)
@@ -744,6 +749,46 @@ class _ImagePowers:
             powers += [self.get(True, i, e) for i, e in enumerate(mono.pd) if e]
             hit = self._factors[mono] = (powers, any(low for _, low, _ in powers))
         return hit
+
+    def image(self, mono: Monomial) -> Optional[tuple]:
+        """The image of a source monomial with coefficient 1 at the target's
+        precision N, formed once, as (the last product's (key, unreduced
+        sum) pairs in insertion order, zeros mod p^N kept; the largest
+        valuation carried between factors; a bound on the ordinary degree).
+
+        It is the chain _substitute_into runs for the term, by the same
+        _multiply_into and _repack calls.  A term c * mono known to N
+        may add c times each sum when v(c) plus the carried valuation is
+        below N: every factor then keeps the chain's support, drops and
+        order, and the sums agree mod p^N.  None where the factors are
+        not all at N, the images are high or the chain truncated; such
+        terms take the chain itself.
+        """
+        try:
+            return self._images[mono]
+        except KeyError:
+            hit = self._images[mono] = self._form_image(mono)
+            return hit
+
+    def _form_image(self, mono: Monomial) -> Optional[tuple]:
+        factors, low = self.factors(mono)
+        if low or self.high:
+            return None
+        target = self.target
+        base, codec = target.modulus, target._codec
+        cur = [(0, 0, 0, None, 1, base.N, 0)]
+        acc: Dict[int, int] = {0: 1}
+        carried = 0
+        for j, (entries, _, power_truncated) in enumerate(factors):
+            if j:
+                cur, _ = _repack(acc, {}, codec, base)
+                carried = max([carried] + [e[6] for e in cur])
+            acc = {}
+            if _multiply_into(cur, entries, target.poly_degree_cap,
+                              target.pd_degree_cap, False, acc, {}) or power_truncated:
+                return None
+        degree = max([codec.key_entry(k)[1] for k in acc], default=0)
+        return list(acc.items()), carried, degree
 
 
 def substitute(

@@ -799,6 +799,41 @@ def free_phi_ring(
     return FrobeniusLift(ring, images)
 
 
+def pd_envelope(base, section_gens):
+    """Adjoin divided powers of the listed ordinary generators.
+
+    Returns the ring with those generators moved to the divided-power
+    block; names are preserved, so base elements substitute along
+    g -> g^[1] via pd_section_images.
+    """
+    from prism_forge.pdpoly import RingSpec, UnknownGenerator
+
+    sections = tuple(section_gens)
+    if not sections:
+        raise ValueError("need at least one generator to adjoin divided powers")
+    for g in sections:
+        if g not in base.ordinary_gens:
+            raise UnknownGenerator(f"{g!r} is not an ordinary generator")
+    ordinary = tuple(g for g in base.ordinary_gens if g not in sections)
+    cap = base.pd_degree_cap if base.pd_degree_cap > 0 else base.poly_degree_cap
+    return RingSpec(
+        ordinary_gens=ordinary,
+        pd_gens=base.pd_gens + sections,
+        modulus=base.modulus,
+        poly_degree_cap=base.poly_degree_cap,
+        pd_degree_cap=cap,
+    )
+
+
+def pd_section_images(base, target):
+    """Substitution images base -> pd_envelope(base).
+
+    Names are preserved by pd_envelope, so each generator maps to the
+    generator of the same name; sectioned ones land on g^[1].
+    """
+    return {g: target.gen(g) for g in base.all_gens()}
+
+
 # ---------------------------------------------------------------------------
 # The element-level contraction as first written: every d^I e is rebuilt
 # from e, one coordinate component at a time, so a multi-index I costs |I|

@@ -70,6 +70,41 @@ def test_summary_gives_attempted_quartiles_without_wins():
     assert "attempted" not in bench_pairs.summarize(runs, BETTER)["a"]
 
 
+BOUNDS = {"checks_per_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def one_pair(rate, rss):
+    return [run("w", 1, "before", 10.0, 20.0), run("w", 1, "after", rate, rss)]
+
+
+@pytest.mark.parametrize("rate, change, over", [
+    (7.6, -0.24, False), (7.4, -0.26, True), (14.0, 0.4, False),
+])
+def test_higher_is_better_crosses_its_bound_falling(rate, change, over):
+    got = bench_pairs.summarize(one_pair(rate, 20.0), BETTER, BOUNDS)["w"]["checks_per_s"]
+    assert got["change"] == pytest.approx(change)
+    assert got["over_bound"] is over
+
+
+@pytest.mark.parametrize("rss, change, over", [
+    (21.9, 0.095, False), (22.1, 0.105, True), (15.0, -0.25, False),
+])
+def test_lower_is_better_crosses_its_bound_rising(rss, change, over):
+    got = bench_pairs.summarize(one_pair(10.0, rss), BETTER, BOUNDS)["w"]["peak_rss_mb"]
+    assert got["change"] == pytest.approx(change)
+    assert got["over_bound"] is over
+
+
+def test_one_line_per_crossing_and_no_flag_without_a_bound():
+    summary = bench_pairs.summarize(one_pair(7.4, 22.1), BETTER, {"peak_rss_mb": 0.1})
+    assert "over_bound" not in summary["w"]["checks_per_s"]
+    assert bench_pairs.bound_crossings(summary) == [
+        "over bound: w peak_rss_mb 20 -> 22.1 (+10.5%, lower is better)"
+    ]
+    summary = bench_pairs.summarize(one_pair(7.4, 22.1), BETTER, BOUNDS)
+    assert len(bench_pairs.bound_crossings(summary)) == 2
+
+
 def test_seed_and_job_parsing():
     assert bench_pairs.parse_seeds("1401-1403,1410") == [1401, 1402, 1403, 1410]
     assert bench_pairs.parse_jobs(["w:1-2", "v:7"]) == [("w", 1), ("w", 2), ("v", 7)]

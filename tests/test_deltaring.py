@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prism_forge import deltaring, pdpoly
 from prism_forge.padic import Modulus, PrecisionExhausted, Scalar
 from prism_forge.deltaring import (
     FrobeniusLift,
@@ -383,16 +384,61 @@ def broken_square_lift(p, N):
     return lift
 
 
+def raised(check, lift, samples, seed):
+    """(class, message) of the exception the check raises, or None."""
+    try:
+        check(lift, samples=samples, seed=seed)
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def unchecked_lift():
+    """x -> x^3 + x^2 on W[x,y] over Z/27, x exempt from the congruence
+    test: phi(a) - a^3 is not divisible by 3, and NotDivisible names the
+    first such coefficient in div_p's term order."""
+    ring = RingSpec(("x", "y"), (), Modulus(3, 3), 12, 0)
+    x, y = ring.gen("x"), ring.gen("y")
+    return FrobeniusLift(ring, {"x": x ** 3 + x ** 2, "y": y ** 3},
+                         unchecked=frozenset({"x"}))
+
+
+def unit_pd_image_lift():
+    """t -> 1 on W[u]<t>, t exempt from the divisibility test: divided
+    powers of the image do not exist."""
+    ring = RingSpec(("u",), ("t",), Modulus(3, 3), 12, 6)
+    return FrobeniusLift(ring, {"u": ring.gen("u") ** 3, "t": ring.one()},
+                         unchecked=frozenset({"t"}))
+
+
 class TestPackedAgainstElementCheck:
     @settings(max_examples=300, deadline=None)
     @given(axiom_lifts(), st.integers(1, 8), st.integers(0, 1 << 16))
     @example(skipping_lift(), 60, 0)
     @example(low_precision_lift(), 40, 1)
     @example(divided_lift(5, 4, 30, 12), 8, 3)
+    # phi(g) = g^2 + 2g over Z/8: phi(x*y)'s chain carries 2x, of valuation
+    # 1, between its factors, and a drawn 4*x*y has v(c) + 1 = N
+    @example(make_lift("xy", 2, 3, 10, 1, True), 1, 10)
+    # a drawn pair whose delta vanishes: the zero known mod p^(N-1)
+    @example(make_lift("xy", 2, 2, 10, 1, True), 1, 17)
     def test_same_report(self, lift, samples, seed):
         assert axiom_outcome(check_delta_axioms, lift, samples, seed) == (
             axiom_outcome(oracles.check_delta_axioms, lift, samples, seed)
         )
+
+    @pytest.mark.parametrize("make", [unchecked_lift, unit_pd_image_lift,
+                                      lambda: make_lift("xy", 2, 1, 10, 1, False)],
+                             ids=["not-divisible", "pd-image", "precision-one"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_exception_and_message(self, make, seed):
+        lift = make()
+        got = raised(check_delta_axioms, lift, 8, seed)
+        assert got is not None
+        assert got == raised(oracles.check_delta_axioms, lift, 8, seed)
+        # with no sample, no delta runs and nothing is refused
+        assert axiom_outcome(check_delta_axioms, lift, 0, seed) == (0, 0, 0, [])
+        assert axiom_outcome(oracles.check_delta_axioms, lift, 0, seed) == (0, 0, 0, [])
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_same_witnesses_of_failing_pairs(self, p):
@@ -407,6 +453,118 @@ class TestPackedAgainstElementCheck:
         lift = FrobeniusLift(ring, {"x": Element(ring, {x2: Scalar(1, Modulus(2, 4))})})
         with pytest.raises(ValueError):
             check_delta_axioms(lift, samples=1)
+
+
+@st.composite
+def one_pass_cases(draw):
+    """A lift as axiom_lifts draws it, whose images may gain a p-divisible
+    term known to N, or a unit term with the generator left unchecked,
+    and an element known to N, in the drawn term order."""
+    lift = draw(axiom_lifts())
+    ring = lift.ring
+    p, N = ring.modulus.p, ring.modulus.N
+    images, unchecked = dict(lift.images), set()
+    for g in ring.all_gens():
+        kind = draw(st.sampled_from(("none", "divisible", "unit")))
+        if kind == "none":
+            continue
+        o = tuple(draw(st.integers(0, 2)) for _ in ring.ordinary_gens)
+        d = tuple(draw(st.integers(0, 1)) for _ in ring.pd_gens)
+        if sum(o) > ring.poly_degree_cap or sum(d) > ring.pd_degree_cap:
+            continue
+        c = 1 if kind == "unit" else p * draw(st.integers(0, p ** (N - 1) - 1))
+        if kind == "unit":
+            unchecked.add(g)
+        images[g] = images[g] + Element(ring, {Monomial(o, d): Scalar(c, ring.modulus)})
+    lift = FrobeniusLift(ring, images, unchecked=frozenset(unchecked))
+    a = draw(elements(ring, min_terms=1, may_be_truncated=True))
+    return lift, Element(ring, {m: Scalar(c.residue, ring.modulus)
+                                for m, c in a.terms.items()}, a.truncated)
+
+
+def twisted_order_case():
+    """phi(x) = x^2 + 2x and phi(y) = y^2 - 2xy over Z/8, and a = 2x^2y + 2
+    + 4xy + 2x in that order: phi(x*y)'s chain carries 2x, of valuation
+    1, and 4 * 2x is a zero, so the chain of 4xy leaves out keys that the
+    memo image of x*y holds and the later term 2x inserts."""
+    ring = RingSpec(("x", "y"), (), Modulus(2, 3), 30, 0)
+    x, y = ring.gen("x"), ring.gen("y")
+    lift = FrobeniusLift(ring, {"x": x ** 2 + x.scale(2), "y": y ** 2 - (x * y).scale(2)})
+    terms = {(2, 1): 2, (0, 0): 2, (1, 1): 4, (1, 0): 2}
+    return lift, Element(ring, {Monomial(o, ()): Scalar(c, ring.modulus)
+                                for o, c in terms.items()})
+
+
+def zero_sum_case():
+    """phi(x) = x^3 + 15x + 24y^2 and phi(y) = y^3 + 21x^2 + 18x^2y over
+    Z/27, and a = x^2y + 6xy: the image of x^2*y has the sum 324 at
+    x^3*y^3, zero mod 27, and 6xy adds 6 there, so the key keeps the
+    place that x^2*y's term gives it."""
+    ring = RingSpec(("x", "y"), (), Modulus(3, 3), 30, 0)
+    x, y = ring.gen("x"), ring.gen("y")
+    lift = FrobeniusLift(ring, {
+        "x": x ** 3 + x.scale(15) + (y ** 2).scale(24),
+        "y": y ** 3 + (x ** 2).scale(21) + (x ** 2 * y).scale(18),
+    })
+    return lift, (x ** 2 * y) + (x * y).scale(6)
+
+
+def packed_delta(lift, a):
+    """delta(a) through _PackedLift.delta, as an element."""
+    ops = deltaring._PackedLift(lift)
+    ring = lift.ring
+    x = deltaring._Residues({ring._codec.entry(m)[0]: c.residue for m, c in a.terms.items()},
+                            a.ordinary_degree(), a.truncated)
+    out = ops.delta(x, ops.power(x, ring.modulus.p))
+    return pdpoly._from_packed(ring, out.terms, out.precs, out.truncated)
+
+
+def ordered_outcome(fn, lift, a):
+    """The terms in order, (residue, precision) each, and the truncation
+    flag, or the class and message of the exception raised."""
+    try:
+        e = fn(lift, a)
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
+
+
+class TestOnePassDelta:
+    @settings(max_examples=300, deadline=None)
+    @given(one_pass_cases())
+    @example(twisted_order_case())
+    @example(zero_sum_case())
+    def test_same_terms_in_the_same_order_as_delta(self, case):
+        lift, a = case
+        assert ordered_outcome(packed_delta, lift, a) == ordered_outcome(delta, lift, a)
+
+    def test_no_substitution_chain_and_each_image_formed_once(self, monkeypatch):
+        # g -> g^p on W[x,y] at full precision: every term of every delta
+        # scales the lift's memo image of its monomial
+        ring = RingSpec(("x", "y"), (), Modulus(3, 4), 30, 0)
+        lift = FrobeniusLift(ring, {g: ring.gen(g) ** 3 for g in ring.all_gens()})
+        chains = []
+        real_chain = pdpoly._substitute_into
+
+        def chain(*args):
+            chains.append(args)
+            return real_chain(*args)
+
+        monkeypatch.setattr(pdpoly, "_substitute_into", chain)
+        monkeypatch.setattr(deltaring, "_substitute_into", chain)
+        formed = []
+        real_form = pdpoly._ImagePowers._form_image
+
+        def form(self, mono):
+            formed.append(mono)
+            return real_form(self, mono)
+
+        monkeypatch.setattr(pdpoly._ImagePowers, "_form_image", form)
+        for seed in (0, 1):
+            report = check_delta_axioms(lift, samples=50, seed=seed)
+            assert (report.checked, report.skipped, report.failures) == (50, 0, [])
+        assert chains == []
+        assert formed and len(formed) == len(set(formed))
 
 
 class TestDividedPowerLines:

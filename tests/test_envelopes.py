@@ -14,15 +14,13 @@ from prism_forge.envelopes import (
     check_envelope_frobenius,
     dilatation,
     mod_p_dimensions,
-    pd_envelope,
-    pd_section_images,
     polynomial_dimensions,
     prismatic_envelope_aligned,
     prismatic_envelope_stages,
     two_gen_mixed_envelope,
 )
 
-from oracles import stage_basis_count
+from oracles import pd_envelope, pd_section_images, stage_basis_count
 
 
 def poly_ring(p, N, gens, cap=12):

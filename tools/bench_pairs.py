@@ -14,8 +14,10 @@ back for the run_seconds of BENCHMARK.json, one process at a time; the
 side that runs first alternates from pair to pair.  Each --traced
 (workload, seed) runs once per side with --trace 1.  The output file
 holds every run, the traced runs and, per workload and end-to-end
-metric, each side's median and quartiles and the number of pairs the
-after side won.  It is rewritten after every run, so what was measured
+metric, each side's median and quartiles, the number of pairs the after
+side won and the change of the median, flagged over_bound where it goes
+the worse way by more than the metric's bound; each flagged metric is
+printed at the end.  It is rewritten after every run, so what was measured
 survives an interruption.  A workload that BENCHMARK.json does not
 declare is refused before anything is exported, and a run that reports
 a wrong output or a failed operation stops the comparison.  Standard
@@ -36,7 +38,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("before", "after")
@@ -79,13 +81,18 @@ def quartiles(values: List[float]) -> Dict[str, float]:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(runs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
+def summarize(runs: List[dict], better: Dict[str, str],
+              bounds: Optional[Dict[str, float]] = None) -> Dict[str, dict]:
     """Per workload and metric of `better` ("higher" or "lower" is
-    better): each side's quartiles over its runs, and how many of the
-    pairs (the same workload and seed on both sides) the after side won
-    strictly.  Under "attempted", each side's quartiles of the checks a
-    run attempted, with no win count: perfbench keeps every check's
-    output, so peak_rss_mb reads against that count."""
+    better): each side's quartiles over its runs, how many of the pairs
+    (the same workload and seed on both sides) the after side won
+    strictly, and the change, after median / before median - 1.  For a
+    metric with a bound in `bounds`, over_bound says whether the change
+    goes the worse way by more than the bound.  Under "attempted", each
+    side's quartiles of the checks a run attempted, with no win count:
+    perfbench keeps every check's output, so peak_rss_mb reads against
+    that count."""
+    bounds = bounds or {}
     by_key: Dict[Tuple[str, int], Dict[str, dict]] = {}
     for run in runs:
         by_key.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run
@@ -102,13 +109,18 @@ def summarize(runs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
             values = {side: [s[side]["metrics"][metric] for s in pairs] for side in SIDES}
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (a - b) > 0 for b, a in zip(values["before"], values["after"]))
-            per_metric[metric] = {
+            entry = per_metric[metric] = {
                 "better": direction,
                 "before": quartiles(values["before"]),
                 "after": quartiles(values["after"]),
                 "after_wins": wins,
                 "pairs": len(pairs),
             }
+            before, after = entry["before"]["median"], entry["after"]["median"]
+            if before:
+                entry["change"] = after / before - 1
+                if metric in bounds:
+                    entry["over_bound"] = -sign * entry["change"] > bounds[metric]
         if per_metric and all("attempted" in s[side] for s in pairs for side in SIDES):
             per_metric["attempted"] = {
                 side: quartiles([s[side]["attempted"] for s in pairs]) for side in SIDES
@@ -117,6 +129,14 @@ def summarize(runs: List[dict], better: Dict[str, str]) -> Dict[str, dict]:
         if per_metric:
             out[workload] = per_metric
     return out
+
+
+def bound_crossings(summary: Dict[str, dict]) -> List[str]:
+    """One line per workload and metric that summarize flagged over_bound."""
+    return [f"over bound: {workload} {metric} {m['before']['median']:.4g} -> "
+            f"{m['after']['median']:.4g} ({m['change']:+.1%}, {m['better']} is better)"
+            for workload, metrics in summary.items()
+            for metric, m in metrics.items() if m.get("over_bound")]
 
 
 # -- running ------------------------------------------------------------------------
@@ -183,6 +203,7 @@ def main(argv: List[str]) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     check_workloads(jobs + traced_jobs, spec)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     seconds = spec["run_seconds"]
     doc = {
         "label": args.label,
@@ -212,7 +233,7 @@ def main(argv: List[str]) -> int:
             res = run_one(trees[side], workload, seed, seconds, trace)
             doc[key].append({"workload": workload, "seed": seed, "side": side,
                              "git_head": doc["sides"][side], **base, **extra, **res})
-            doc["summary"] = summarize(doc["runs"], better)
+            doc["summary"] = summarize(doc["runs"], better, bounds)
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"{key} {workload} seed {seed} {side}: {res['metrics']}", flush=True)
 
@@ -228,6 +249,8 @@ def main(argv: List[str]) -> int:
     finally:
         for where in trees.values():
             shutil.rmtree(where, ignore_errors=True)
+    for line in bound_crossings(doc["summary"]):
+        print(line)
     return 0
 
 
