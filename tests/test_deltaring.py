@@ -509,13 +509,23 @@ def zero_sum_case():
     return lift, (x ** 2 * y) + (x * y).scale(6)
 
 
+def higher_degree_case():
+    """phi(x) = x^2 + 2y^3 over Z/4: delta(x) = y^3 is of higher degree
+    than x^2, so its degree bound must come from the image of x."""
+    ring = RingSpec(("x", "y"), (), Modulus(2, 2), 30, 0)
+    x, y = ring.gen("x"), ring.gen("y")
+    return FrobeniusLift(ring, {"x": x ** 2 + (y ** 3).scale(2), "y": y ** 2}), x
+
+
 def packed_delta(lift, a):
-    """delta(a) through _PackedLift.delta, as an element."""
+    """delta(a) through _PackedLift.delta, as an element, after checking
+    that the degree bound the delta carries holds for its terms."""
     ops = deltaring._PackedLift(lift)
     ring = lift.ring
     x = deltaring._Residues({ring._codec.entry(m)[0]: c.residue for m, c in a.terms.items()},
                             a.ordinary_degree(), a.truncated)
     out = ops.delta(x, ops.power(x, ring.modulus.p))
+    assert all(ring._codec.key_entry(k)[1] <= out.degree for k in out.terms)
     return pdpoly._from_packed(ring, out.terms, out.precs, out.truncated)
 
 
@@ -534,6 +544,7 @@ class TestOnePassDelta:
     @given(one_pass_cases())
     @example(twisted_order_case())
     @example(zero_sum_case())
+    @example(higher_degree_case())
     def test_same_terms_in_the_same_order_as_delta(self, case):
         lift, a = case
         assert ordered_outcome(packed_delta, lift, a) == ordered_outcome(delta, lift, a)
