@@ -5,10 +5,9 @@ mod p; delta(a) = (phi(a) - a^p) / p then carries one level less
 precision than a.  The two delta-ring axioms (additivity with its
 binomial correction, and the twisted Leibniz rule) are checked on
 seeded random samples rather than assumed; the check keeps every sample
-as integer residues under packed monomial keys and builds elements only
-for the witnesses of a failure.  It forms phi of each monomial once per
-lift, computes each delta in one pass over the sample's terms, and
-multiplies residues directly where no product can reach the caps.
+as pdpoly's packed residues and builds elements only for the witnesses
+of a failure.  It forms phi of each monomial once per lift and computes
+each delta in one pass over the sample's terms.
 """
 
 from __future__ import annotations
@@ -16,16 +15,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .padic import PrecisionExhausted, _residue_valuation
 from .pdpoly import (
     Element,
     RingSpec,
     _ImagePowers,
+    _Residues,
     _divide_by_p,
     _from_packed,
-    _multiply_into,
+    _product_into,
+    _residues_add,
+    _residues_mul,
     _substitute_into,
     div_p,
     divisible_by_p,
@@ -142,57 +144,21 @@ class AxiomReport:
         return self.checked > 0 and self.skipped == 0 and not self.failures
 
 
-class _Residues:
-    """An element as integer residues under packed monomial keys.
-
-    terms holds each residue reduced mod p^prec with no zero known to
-    the ring's precision N, in the order Element would hold the terms;
-    precs holds the precision of each key known below N, and is empty
-    when every coefficient is at N; truncated is Element's sticky flag;
-    degree bounds the ordinary degree of every key from above.
-    """
-
-    __slots__ = ("terms", "precs", "truncated", "degree", "entries")
-
-    def __init__(self, terms: Dict[int, int], degree: int, truncated: bool,
-                 precs: Optional[Dict[int, int]] = None) -> None:
-        self.terms = terms
-        self.precs = precs or {}
-        self.truncated = truncated
-        self.degree = degree
-        # the entries _multiply_into reads, formed on first use
-        self.entries: Optional[list] = None
-
-
-def _bare_product_into(x: _Residues, y: _Residues, c: int,
-                       acc: Dict[int, int]) -> None:
-    """acc += c * x * y for a product no pair of which leaves the caps, in
-    _multiply_into's order: x's terms outer, y's inner."""
-    ty = list(y.terms.items())
-    for kx, rx in x.terms.items():
-        rx *= c
-        for ky, ry in ty:
-            k = kx + ky
-            acc[k] = acc.get(k, 0) + rx * ry
-
-
 class _PackedLift:
-    """The element arithmetic check_delta_axioms needs, on _Residues.
+    """The element arithmetic check_delta_axioms needs, on pdpoly's
+    _Residues.
 
     Each step keeps the rules of the element operation it stands for:
-    products by pdpoly._multiply_into, phi by pdpoly._substitute_into
-    over the lift's image powers, and division by p by div_p's rules, so
-    every residue, precision, truncation flag, exception and term order
-    is the one the element computation gives.  Products, sums and powers
-    are only formed of elements known to N everywhere, so they track no
-    precision, and the residuals of the two identities are summed at the
-    precision they are compared at (residual).
+    products and sums by pdpoly's _product_into, _residues_mul and
+    _residues_add, phi by pdpoly._substitute_into over the lift's image
+    powers, and division by p by div_p's rules, so every residue,
+    precision, truncation flag, exception and term order is the one the
+    element computation gives.  Products, sums and powers are only formed
+    of elements known to N everywhere, so they track no precision, and
+    the residuals of the two identities are summed at the precision they
+    are compared at (residual).
 
-    Two shortcuts keep those rules.  A product whose factors' degree
-    bounds add up to no more than the ordinary cap, in a ring without
-    divided-power generators, drops no pair and needs no binomial, so it
-    is summed over the residue dicts directly (_bare_product_into).  A
-    delta is one pass: phi(x) sums c times the lift's memo image of each
+    A delta is one pass: phi(x) sums c times the lift's memo image of each
     monomial (_ImagePowers.image) where the memo allows, and the chain
     of _substitute_into otherwise; the sum is then reduced and x^p
     subtracted in the order div_p would subtract it, and the difference
@@ -211,8 +177,6 @@ class _PackedLift:
         self.p, self.N = ring.modulus.p, ring.modulus.N
         self.card = ring.modulus.cardinality
         self.cap_o, self.cap_d = ring.poly_degree_cap, ring.pd_degree_cap
-        # without divided powers, only the ordinary cap can drop a pair
-        self.bare_cap = -1 if ring.pd_gens else self.cap_o
         # the divided-power images are validated at the first delta
         self.validated = False
 
@@ -251,67 +215,29 @@ class _PackedLift:
                     del terms[key]
         return _Residues(terms, top, False)
 
-    def _entries(self, x: _Residues, factor: int = 1) -> list:
-        """The entries of factor * x for an untracked product."""
-        out = x.entries
-        if out is None:
-            key_entry, N = self.codec.key_entry, self.N
-            out = x.entries = [key_entry(k) + (r, N, 0) for k, r in x.terms.items()]
-        if factor != 1:
-            out = [(k, o, w, d, factor * r, n, v) for k, o, w, d, r, n, v in out]
-        return out
-
-    def mul(self, x: _Residues, y: _Residues) -> _Residues:
-        """x * y for x and y known to N everywhere."""
-        acc: Dict[int, int] = {}
-        degree = x.degree + y.degree
-        if degree <= self.bare_cap:
-            _bare_product_into(x, y, 1, acc)
-            truncated = False
-        else:
-            truncated = _multiply_into(
-                self._entries(x), self._entries(y), self.cap_o, self.cap_d,
-                False, acc, {},
-            )
-        card = self.card
-        return _Residues(
-            {k: r for k, s in acc.items() if (r := s % card)}, degree,
-            truncated or x.truncated or y.truncated,
-        )
-
-    def add(self, x: _Residues, y: _Residues) -> _Residues:
-        """x + y for x and y known to N everywhere."""
-        terms = dict(x.terms)
-        card = self.card
-        for k, r in y.terms.items():
-            terms[k] = (terms.get(k, 0) + r) % card
-        return _Residues(
-            {k: r for k, r in terms.items() if r}, max(x.degree, y.degree),
-            x.truncated or y.truncated,
-        )
-
     def power(self, x: _Residues, n: int) -> _Residues:
         """x^n by the products of Element.__pow__."""
         result = None
         base = x
         while n:
             if n & 1:
-                result = base if result is None else self.mul(result, base)
+                result = base if result is None else _residues_mul(result, base, self.ring)
             base_needed = n > 1
             n >>= 1
             if base_needed and n:
-                base = self.mul(base, base)
+                base = _residues_mul(base, base, self.ring)
         return result
 
     def powers(self, x: _Residues, n: int) -> List[_Residues]:
         """[x^0, ..., x^n], each by the products of Element.__pow__."""
+        ring = self.ring
         out = [_Residues({0: 1}, 0, False), x]
         for i in range(2, n + 1):
             top = 1 << (i.bit_length() - 1)
             if i == top:
-                out.append(self.mul(out[top // 2], out[top // 2]))
+                out.append(_residues_mul(out[top // 2], out[top // 2], ring))
             else:
-                out.append(self.mul(out[i - top], out[top]))
+                out.append(_residues_mul(out[i - top], out[top], ring))
         return out
 
     def delta(self, x: _Residues, x_p: _Residues) -> _Residues:
@@ -391,12 +317,7 @@ class _PackedLift:
             for k, r in x.terms.items():
                 acc[k] = acc.get(k, 0) + sign * r
         for c, x, y in products:
-            if x.degree + y.degree <= self.bare_cap:
-                _bare_product_into(x, y, c, acc)
-            elif _multiply_into(self._entries(x), self._entries(y, c), self.cap_o,
-                                self.cap_d, False, acc, {}):
-                truncated = True
-            if x.truncated or y.truncated:
+            if _product_into(x, y, c, self.ring, acc) or x.truncated or y.truncated:
                 truncated = True
         q = self.p ** claim
         return {k: r % q for k, r in acc.items()}, truncated
@@ -447,9 +368,9 @@ def check_delta_axioms(
         b = ops.draw(rng, max_degree, max_pd_weight, max_terms)
         pa, pb = ops.powers(a, p), ops.powers(b, p)
         da, db = ops.delta(a, pa[p]), ops.delta(b, pb[p])
-        a_plus_b = ops.add(a, b)
+        a_plus_b = _residues_add(a, b, ops.ring)
         d_sum = ops.delta(a_plus_b, ops.power(a_plus_b, p))
-        ab = ops.mul(a, b)
+        ab = _residues_mul(a, b, ops.ring)
         d_prod = ops.delta(ab, ops.power(ab, p))
         # the identities hold at the precision the delta outputs carry
         claim = min(ops.min_precision(d_sum), ops.min_precision(da),

@@ -51,7 +51,6 @@ class NotAligned(ValueError):
 
 class EnvelopeKind(Enum):
     DILATATION = "dilatation"
-    PD = "pd"
     PRISMATIC_STAGES = "prismatic_stages"
     PRISMATIC_ALIGNED = "prismatic_aligned"
     PRISMATIC_EXPLICIT = "prismatic_explicit"

@@ -274,11 +274,6 @@ class FiniteComplex:
     def max_degree(self) -> int:
         return self.min_degree + len(self.ranks) - 1
 
-    def degree_index(self, q: int) -> int:
-        if not (self.min_degree <= q <= self.max_degree):
-            raise IndexError(f"degree {q} outside [{self.min_degree}, {self.max_degree}]")
-        return q - self.min_degree
-
     def rank(self, q: int) -> int:
         if self.min_degree <= q <= self.max_degree:
             return self.ranks[q - self.min_degree]

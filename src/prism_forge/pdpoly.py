@@ -590,6 +590,118 @@ def _repack(
     return out, low
 
 
+class _Residues:
+    """An element as integer residues under packed monomial keys, with no
+    Element or Scalar around them; the delta-ring check and p-curvature
+    run on these.
+
+    terms holds each residue reduced mod p^prec with no zero known to
+    the ring's precision N, in the order Element would hold the terms;
+    precs holds the precision of each key known below N, and is empty
+    when every coefficient is at N; truncated is Element's sticky flag;
+    degree bounds the ordinary degree of every key from above.  Products
+    and sums (_residues_mul, _residues_add) read every residue at N.
+    """
+
+    __slots__ = ("terms", "precs", "truncated", "degree", "entries")
+
+    def __init__(self, terms: Dict[int, int], degree: int, truncated: bool,
+                 precs: Optional[Dict[int, int]] = None) -> None:
+        self.terms = terms
+        self.precs = precs or {}
+        self.truncated = truncated
+        self.degree = degree
+        # the entries _multiply_into reads, formed on first use
+        self.entries: Optional[list] = None
+
+    @classmethod
+    def of(cls, e: Element) -> "_Residues":
+        """The residues of an element known to its ring's precision
+        everywhere."""
+        codec = e.ring._codec
+        terms: Dict[int, int] = {}
+        degree = 0
+        for m, c in e.terms.items():
+            key, o, _, _ = codec.entry(m)
+            terms[key] = c.residue
+            if o > degree:
+                degree = o
+        return cls(terms, degree, e.truncated)
+
+    def packed(self, ring: RingSpec) -> list:
+        """The entries of an untracked product, every residue at N."""
+        if self.entries is None:
+            key_entry, N = ring._codec.key_entry, ring.modulus.N
+            self.entries = [key_entry(k) + (r, N, 0) for k, r in self.terms.items()]
+        return self.entries
+
+
+def _product_into(x: _Residues, y: _Residues, c: int, ring: RingSpec,
+                  acc: Dict[int, int]) -> bool:
+    """acc += c * x * y as _multiply_into sums it, untracked, over the
+    entries of x and of c * y, and whether it dropped a pair to the caps.
+
+    In a ring without divided-power generators, where the degree bounds
+    of x and y add up to no more than the ordinary cap, no pair leaves
+    the caps and none takes a binomial, so the residue dicts are
+    multiplied directly, in the same order: x's terms outer, y's inner.
+    """
+    if not ring.pd_gens and x.degree + y.degree <= ring.poly_degree_cap:
+        ty = list(y.terms.items())
+        for kx, rx in x.terms.items():
+            rx *= c
+            for ky, ry in ty:
+                k = kx + ky
+                acc[k] = acc.get(k, 0) + rx * ry
+        return False
+    ty = y.packed(ring)
+    if c != 1:
+        ty = [(k, o, w, d, c * r, n, v) for k, o, w, d, r, n, v in ty]
+    return _multiply_into(x.packed(ring), ty, ring.poly_degree_cap,
+                          ring.pd_degree_cap, False, acc, {})
+
+
+def _from_sums(acc: Dict[int, int], ring: RingSpec, degree: int,
+             truncated: bool) -> _Residues:
+    card = ring.modulus.cardinality
+    return _Residues({k: r for k, s in acc.items() if (r := s % card)},
+                     degree, truncated)
+
+
+def _residues_mul(x: _Residues, y: _Residues, ring: RingSpec) -> _Residues:
+    """x * y, as mul gives it for x and y known to N everywhere."""
+    acc: Dict[int, int] = {}
+    truncated = _product_into(x, y, 1, ring, acc)
+    return _from_sums(acc, ring, x.degree + y.degree,
+                    truncated or x.truncated or y.truncated)
+
+
+def _residues_add(x: _Residues, y: _Residues, ring: RingSpec) -> _Residues:
+    """x + y, as Element addition gives it for x and y known to N
+    everywhere."""
+    acc = dict(x.terms)
+    for k, r in y.terms.items():
+        acc[k] = acc.get(k, 0) + r
+    return _from_sums(acc, ring, max(x.degree, y.degree), x.truncated or y.truncated)
+
+
+def _residues_partial(x: _Residues, ring: RingSpec, index: int) -> _Residues:
+    """The derivative in the ordinary generator of that index, as
+    partial_derivative gives it for x known to N everywhere: each key
+    whose exponent field for the generator is e > 0 loses one there and
+    its residue is scaled by e; a key whose field is 0 drops out."""
+    codec = ring._codec
+    shift = codec.width * (codec.n - 1 - index)
+    mask = (1 << codec.width) - 1
+    one = 1 << shift
+    acc: Dict[int, int] = {}
+    for k, r in x.terms.items():
+        e = k >> shift & mask
+        if e:
+            acc[k - one] = r * e
+    return _from_sums(acc, ring, max(x.degree - 1, 0), x.truncated)
+
+
 def _single_term_divided_power(
     ring: RingSpec, mono: Monomial, coeff: Scalar, n: int
 ) -> Element:

@@ -59,7 +59,10 @@ from .pdpoly import (
     Monomial,
     RingSpec,
     _from_packed,
-    _multiply_into,
+    _Residues,
+    _residues_add,
+    _residues_mul,
+    _residues_partial,
     div_p,
     equal_reduced,
     partial_derivative,
@@ -536,94 +539,55 @@ def check_frobenius_isogeny(
 
 # -- p-curvature -----------------------------------------------------------------
 
-# A mod-p element as {packed monomial key: nonzero residue}, and a matrix
-# of them; the composition and the formula's matrix products run on these.
-Packed = Dict[int, int]
-PMatrix = List[List[Packed]]
+# A mod-p matrix as pdpoly's packed residues; the composition and the
+# formula's matrix products run on these.
+RMatrix = List[List[_Residues]]
 
 
-def _packed(e: Element) -> Packed:
-    # at N = 1 an element holds no zero residue
-    codec = e.ring._codec
-    return {codec.entry(m)[0]: c.residue for m, c in e.terms.items()}
+def _residues_matrix(mat: EMatrix) -> RMatrix:
+    return [[_Residues.of(e) for e in row] for row in mat]
 
 
-def _packed_matrix(mat: EMatrix) -> PMatrix:
-    return [[_packed(e) for e in row] for row in mat]
+def _residues_identity(ring: RingSpec, n: int) -> RMatrix:
+    one, zero = _Residues.of(ring.one()), _Residues.of(ring.zero())
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _packed_identity(n: int) -> PMatrix:
-    # the constant monomial packs to the key 0
-    return [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
+def _mat_add(a: RMatrix, b: RMatrix, ring: RingSpec) -> RMatrix:
+    return _e_map(lambda x, y: _residues_add(x, y, ring), a, b)
 
 
-def _reduced(acc: Dict[int, int], p: int) -> Packed:
-    out: Packed = {}
-    for k, r in acc.items():
-        r %= p
-        if r:
-            out[k] = r
-    return out
-
-
-def _add(a: Packed, b: Packed, p: int) -> Packed:
-    acc = dict(a)
-    for k, r in b.items():
-        acc[k] = acc.get(k, 0) + r
-    return _reduced(acc, p)
-
-
-def _mat_add(a: PMatrix, b: PMatrix, p: int) -> PMatrix:
-    return _e_map(lambda x, y: _add(x, y, p), a, b)
-
-
-def _derivative(a: Packed, shift: int, mask: int, p: int) -> Packed:
-    """The derivative in the generator whose exponent field starts at bit
-    `shift`: each key loses one from that field and its residue is scaled
-    by the exponent it had.  Keys stay distinct, and a key whose field
-    was 0 gets residue 0 and is dropped."""
-    one = 1 << shift
-    return _reduced({k - one: r * (k >> shift & mask) for k, r in a.items()}, p)
-
-
-def _decoded(a: PMatrix, ring: RingSpec) -> list:
-    """Each entry of a as the term list of pdpoly's product loop; a matrix
-    used in several products is decoded once."""
-    codec = ring._codec
-    return [[[codec.key_entry(k) + (r, 1, 0) for k, r in d.items()] for d in row]
-            for row in a]
-
-
-def _mat_mul(ta: list, tb: list, ring: RingSpec) -> Tuple[PMatrix, bool]:
-    """a b mod p from the _decoded a and b, through pdpoly's product loop,
-    and whether any product of two terms left the ring's caps (those are
-    dropped)."""
-    p = ring.modulus.p
-    cap_o, cap_d = ring.poly_degree_cap, ring.pd_degree_cap
-    cols = list(zip(*tb))
+def _mat_mul(a: RMatrix, b: RMatrix, ring: RingSpec) -> Tuple[RMatrix, bool]:
+    """a b mod p, and whether any product of two terms left the ring's
+    caps (those are dropped)."""
+    cols = list(zip(*b))
     truncated = False
     out = []
-    for row in ta:
+    for row in a:
         new_row = []
         for col in cols:
-            acc: Dict[int, int] = {}
-            for ea, eb in zip(row, col):
-                if _multiply_into(ea, eb, cap_o, cap_d, False, acc, {}):
-                    truncated = True
-            new_row.append(_reduced(acc, p))
+            entry = None
+            for x, y in zip(row, col):
+                prod = _residues_mul(x, y, ring)
+                entry = prod if entry is None else _residues_add(entry, prod, ring)
+            truncated = truncated or entry.truncated
+            new_row.append(entry)
         out.append(new_row)
     return out, truncated
 
 
-def _commute(ta: list, tb: list, ring: RingSpec, context: str) -> bool:
-    """Whether a b = b a mod p, from the _decoded a and b; a truncated
-    product on either side is refused, so dropped terms never read as a
-    failure to commute."""
-    ab, ab_truncated = _mat_mul(ta, tb, ring)
-    ba, ba_truncated = _mat_mul(tb, ta, ring)
+def _same(a: RMatrix, b: RMatrix) -> bool:
+    return _e_all(lambda x, y: x.terms == y.terms, a, b)
+
+
+def _commute(a: RMatrix, b: RMatrix, ring: RingSpec, context: str) -> bool:
+    """Whether a b = b a mod p; a truncated product on either side is
+    refused, so dropped terms never read as a failure to commute."""
+    ab, ab_truncated = _mat_mul(a, b, ring)
+    ba, ba_truncated = _mat_mul(b, a, ring)
     if ab_truncated or ba_truncated:
         raise _overflow(context)
-    return ab == ba
+    return _same(ab, ba)
 
 
 def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
@@ -642,9 +606,9 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
     can fail, so tests/test_transforms.py holds those identities against
     the oracle instead.
 
-    The recursion runs on packed residues mod p: each matrix entry is a
-    map from packed monomial keys to residues, products go through
-    pdpoly's product loop, and elements are built only for the result.
+    The recursion runs on pdpoly's packed residues mod p (_Residues,
+    with _residues_mul, _residues_add and _residues_partial), and
+    elements are built only for the result.
     A product that leaves the caps, or an input entry flagged truncated,
     raises WindowOverflow.  tests/oracles.py keeps the composition of
     every order, one Element operation at a time, as the oracle.
@@ -667,24 +631,20 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
                 "p-curvature needs the untwisted exterior derivative "
                 f"(d{g} = dg); apply the F-transform first"
             )
-    p = ring.modulus.p
-    codec = ring._codec
-    mask = (1 << codec.width) - 1
     out: Dict[str, EMatrix] = {}
     for coord in conn.coordinates:
-        # the first generator's exponent field is the most significant
-        shift = codec.width * (codec.n - 1 - ring.ordinary_index(coord))
+        index = ring.ordinary_index(coord)
         amat = conn.matrix(coord)
         _refuse_truncated(amat, "the operator composition")
-        ta = _decoded(_packed_matrix(amat), ring)
-        ak = _packed_identity(conn.rank)
-        for _ in range(p):
-            prod, truncated = _mat_mul(ta, _decoded(ak, ring), ring)
+        a = _residues_matrix(amat)
+        ak = _residues_identity(ring, conn.rank)
+        for _ in range(ring.modulus.p):
+            prod, truncated = _mat_mul(a, ak, ring)
             if truncated:
                 raise _overflow("the operator composition")
-            dak = _e_map(lambda b: _derivative(b, shift, mask, p), ak)
-            ak = _mat_add(dak, prod, p)
-        out[coord] = _e_map(lambda d: _from_packed(ring, d, {}, False), ak)
+            dak = _e_map(lambda b: _residues_partial(b, ring, index), ak)
+            ak = _mat_add(dak, prod, ring)
+        out[coord] = _e_map(lambda d: _from_packed(ring, d.terms, {}, False), ak)
     return out
 
 
@@ -729,29 +689,28 @@ def check_pcurvature_formula(
     theta_source, theta_pullback, images1 = _mod_p(rf, pconn, dom1, img1)
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
-    packed_psi = {x: _packed_matrix(m) for x, m in psi.items()}
-    t_psi = {x: _decoded(m, img1) for x, m in packed_psi.items()}
-    t_theta = {x: _decoded(_packed_matrix(m), img1) for x, m in theta_pullback.items()}
+    r_psi = {x: _residues_matrix(m) for x, m in psi.items()}
+    r_theta = {x: _residues_matrix(m) for x, m in theta_pullback.items()}
     failures: List[str] = []
     for xp, x in rf.coordinate_pairs():
-        power = _packed_identity(n)
+        power = _residues_identity(img1, n)
         for _ in range(p):
-            power, truncated = _mat_mul(_decoded(power, img1), t_theta[x], img1)
+            power, truncated = _mat_mul(power, r_theta[x], img1)
             if truncated:
                 raise _overflow("the matrix p-th power")
-        pulled = _packed_matrix(_e_map(
+        pulled = _residues_matrix(_e_map(
             lambda e: substitute(e, images1, target=img1), theta_source[xp]
         ))
         # psi = Theta^p - F(theta'), read as psi + F(theta') = Theta^p
-        if _mat_add(packed_psi[x], pulled, p) != power:
+        if not _same(_mat_add(r_psi[x], pulled, img1), power):
             failures.append(f"curvature formula fails in the coordinate {x}")
     coords = list(img1.ordinary_gens)
     for x, y in combinations(coords, 2):
-        if not _commute(t_psi[x], t_psi[y], img1, "the psi product"):
+        if not _commute(r_psi[x], r_psi[y], img1, "the psi product"):
             failures.append(f"psi matrices in {x} and {y} do not commute")
     for x in coords:
         for y in coords:
-            if not _commute(t_psi[x], t_theta[y], img1, "the psi-twist product"):
+            if not _commute(r_psi[x], r_theta[y], img1, "the psi-twist product"):
                 failures.append(
                     f"psi in {x} does not commute with the twist matrix in {y}"
                 )

@@ -150,3 +150,38 @@ def test_result_keeps_metric_values():
 def test_wrong_or_failed_run_stops(correct, failed):
     with pytest.raises(SystemExit, match=f"reported correct {correct} and {failed} failed"):
         bench_pairs.parse_result(canned_output(correct, failed), "run")
+
+
+def spread_pairs(befores, afters):
+    return [run("w", seed, side, rate, 20.0)
+            for seed, (b, a) in enumerate(zip(befores, afters))
+            for side, rate in (("before", b), ("after", a))]
+
+
+@pytest.mark.parametrize("befores, afters, spread, unresolved", [
+    # before quartiles 9.0 and 11.4 around 10: a spread of 24%, then 26%
+    ((8.0, 9.0, 10.0, 11.4, 12.0), (8.0, 9.0, 10.0, 11.4, 12.0), 0.24, False),
+    ((8.0, 9.0, 10.0, 11.6, 12.0), (8.0, 9.0, 10.0, 11.6, 12.0), 0.26, True),
+    # as wide, but every after run beats every before run
+    ((8.0, 9.0, 10.0, 11.6, 12.0), (12.1, 13.0, 14.0, 15.0, 16.0), 0.26, False),
+    # every after run but one
+    ((8.0, 9.0, 10.0, 11.6, 12.0), (12.0, 13.0, 14.0, 15.0, 16.0), 0.26, True),
+])
+def test_a_spread_wider_than_the_bound_is_unresolved(befores, afters, spread, unresolved):
+    summary = bench_pairs.summarize(spread_pairs(befores, afters), BETTER, BOUNDS)
+    got = summary["w"]["checks_per_s"]
+    assert got["before_spread"] == pytest.approx(spread)
+    assert got["unresolved"] is unresolved
+    assert summary["w"]["peak_rss_mb"]["unresolved"] is False
+    lines = bench_pairs.unresolved_metrics(summary)
+    assert lines == ([f"unresolved: w checks_per_s: the before runs spread {spread:.1%} "
+                      "of their median, wider than the bound"] if unresolved else [])
+
+
+def test_lower_is_better_every_run_better_is_resolved():
+    runs = [run("w", seed, side, 10.0, rss) for seed, (b, a) in enumerate(
+        zip((16.0, 18.0, 20.0, 23.0, 24.0), (15.0, 15.5, 14.0, 13.0, 12.0)))
+        for side, rss in (("before", b), ("after", a))]
+    got = bench_pairs.summarize(runs, BETTER, BOUNDS)["w"]["peak_rss_mb"]
+    assert got["before_spread"] == pytest.approx(0.25)
+    assert got["unresolved"] is False

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,13 @@ from prism_forge.pdpoly import (
     RingMismatch,
     RingSpec,
     UnknownGenerator,
+    _from_packed,
+    _multiply_into,
+    _product_into,
+    _Residues,
+    _residues_add,
+    _residues_mul,
+    _residues_partial,
     div_p,
     divided_power,
     divisible_by_p,
@@ -557,3 +565,110 @@ class TestRingAxioms:
         lhs = (a * b) * c
         assert not lhs.truncated
         assert lhs == a * (b * c)
+
+
+def full_precision_element(draw, ring, max_exp, max_pd):
+    """One to four terms, every coefficient at the ring's modulus, those
+    outside the caps left out, and either truncation flag."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        o = tuple(draw(st.integers(0, max_exp)) for _ in ring.ordinary_gens)
+        d = tuple(draw(st.integers(0, max_pd)) for _ in ring.pd_gens)
+        if sum(o) <= ring.poly_degree_cap and sum(d) <= ring.pd_degree_cap:
+            terms[Monomial(o, d)] = Scalar(
+                draw(st.integers(0, ring.modulus.cardinality - 1)), ring.modulus
+            )
+    return Element(ring, terms, draw(st.booleans()))
+
+
+@st.composite
+def residue_pairs(draw):
+    """(ring, a, b, x, y, c): two elements known to N everywhere and their
+    _Residues, whose degree bounds may be loose, in rings with or without
+    divided-power generators whose caps may or may not bind, and a factor
+    c from the delta-ring identities: 1, -1, p or C(p, i)/p."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    pd = draw(st.sampled_from(((), ("u",), ("u", "v"))))
+    ring = RingSpec(("x", "y"), pd, Modulus(p, draw(st.integers(1, 3))),
+                    draw(st.integers(0, 10)), draw(st.integers(0, 4)) if pd else 0)
+    a = full_precision_element(draw, ring, 2, 2)
+    b = full_precision_element(draw, ring, 2, 2)
+
+    def residues(e):
+        x = _Residues.of(e)
+        return _Residues(x.terms, x.degree + draw(st.integers(0, 3)), x.truncated)
+
+    c = draw(st.sampled_from([1, -1, p] + [comb(p, i) // p for i in range(1, p)]))
+    return ring, a, b, residues(a), residues(b), c
+
+
+@st.composite
+def partial_cases(draw):
+    """(ring, element known to N everywhere, generator) on 1-3 ordinary
+    generators at N = 1 or 3, exponents 0 and multiples of p coming up
+    often."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    gens = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    ring = RingSpec(gens, (), Modulus(p, draw(st.sampled_from((1, 3)))),
+                    draw(st.integers(1, 9)), 0)
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        o = tuple(draw(st.sampled_from((0, 1, 2, p, p + 1, 2 * p))) for _ in gens)
+        if sum(o) <= ring.poly_degree_cap:
+            terms[Monomial(o, ())] = Scalar(
+                draw(st.integers(1, ring.modulus.cardinality - 1)), ring.modulus)
+    return ring, Element(ring, terms, draw(st.booleans())), draw(st.sampled_from(gens))
+
+
+def partial_case(N, gen):
+    """x^3 y + 2y + x^2 over Z/3^N: d/dx of x^3 y is 3x^2 y, zero at N = 1,
+    2y has no x, and x^2 has no y, whose field is the lower one."""
+    ring = RingSpec(("x", "y"), (), Modulus(3, N), 6, 0)
+    x, y = ring.gen("x"), ring.gen("y")
+    return ring, x ** 3 * y + y.scale(2) + x ** 2, gen
+
+
+def read_back(ring, x):
+    e = _from_packed(ring, x.terms, x.precs, x.truncated)
+    assert all(m.ordinary_degree <= x.degree for m in e.terms)
+    return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
+
+
+def in_order(e):
+    return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
+
+
+class TestSharedResidues:
+    @settings(max_examples=300, deadline=None)
+    @given(residue_pairs())
+    def test_product_into_is_the_product_loop(self, case):
+        # twice into one accumulator, the second time from cached entries
+        ring, _, _, x, y, c = case
+        codec, N = ring._codec, ring.modulus.N
+
+        def fresh(z, factor=1):
+            return [codec.key_entry(k) + (factor * r, N, 0) for k, r in z.terms.items()]
+
+        got, want = {}, {}
+        flags = [_product_into(x, y, c, ring, got) for _ in range(2)]
+        wants = [_multiply_into(fresh(x), fresh(y, c), ring.poly_degree_cap,
+                                ring.pd_degree_cap, False, want, {}) for _ in range(2)]
+        assert list(got.items()) == list(want.items())
+        assert flags == wants
+
+    @settings(max_examples=300, deadline=None)
+    @given(residue_pairs())
+    def test_product_and_sum_are_the_element_ones(self, case):
+        ring, a, b, x, y, _ = case
+        assert read_back(ring, _residues_mul(x, y, ring)) == in_order(mul(a, b))
+        assert read_back(ring, _residues_add(x, y, ring)) == in_order(a + b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_cases())
+    @example(partial_case(1, "x"))
+    @example(partial_case(3, "x"))
+    @example(partial_case(1, "y"))
+    def test_partial_is_partial_derivative(self, case):
+        ring, e, gen = case
+        got = _residues_partial(_Residues.of(e), ring, ring.ordinary_index(gen))
+        assert read_back(ring, got) == in_order(partial_derivative(e, gen))

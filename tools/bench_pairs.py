@@ -16,8 +16,10 @@ side that runs first alternates from pair to pair.  Each --traced
 holds every run, the traced runs and, per workload and end-to-end
 metric, each side's median and quartiles, the number of pairs the after
 side won and the change of the median, flagged over_bound where it goes
-the worse way by more than the metric's bound; each flagged metric is
-printed at the end.  It is rewritten after every run, so what was measured
+the worse way by more than the metric's bound, and unresolved where the
+before side's own interquartile spread is wider than that bound, unless
+every after run beats every before run; each flagged metric is printed
+at the end.  It is rewritten after every run, so what was measured
 survives an interruption.  A workload that BENCHMARK.json does not
 declare is refused before anything is exported, and a run that reports
 a wrong output or a failed operation stops the comparison.  Standard
@@ -88,10 +90,13 @@ def summarize(runs: List[dict], better: Dict[str, str],
     (the same workload and seed on both sides) the after side won
     strictly, and the change, after median / before median - 1.  For a
     metric with a bound in `bounds`, over_bound says whether the change
-    goes the worse way by more than the bound.  Under "attempted", each
-    side's quartiles of the checks a run attempted, with no win count:
-    perfbench keeps every check's output, so peak_rss_mb reads against
-    that count."""
+    goes the worse way by more than the bound, before_spread is the
+    before side's (q3 - q1) / median, and unresolved says that spread is
+    wider than the bound, so the medians cannot tell a change within the
+    bound from none, unless every after run beats every before run.
+    Under "attempted", each side's quartiles of the checks a run
+    attempted, with no win count: perfbench keeps every check's output,
+    so peak_rss_mb reads against that count."""
     bounds = bounds or {}
     by_key: Dict[Tuple[str, int], Dict[str, dict]] = {}
     for run in runs:
@@ -121,6 +126,11 @@ def summarize(runs: List[dict], better: Dict[str, str],
                 entry["change"] = after / before - 1
                 if metric in bounds:
                     entry["over_bound"] = -sign * entry["change"] > bounds[metric]
+                    spread = (entry["before"]["q3"] - entry["before"]["q1"]) / before
+                    every_run_better = (min(sign * a for a in values["after"])
+                                        > max(sign * b for b in values["before"]))
+                    entry["before_spread"] = spread
+                    entry["unresolved"] = spread > bounds[metric] and not every_run_better
         if per_metric and all("attempted" in s[side] for s in pairs for side in SIDES):
             per_metric["attempted"] = {
                 side: quartiles([s[side]["attempted"] for s in pairs]) for side in SIDES
@@ -137,6 +147,14 @@ def bound_crossings(summary: Dict[str, dict]) -> List[str]:
             f"{m['after']['median']:.4g} ({m['change']:+.1%}, {m['better']} is better)"
             for workload, metrics in summary.items()
             for metric, m in metrics.items() if m.get("over_bound")]
+
+
+def unresolved_metrics(summary: Dict[str, dict]) -> List[str]:
+    """One line per workload and metric that summarize flagged unresolved."""
+    return [f"unresolved: {workload} {metric}: the before runs spread "
+            f"{m['before_spread']:.1%} of their median, wider than the bound"
+            for workload, metrics in summary.items()
+            for metric, m in metrics.items() if m.get("unresolved")]
 
 
 # -- running ------------------------------------------------------------------------
@@ -249,7 +267,7 @@ def main(argv: List[str]) -> int:
     finally:
         for where in trees.values():
             shutil.rmtree(where, ignore_errors=True)
-    for line in bound_crossings(doc["summary"]):
+    for line in bound_crossings(doc["summary"]) + unresolved_metrics(doc["summary"]):
         print(line)
     return 0
 
