@@ -661,19 +661,13 @@ def _product_into(x: _Residues, y: _Residues, c: int, ring: RingSpec,
                           ring.pd_degree_cap, False, acc, {})
 
 
-def _from_sums(acc: Dict[int, int], ring: RingSpec, degree: int,
-             truncated: bool) -> _Residues:
-    card = ring.modulus.cardinality
-    return _Residues({k: r for k, s in acc.items() if (r := s % card)},
-                     degree, truncated)
-
-
 def _residues_mul(x: _Residues, y: _Residues, ring: RingSpec) -> _Residues:
     """x * y, as mul gives it for x and y known to N everywhere."""
     acc: Dict[int, int] = {}
     truncated = _product_into(x, y, 1, ring, acc)
-    return _from_sums(acc, ring, x.degree + y.degree,
-                    truncated or x.truncated or y.truncated)
+    card = ring.modulus.cardinality
+    return _Residues({k: r for k, s in acc.items() if (r := s % card)},
+                     x.degree + y.degree, truncated or x.truncated or y.truncated)
 
 
 def _residues_add(x: _Residues, y: _Residues, ring: RingSpec) -> _Residues:
@@ -682,7 +676,9 @@ def _residues_add(x: _Residues, y: _Residues, ring: RingSpec) -> _Residues:
     acc = dict(x.terms)
     for k, r in y.terms.items():
         acc[k] = acc.get(k, 0) + r
-    return _from_sums(acc, ring, max(x.degree, y.degree), x.truncated or y.truncated)
+    card = ring.modulus.cardinality
+    return _Residues({k: r for k, s in acc.items() if (r := s % card)},
+                     max(x.degree, y.degree), x.truncated or y.truncated)
 
 
 def _residues_partial(x: _Residues, ring: RingSpec, index: int) -> _Residues:
@@ -690,16 +686,16 @@ def _residues_partial(x: _Residues, ring: RingSpec, index: int) -> _Residues:
     partial_derivative gives it for x known to N everywhere: each key
     whose exponent field for the generator is e > 0 loses one there and
     its residue is scaled by e; a key whose field is 0 drops out."""
-    codec = ring._codec
+    codec, card = ring._codec, ring.modulus.cardinality
     shift = codec.width * (codec.n - 1 - index)
     mask = (1 << codec.width) - 1
     one = 1 << shift
-    acc: Dict[int, int] = {}
+    terms: Dict[int, int] = {}
     for k, r in x.terms.items():
         e = k >> shift & mask
-        if e:
-            acc[k - one] = r * e
-    return _from_sums(acc, ring, max(x.degree - 1, 0), x.truncated)
+        if e and (r := r * e % card):
+            terms[k - one] = r
+    return _Residues(terms, max(x.degree - 1, 0), x.truncated)
 
 
 def _single_term_divided_power(

@@ -629,6 +629,9 @@ def partial_case(N, gen):
 
 
 def read_back(ring, x):
+    """x as an element, after checking that it holds reduced residues,
+    no zero, and keys within its degree bound."""
+    assert all(0 < r < ring.modulus.cardinality for r in x.terms.values())
     e = _from_packed(ring, x.terms, x.precs, x.truncated)
     assert all(m.ordinary_degree <= x.degree for m in e.terms)
     return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
