@@ -2,9 +2,13 @@
 
 Scenario files are JSON with "schema": 1.  A scenario fixes the prime,
 the precision, degree caps, optionally a ring with Frobenius images and
-a cut set, and lists checks to execute in order.  Identical scenario +
-seed produces byte-identical report JSON.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 the input did not parse.
+a cut set, and lists checks to execute in order.  PARAMS names each
+check kind's parameters and their defaults: a scenario may give only
+those, and a tuple lists the values one accepts.  Each one-shot
+subcommand runs the one-check scenario its flags describe, with a flag
+per parameter.  Identical scenario + seed produces byte-identical report
+JSON.  Exit codes: 0 all checks pass, 1 a check failed, 2 the input did
+not parse or was refused.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .transforms import (
     cotangent_comparison,
 )
 
-__all__ = ["CheckFailure", "Scenario", "load_scenario", "main", "run_scenario"]
+__all__ = ["Scenario", "load_scenario", "main", "run_scenario"]
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -49,8 +53,57 @@ EXIT_PARSE = 2
 SEED_ENV = "PRISM_FORGE_SEED"
 
 
-class CheckFailure(Exception):
-    """A requested check executed and did not pass."""
+# Each check kind's parameters and their defaults.  A tuple lists the
+# values the parameter accepts, the first being its default.
+PARAMS: Dict[str, Dict[str, object]] = {
+    "axioms": {"samples": 200},
+    "poincare": {"vars": 1},
+    "envelope": {"kind": ("stages", "dilatation", "mixed")},
+    "cohomology": {"complex": ("pderham",), "expect": {}},
+    "ftransform": {"window": 8, "rank": 1},
+    "isogeny": {"window": 2},
+    "pcurvature": {"theta": "1"},
+    "cotangent": {"cap": 3},
+    "dimensions": {"kind": ("stages", "mixed"), "weight_cap": 6},
+}
+
+# the degree caps of a scenario, and of the subcommands' flags
+CAPS = {"poly_degree": 10, "pd_degree": 8, "stages": 2}
+
+
+def _require_int(value, what: str, minimum: int = 1) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParseError(f"{what} must be an integer >= {minimum}")
+    return value
+
+
+def _params(chk: dict) -> dict:
+    """The check's parameters over the defaults of PARAMS; a name the
+    kind does not have, or a value outside its list, is refused."""
+    name, table = chk["name"], PARAMS.get(chk["name"], {})
+    unknown = sorted(set(chk) - set(table) - {"name"})
+    if unknown:
+        raise ParseError(
+            f"{name} has no parameter {unknown[0]!r}; "
+            f"it takes: {', '.join(table) or 'none'}"
+        )
+    params = {}
+    for key, default in table.items():
+        if isinstance(default, tuple):
+            value = chk.get(key, default[0])
+            if value not in default:
+                raise ParseError(
+                    f"{name} {key} must be one of {', '.join(default)}, not {value!r}"
+                )
+        elif isinstance(default, int):
+            value = _require_int(chk.get(key, default), f"{name} {key}")
+        else:
+            value = chk.get(key, default)
+            if not isinstance(value, type(default)):
+                kind = type(default).__name__
+                raise ParseError(f"{name} {key} must be a JSON {kind}")
+        params[key] = value
+    return params
 
 
 @dataclass(frozen=True)
@@ -72,12 +125,24 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # refuse, before any work, what a check cannot use
-        for chk in self.checks:
-            name, kind = chk["name"], chk.get("kind", "stages")
+        for chk, params in zip(self.checks, self.params):
+            name = chk["name"]
             if name == "axioms" and self.precision < 2:
                 raise ParseError("axioms needs precision >= 2: delta divides by p")
-            if name in ("envelope", "dimensions") and kind != "mixed" and not self.cut:
-                raise ParseError(f"{name} of kind {kind} needs a cut set")
+            if "kind" in params and params["kind"] != "mixed" and not self.cut:
+                raise ParseError(f"{name} of kind {params['kind']} needs a cut set")
+            if name == "poincare" and "vars" in chk:
+                pds = len(self.ring().pd_gens)
+                if pds and pds != params["vars"]:
+                    raise ParseError(
+                        f"poincare vars {params['vars']} differs from the {pds}"
+                        f" divided-power generator(s) of {self.ring_text}"
+                    )
+
+    @cached_property
+    def params(self) -> Tuple[dict, ...]:
+        """Each check's parameters over the defaults of PARAMS."""
+        return tuple(map(_params, self.checks))
 
     @property
     def modulus(self) -> Modulus:
@@ -124,11 +189,7 @@ class Scenario:
             "schema": 1,
             "prime": self.prime,
             "precision": self.precision,
-            "caps": {
-                "poly_degree": self.poly_degree,
-                "pd_degree": self.pd_degree,
-                "stages": self.stages,
-            },
+            "caps": {cap: getattr(self, cap) for cap in CAPS},
             "ring": self.ring_text,
             "frobenius": list(self.frobenius),
             "cut": list(self.cut),
@@ -149,13 +210,6 @@ _SCENARIO_KEYS = {
     "schema", "prime", "precision", "caps", "ring",
     "frobenius", "cut", "checks", "seed",
 }
-_CAP_KEYS = {"poly_degree", "pd_degree", "stages"}
-
-
-def _require_int(value, what: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ParseError(f"{what} must be an integer >= {minimum}")
-    return value
 
 
 def parse_scenario_dict(raw: dict) -> Scenario:
@@ -167,8 +221,8 @@ def parse_scenario_dict(raw: dict) -> Scenario:
     if raw.get("schema") != 1:
         raise ParseError("scenario schema must be 1")
     caps = raw.get("caps", {})
-    if not isinstance(caps, dict) or set(caps) - _CAP_KEYS:
-        raise ParseError(f"caps accepts only {sorted(_CAP_KEYS)}")
+    if not isinstance(caps, dict) or set(caps) - set(CAPS):
+        raise ParseError(f"caps accepts only {sorted(CAPS)}")
     checks = raw.get("checks", [])
     if not isinstance(checks, list) or not checks:
         raise ParseError("scenario needs a non-empty list of checks")
@@ -191,9 +245,7 @@ def parse_scenario_dict(raw: dict) -> Scenario:
     return Scenario(
         prime=_require_int(raw.get("prime"), "prime", 2),
         precision=_require_int(raw.get("precision"), "precision"),
-        poly_degree=_require_int(caps.get("poly_degree", 10), "poly_degree"),
-        pd_degree=_require_int(caps.get("pd_degree", 8), "pd_degree"),
-        stages=_require_int(caps.get("stages", 2), "stages"),
+        **{cap: _require_int(caps.get(cap, n), cap) for cap, n in CAPS.items()},
         ring_text=raw.get("ring", "W[x]"),
         frobenius=clauses,
         cut=tuple(cut),
@@ -226,8 +278,7 @@ def _check_axioms(sc: Scenario, params: dict) -> CheckResult:
         poly_cap=max(sc.poly_degree, 4 * p), pd_cap=max(sc.pd_degree, 2 * p)
     )
     lift = sc.lift(ring)
-    samples = params.get("samples", 200)
-    rep = check_delta_axioms(lift, samples=samples, seed=sc.seed)
+    rep = check_delta_axioms(lift, samples=params["samples"], seed=sc.seed)
     info = {
         "samples": rep.samples,
         "checked": rep.checked,
@@ -252,8 +303,7 @@ def _check_axioms(sc: Scenario, params: dict) -> CheckResult:
 
 
 def _check_poincare(sc: Scenario, params: dict) -> CheckResult:
-    ring = sc.ring()
-    num_vars = len(ring.pd_gens) if ring.pd_gens else params.get("vars", 1)
+    num_vars = len(sc.ring().pd_gens) or params["vars"]
     rep = check_poincare(sc.modulus, num_vars, sc.pd_degree)
     info = {
         "vars": num_vars,
@@ -272,19 +322,20 @@ def _check_poincare(sc: Scenario, params: dict) -> CheckResult:
     return CheckResult("poincare", rep.passed, info, lines)
 
 
-def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
-    kind = params.get("kind", "stages")
+def _presentation(sc: Scenario, kind: str):
+    """The two-generator mixed envelope, or the stagewise envelope or the
+    dilatation of the scenario's cut."""
     if kind == "mixed":
-        pres = two_gen_mixed_envelope(sc.modulus, sc.poly_degree, sc.pd_degree)
-    else:
-        ring = sc.ring(pd_cap=0)
-        imm = CoordinateImmersion(sc.lift(ring), sc.cut)
-        if kind == "stages":
-            pres = prismatic_envelope_stages(imm, sc.stages)
-        elif kind == "dilatation":
-            pres = dilatation(imm)
-        else:
-            raise ParseError(f"unknown envelope kind {kind!r}")
+        return two_gen_mixed_envelope(sc.modulus, sc.poly_degree, sc.pd_degree)
+    imm = CoordinateImmersion(sc.lift(sc.ring(pd_cap=0)), sc.cut)
+    if kind == "stages":
+        return prismatic_envelope_stages(imm, sc.stages)
+    return dilatation(imm)
+
+
+def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
+    kind = params["kind"]
+    pres = _presentation(sc, kind)
     if pres.lift is None:
         # dilatations carry no Frobenius; rho exactness was enforced
         # by the presentation constructor
@@ -307,9 +358,7 @@ def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
     gens = ", ".join(env_ring.ordinary_gens)
     pds = ", ".join(env_ring.pd_gens)
     ring_str = "W" + (f"[{gens}]" if gens else "") + (f"<{pds}>" if pds else "")
-    lines.append(
-        f"ring: {ring_str} over Z/{sc.prime}^{sc.precision}"
-    )
+    lines.append(f"ring: {ring_str} over Z/{sc.prime}^{sc.precision}")
     lines.append("structural map:")
     for g, e in sorted(pres.structural_images.items()):
         lines.append(f"  {g} -> {e.render()}")
@@ -335,9 +384,7 @@ def _divisor_rows(exponents: Sequence[int], p: int) -> List[Tuple[str, int]]:
 
 
 def _check_cohomology(sc: Scenario, params: dict) -> CheckResult:
-    which = params.get("complex", "pderham")
-    if which != "pderham":
-        raise ParseError(f"unknown complex {which!r}; known: pderham")
+    which = params["complex"]
     ring = sc.ring(pd_cap=0)
     if not ring.ordinary_gens:
         raise ParseError("cohomology needs at least one ordinary generator")
@@ -348,7 +395,7 @@ def _check_cohomology(sc: Scenario, params: dict) -> CheckResult:
         f"p-de Rham complex of {sc.ring_text} over Z/{sc.prime}^{sc.precision},"
         f" window degree <= {sc.poly_degree}:"
     ]
-    expect = params.get("expect", {})
+    expect = params["expect"]
     passed = True
     for q in sorted(groups):
         g = groups[q]
@@ -395,8 +442,7 @@ def _nilpotent_pconn(rf: RelativeFrobenius, rank: int):
 
 
 def _check_ftransform(sc: Scenario, params: dict) -> CheckResult:
-    window = params.get("window", 8)
-    rank = params.get("rank", 1)
+    window, rank = params["window"], params["rank"]
     m = len(sc.ring(pd_cap=0).ordinary_gens)
     need = m * (sc.prime - 1) + sc.prime * window
     rf = _relative_frobenius(sc, need)
@@ -420,7 +466,7 @@ def _check_ftransform(sc: Scenario, params: dict) -> CheckResult:
 
 
 def _check_isogeny(sc: Scenario, params: dict) -> CheckResult:
-    window = params.get("window", 2)
+    window = params["window"]
     rf = _relative_frobenius(sc, sc.prime * window)
     rep = check_frobenius_isogeny(rf, window)
     info = {
@@ -437,7 +483,7 @@ def _check_isogeny(sc: Scenario, params: dict) -> CheckResult:
 
 
 def _check_pcurvature(sc: Scenario, params: dict) -> CheckResult:
-    theta_text = str(params.get("theta", "1"))
+    theta_text = params["theta"]
     p = sc.prime
     # phi-images of degree e put Theta in degree (deg + 1) e - 1; psi is p
     # times that, and its products with Theta and with psi p + 1 and 2p
@@ -471,7 +517,7 @@ def _check_pcurvature(sc: Scenario, params: dict) -> CheckResult:
 
 
 def _check_cotangent(sc: Scenario, params: dict) -> CheckResult:
-    cap = params.get("cap", 3)
+    cap = params["cap"]
     ring = sc.ring(pd_cap=max(sc.pd_degree, cap + 1))
     lift = sc.lift(ring)
     rep = cotangent_comparison(lift, sc.cut, cap)
@@ -485,17 +531,14 @@ def _check_cotangent(sc: Scenario, params: dict) -> CheckResult:
 
 
 def _check_dimensions(sc: Scenario, params: dict) -> CheckResult:
-    kind = params.get("kind", "stages")
-    weight_cap = params.get("weight_cap", 6)
+    kind, weight_cap = params["kind"], params["weight_cap"]
+    pres = _presentation(sc, kind)
     if kind == "mixed":
-        pres = two_gen_mixed_envelope(sc.modulus, sc.poly_degree, sc.pd_degree)
         # one weight-1 generator and one weight-p divided power
         want = [d // sc.prime + 1 for d in range(weight_cap + 1)]
     else:
-        ring = sc.ring(pd_cap=0)
-        imm = CoordinateImmersion(sc.lift(ring), sc.cut)
-        pres = prismatic_envelope_stages(imm, sc.stages)
-        want = polynomial_dimensions(len(ring.ordinary_gens), weight_cap)
+        m = len(sc.ring(pd_cap=0).ordinary_gens)
+        want = polynomial_dimensions(m, weight_cap)
     got = mod_p_dimensions(pres, weight_cap)
     info = {"kind": kind, "dimensions": got, "predicted": want}
     lines = [
@@ -527,8 +570,7 @@ def run_scenario(sc: Scenario) -> Tuple[bool, dict, List[str]]:
     exception, and the rest still run."""
     results = []
     lines: List[str] = []
-    for chk in sc.checks:
-        params = {k: v for k, v in chk.items() if k != "name"}
+    for chk, params in zip(sc.checks, sc.params):
         try:
             res = CHECKS[chk["name"]](sc, params)
         except ParseError:
@@ -568,68 +610,48 @@ def _seed_override(seed: int) -> int:
         raise ParseError(f"{SEED_ENV} must be an integer") from exc
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    sc = load_scenario(args.scenario)
-    sc = replace(sc, seed=_seed_override(sc.seed))
+def _execute(sc: Scenario, out: Optional[str]) -> int:
     passed, report, lines = run_scenario(sc)
-    out = args.out or Path(args.scenario).stem + ".report.json"
     _write_report(report, out)
     for line in lines:
         print(line)
-    print(f"report written to {out}")
     return EXIT_OK if passed else EXIT_CHECK
 
 
-def _scenario_from_flags(args: argparse.Namespace, check: dict) -> Scenario:
-    return Scenario(
+def _cmd_run(args: argparse.Namespace) -> int:
+    sc = load_scenario(args.scenario)
+    out = args.out or Path(args.scenario).stem + ".report.json"
+    code = _execute(replace(sc, seed=_seed_override(sc.seed)), out)
+    print(f"report written to {out}")
+    return code
+
+
+# one-shot subcommand: its help, its default ring, whether it takes --phi
+# and --cut; a flag per parameter but "expect" gives the one check
+SUBCOMMANDS = {
+    "envelope": ("present an envelope and check it", "W[x]", True, True),
+    "cohomology": ("cohomology of a window complex", "W[x]", False, False),
+    "poincare": ("divided-power cell acyclicity", "W[x]", False, False),
+    "ftransform": ("pushforward comparison for the transform", "W[x]", True, False),
+    "pcurvature": ("p-curvature of the transform", "W[x]", True, False),
+    "axioms": ("delta-ring axioms on random pairs", "W[x,y]", True, False),
+}
+
+
+def _run_single(args: argparse.Namespace) -> int:
+    name = args.command
+    check = {"name": name, **{k: getattr(args, k) for k in PARAMS[name] if k in args}}
+    sc = Scenario(
         prime=args.prime,
         precision=args.precision,
-        poly_degree=args.poly_degree,
-        pd_degree=args.pd_degree,
-        stages=args.stages,
-        ring_text=getattr(args, "ring", "W[x]"),
+        **{cap: getattr(args, cap) for cap in CAPS},
+        ring_text=args.ring,
         frobenius=tuple(getattr(args, "phi", None) or ()),
         cut=tuple(getattr(args, "cut", None) or ()),
         checks=(check,),
         seed=_seed_override(args.seed),
     )
-
-
-def _run_single(args: argparse.Namespace, check: dict) -> int:
-    sc = _scenario_from_flags(args, check)
-    passed, report, lines = run_scenario(sc)
-    _write_report(report, args.out)
-    for line in lines:
-        print(line)
-    return EXIT_OK if passed else EXIT_CHECK
-
-
-def _cmd_envelope(args: argparse.Namespace) -> int:
-    return _run_single(args, {"name": "envelope", "kind": args.kind})
-
-
-def _cmd_cohomology(args: argparse.Namespace) -> int:
-    return _run_single(
-        args, {"name": "cohomology", "complex": args.complex}
-    )
-
-
-def _cmd_poincare(args: argparse.Namespace) -> int:
-    return _run_single(args, {"name": "poincare", "vars": args.vars})
-
-
-def _cmd_ftransform(args: argparse.Namespace) -> int:
-    return _run_single(
-        args, {"name": "ftransform", "window": args.window, "rank": args.rank}
-    )
-
-
-def _cmd_pcurvature(args: argparse.Namespace) -> int:
-    return _run_single(args, {"name": "pcurvature", "theta": args.theta})
-
-
-def _cmd_axioms(args: argparse.Namespace) -> int:
-    return _run_single(args, {"name": "axioms", "samples": args.samples})
+    return _execute(sc, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,81 +661,42 @@ def build_parser() -> argparse.ArgumentParser:
         "over truncated p-adic coefficient rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=2)
-    common.add_argument("--precision", type=int, default=3)
-    common.add_argument("--pd-degree", type=int, default=8)
-    common.add_argument("--poly-degree", type=int, default=10)
-    common.add_argument("--stages", type=int, default=2)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", help="write the JSON report here")
+    out_help = "write the JSON report here"
 
     run_p = sub.add_parser(
-        "run", parents=[common],
-        help="run a scenario file (report defaults to ./<stem>.report.json)",
+        "run", help="run a scenario file (report defaults to ./<stem>.report.json)"
     )
     run_p.add_argument("scenario")
+    run_p.add_argument("--out", help=out_help)
     run_p.set_defaults(func=_cmd_run)
 
-    env_p = sub.add_parser(
-        "envelope", parents=[common], help="present an envelope and check it"
-    )
-    env_p.add_argument("--ring", default="W[x]")
-    env_p.add_argument(
-        "--phi", action="append", default=None,
-        help='Frobenius image clause, e.g. "x->x^3"; repeatable',
-    )
-    env_p.add_argument(
-        "--cut", action="append", default=None,
-        help="generator cutting the center; repeatable",
-    )
-    env_p.add_argument(
-        "--kind", choices=("stages", "dilatation", "mixed"), default="stages"
-    )
-    env_p.set_defaults(func=_cmd_envelope)
-
-    coh_p = sub.add_parser(
-        "cohomology", parents=[common], help="cohomology of a window complex"
-    )
-    coh_p.add_argument("--ring", default="W[x]")
-    coh_p.add_argument("--complex", default="pderham")
-    coh_p.set_defaults(func=_cmd_cohomology)
-
-    poi_p = sub.add_parser(
-        "poincare", parents=[common], help="divided-power cell acyclicity"
-    )
-    poi_p.add_argument("--vars", type=int, default=1)
-    poi_p.set_defaults(func=_cmd_poincare)
-
-    ft_p = sub.add_parser(
-        "ftransform", parents=[common],
-        help="pushforward comparison for the transform",
-    )
-    ft_p.add_argument("--ring", default="W[x]")
-    ft_p.add_argument("--phi", action="append", default=None)
-    ft_p.add_argument("--window", type=int, default=8)
-    ft_p.add_argument("--rank", type=int, choices=(1, 2), default=1)
-    ft_p.set_defaults(func=_cmd_ftransform)
-
-    pc_p = sub.add_parser(
-        "pcurvature", parents=[common], help="p-curvature of the transform"
-    )
-    pc_p.add_argument("--ring", default="W[x]")
-    pc_p.add_argument("--phi", action="append", default=None)
-    pc_p.add_argument(
-        "--theta", default="1",
-        help="twist coefficient over the primed ring, e.g. \"xp\"",
-    )
-    pc_p.set_defaults(func=_cmd_pcurvature)
-
-    ax_p = sub.add_parser(
-        "axioms", parents=[common], help="delta-ring axioms on random pairs"
-    )
-    ax_p.add_argument("--ring", default="W[x,y]")
-    ax_p.add_argument("--phi", action="append", default=None)
-    ax_p.add_argument("--samples", type=int, default=200)
-    ax_p.set_defaults(func=_cmd_axioms)
+    for name, (text, ring, phi, cut) in SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--prime", type=int, default=2)
+        cmd.add_argument("--precision", type=int, default=3)
+        for cap, default in CAPS.items():
+            cmd.add_argument("--" + cap.replace("_", "-"), type=int, default=default)
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--out", help=out_help)
+        cmd.add_argument("--ring", default=ring)
+        if phi:
+            cmd.add_argument(
+                "--phi", action="append",
+                help='Frobenius image clause, e.g. "x->x^3"; repeatable',
+            )
+        if cut:
+            cmd.add_argument(
+                "--cut", action="append",
+                help="generator cutting the center; repeatable",
+            )
+        for key, default in PARAMS[name].items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, tuple):
+                choices = "one of " + ", ".join(default)
+                cmd.add_argument(flag, default=default[0], help=choices)
+            elif not isinstance(default, dict):
+                cmd.add_argument(flag, type=type(default), default=default)
+        cmd.set_defaults(func=_run_single)
 
     return parser
 

@@ -35,6 +35,12 @@ from .pdpoly import (
     validate_pd_image,
 )
 
+# a sampled element of the axiom check: at most SAMPLE_TERMS terms, each
+# of degree <= SAMPLE_DEGREE and divided-power weight <= SAMPLE_PD_WEIGHT
+SAMPLE_DEGREE = 2
+SAMPLE_PD_WEIGHT = 1
+SAMPLE_TERMS = 3
+
 
 class NotAFrobeniusLift(ValueError):
     """Some generator image fails phi(g) = g^p mod p."""
@@ -180,27 +186,26 @@ class _PackedLift:
         # the divided-power images are validated at the first delta
         self.validated = False
 
-    def draw(self, rng: random.Random, max_degree: int, max_pd_weight: int,
-             max_terms: int) -> _Residues:
+    def draw(self, rng: random.Random) -> _Residues:
         """A random element: a sum of ring.monomial terms with random
         exponents and coefficients, drawn from rng in that order."""
         ring, width, card = self.ring, self.codec.width, self.card
         terms: Dict[int, int] = {}
         top = 0
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, SAMPLE_TERMS)):
             key = 0
-            budget = max_degree
+            budget = SAMPLE_DEGREE
             for _ in ring.ordinary_gens:
                 e = rng.randint(0, budget)
                 budget -= e
                 key = key << width | e
-            degree = max_degree - budget
-            budget = max_pd_weight
+            degree = SAMPLE_DEGREE - budget
+            budget = SAMPLE_PD_WEIGHT
             for _ in ring.pd_gens:
                 e = rng.randint(0, budget)
                 budget -= e
                 key = key << width | e
-            weight = max_pd_weight - budget
+            weight = SAMPLE_PD_WEIGHT - budget
             c = rng.randrange(card)
             if degree > self.cap_o:
                 raise ValueError("monomial exceeds ordinary degree cap")
@@ -339,9 +344,6 @@ def check_delta_axioms(
     lift: FrobeniusLift,
     samples: int = 200,
     seed: int = 0,
-    max_degree: int = 2,
-    max_pd_weight: int = 1,
-    max_terms: int = 3,
 ) -> AxiomReport:
     """Exercise both delta-ring axioms on seeded random pairs.
 
@@ -364,8 +366,7 @@ def check_delta_axioms(
     correction_coeffs = [math.comb(p, i) // p for i in range(1, p)]
 
     for _ in range(samples):
-        a = ops.draw(rng, max_degree, max_pd_weight, max_terms)
-        b = ops.draw(rng, max_degree, max_pd_weight, max_terms)
+        a, b = ops.draw(rng), ops.draw(rng)
         pa, pb = ops.powers(a, p), ops.powers(b, p)
         da, db = ops.delta(a, pa[p]), ops.delta(b, pb[p])
         a_plus_b = _residues_add(a, b, ops.ring)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .padic import Modulus
+from .padic import Modulus, _residue_valuation
 
 Matrix = List[List[int]]
 # row i maps column -> nonzero residue; the row count is the target rank
@@ -83,17 +83,6 @@ def _check_rows(rows: SparseRows, count: int, cols: int, pN: int, what: str) -> 
             if not 0 < x < pN:
                 raise ValueError(f"{what} has entry {x}, "
                                  f"not a nonzero residue mod {pN}")
-
-
-def _int_valuation(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    n = abs(n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -338,7 +327,7 @@ def _eliminate(
         best = None
         for r, row in enumerate(active):
             for col, x in row.items():
-                key = (_int_valuation(x, p), r, col)
+                key = (_residue_valuation(x, p), r, col)
                 if best is None or key < best:
                     best = key
             if best[0] == 0:

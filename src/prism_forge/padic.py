@@ -210,13 +210,7 @@ def valuation(a: Scalar):
     """Largest k <= N with p^k dividing a lift of a; INFINITY for zero."""
     if a.residue == 0:
         return INFINITY
-    p = a.modulus.p
-    r = a.residue
-    k = 0
-    while r % p == 0:
-        r //= p
-        k += 1
-    return k
+    return _residue_valuation(a.residue, a.modulus.p)
 
 
 def factorial_valuation(n: int, p: int) -> int:

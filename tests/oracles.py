@@ -597,7 +597,6 @@ def snf_cohomology(cx, q):
     from prism_forge.homology import (
         CohomologyGroup,
         Matrix,
-        _int_valuation,
         dense,
         smith_normal_form,
         zero_matrix,
@@ -615,7 +614,7 @@ def snf_cohomology(cx, q):
     exps = []
     for i in range(n):
         if i < min(len(d_out), n) and dec.S[i][i] != 0:
-            v = min(N, _int_valuation(dec.S[i][i], p))
+            v = min(N, int_valuation(dec.S[i][i], p))
         else:
             v = N
         exps.append(N - v)
@@ -644,7 +643,7 @@ def snf_cohomology(cx, q):
     for f in quot.divisors:
         if f == 0:
             raise ArithmeticError("cokernel is not killed by p^N")
-        k = _int_valuation(f, p)
+        k = int_valuation(f, p)
         if f != p ** k:
             raise ArithmeticError(f"invariant factor {f} is not a p-power")
         if k == 0:
@@ -747,7 +746,7 @@ def kernel_basis_mod_prime_power(
     p scaling the i-th column of V.  The generators only have meaning
     mod p^N, so their entries are residues in [0, p^N).
     """
-    from prism_forge.homology import _int_valuation, smith_normal_form
+    from prism_forge.homology import smith_normal_form
 
     p, N = modulus.p, modulus.N
     pN = modulus.cardinality
@@ -757,7 +756,7 @@ def kernel_basis_mod_prime_power(
     exps = []
     for i in range(c):
         if i < min(r, c) and dec.S[i][i] != 0:
-            v = min(N, _int_valuation(dec.S[i][i], p))
+            v = min(N, int_valuation(dec.S[i][i], p))
         else:
             v = N
         exps.append(N - v)

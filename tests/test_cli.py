@@ -1,6 +1,8 @@
 """Scenario parsing, subcommand behavior, exit codes, determinism."""
 
+import importlib.util
 import json
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -458,3 +460,96 @@ class TestScenarioChecks:
         assert main(["run", str(path)]) == EXIT_PARSE
         assert "bad parameter" in capsys.readouterr().err
         assert not (tmp_path / "refused.report.json").exists()
+
+
+class TestCheckParameters:
+    """PARAMS: a scenario gives only the parameters a check kind has,
+    with values from its list, and each subcommand is a one-check run."""
+
+    @pytest.mark.parametrize("ring,check,named", [
+        ("W[x,y]", {"name": "dimensions", "kind": "dilatation"}, "kind"),
+        ("W[x,y]", {"name": "dimensions", "kind": "mixd"}, "kind"),
+        ("W[x]", {"name": "isogeny", "windw": 40}, "windw"),
+        ("W<t>", {"name": "poincare", "vars": 2}, "vars"),
+        ("W[x]", {"name": "ftransform", "rank": "2"}, "rank"),
+        ("W[x]", {"name": "pcurvature", "theta": 1}, "theta"),
+    ], ids=["dimensions-dilatation", "dimensions-mixd", "isogeny-windw",
+            "poincare-vars", "ftransform-rank-text", "pcurvature-theta-number"])
+    def test_refused_parameter_exits_two(self, ring, check, named, tmp_path, capsys):
+        path, out = tmp_path / "refused.json", tmp_path / "refused.report.json"
+        path.write_text(json.dumps(minimal(ring=ring, cut=["x"], checks=[check])))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert check["name"] in err and named in err
+        assert not out.exists()
+
+    def test_defaults_fill_in_but_the_report_keeps_the_file_checks(self):
+        sc = parse_scenario_dict(minimal(checks=[
+            {"name": "isogeny"}, {"name": "dimensions", "kind": "mixed"},
+        ]))
+        assert sc.params == ({"window": 2}, {"kind": "mixed", "weight_cap": 6})
+        assert sc.to_json_dict()["checks"] == [
+            {"name": "isogeny"}, {"name": "dimensions", "kind": "mixed"},
+        ]
+
+    def test_vars_matching_the_divided_powers_is_accepted(self):
+        sc = parse_scenario_dict(minimal(ring="W<t,u>", checks=[
+            {"name": "poincare", "vars": 2},
+        ]))
+        assert sc.params == ({"vars": 2},)
+
+    @pytest.mark.parametrize("argv,scenario", [
+        (["envelope", "--cut", "x"],
+         {"cut": ["x"], "checks": [{"name": "envelope", "kind": "stages"}]}),
+        (["cohomology"], {"checks": [{"name": "cohomology", "complex": "pderham"}]}),
+        (["poincare"], {"checks": [{"name": "poincare", "vars": 1}]}),
+        (["ftransform"], {"checks": [{"name": "ftransform", "window": 8, "rank": 1}]}),
+        (["pcurvature"], {"checks": [{"name": "pcurvature", "theta": "1"}]}),
+        (["axioms"], {"ring": "W[x,y]", "checks": [{"name": "axioms", "samples": 200}]}),
+    ], ids=["envelope", "cohomology", "poincare", "ftransform", "pcurvature", "axioms"])
+    def test_subcommand_is_the_one_check_scenario(self, argv, scenario, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(
+            {"schema": 1, "prime": 2, "precision": 3, "ring": "W[x]", **scenario}
+        ))
+        one, ran = tmp_path / "one.report.json", tmp_path / "run.report.json"
+        assert main(argv + ["--out", str(one)]) == EXIT_OK
+        assert main(["run", str(path), "--out", str(ran)]) == EXIT_OK
+        capsys.readouterr()
+        assert one.read_bytes() == ran.read_bytes()
+
+    @pytest.mark.parametrize("flag", [
+        "--prime", "--precision", "--pd-degree", "--poly-degree", "--stages", "--seed",
+    ])
+    def test_run_takes_only_the_scenario_and_out(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", scenario_path("poincare_line.json"), flag, "3"])
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_rank_flag_takes_what_a_scenario_takes(self, capsys):
+        code = main(["ftransform", "--window", "2", "--rank", "3"])
+        assert code == EXIT_OK
+        assert "rank 3" in capsys.readouterr().out
+
+
+class TestBenchmarkScenarios:
+    """Every scenario file the transforms-scenarios workload of perfbench
+    writes must parse: a refusal would count there as a failed operation."""
+
+    @pytest.mark.parametrize("seed", [0, 401, 912])
+    def test_workload_files_parse(self, seed, tmp_path, monkeypatch):
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", bench / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        written = workloads.TransformsScenarios(seed, str(tmp_path)).files
+        loaded = {stem: load_scenario(path) for stem, path, _ in written}
+        assert len(loaded) == 7
+        checks = [chk for sc in loaded.values() for chk in sc.checks]
+        assert {"name": "ftransform", "window": 4, "rank": 3} in checks
+        assert {"name": "cotangent", "cap": 5} in checks
