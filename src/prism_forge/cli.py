@@ -100,8 +100,8 @@ def _params(chk: dict) -> dict:
         else:
             value = chk.get(key, default)
             if not isinstance(value, type(default)):
-                kind = type(default).__name__
-                raise ParseError(f"{name} {key} must be a JSON {kind}")
+                what = "string" if isinstance(default, str) else "object"
+                raise ParseError(f"{name} {key} must be a JSON {what}")
         params[key] = value
     return params
 
@@ -125,6 +125,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # refuse, before any work, what a check cannot use
+        _require_int(self.prime, "prime", 2)
+        for what in ("precision", *CAPS):
+            _require_int(getattr(self, what), what)
+        _require_int(self.seed, "seed", 0)
         for chk, params in zip(self.checks, self.params):
             name = chk["name"]
             if name == "axioms" and self.precision < 2:
@@ -243,14 +247,14 @@ def parse_scenario_dict(raw: dict) -> Scenario:
     if not isinstance(cut, list) or not all(isinstance(g, str) for g in cut):
         raise ParseError("cut must be a list of generator names")
     return Scenario(
-        prime=_require_int(raw.get("prime"), "prime", 2),
-        precision=_require_int(raw.get("precision"), "precision"),
-        **{cap: _require_int(caps.get(cap, n), cap) for cap, n in CAPS.items()},
+        prime=raw.get("prime"),
+        precision=raw.get("precision"),
+        **{cap: caps.get(cap, n) for cap, n in CAPS.items()},
         ring_text=raw.get("ring", "W[x]"),
         frobenius=clauses,
         cut=tuple(cut),
         checks=tuple(checks),
-        seed=_require_int(raw.get("seed", 0), "seed", 0),
+        seed=raw.get("seed", 0),
     )
 
 
@@ -626,8 +630,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return code
 
 
-# one-shot subcommand: its help, its default ring, whether it takes --phi
-# and --cut; a flag per parameter but "expect" gives the one check
+# each one-shot subcommand: (help, default ring, takes --phi, takes --cut);
+# it runs the one check of its name, with a flag per parameter in PARAMS
+# but an object-valued one ("expect"), which only a scenario file gives
 SUBCOMMANDS = {
     "envelope": ("present an envelope and check it", "W[x]", True, True),
     "cohomology": ("cohomology of a window complex", "W[x]", False, False),

@@ -527,6 +527,13 @@ class TestCheckParameters:
         assert exc.value.code == EXIT_PARSE
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--prime", "1"), ("--precision", "0"), ("--poly-degree", "0"),
+    ])
+    def test_subcommand_flags_are_refused_as_scenario_fields(self, flag, value, capsys):
+        assert main(["cohomology", flag, value]) == EXIT_PARSE
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_rank_flag_takes_what_a_scenario_takes(self, capsys):
         code = main(["ftransform", "--window", "2", "--rank", "3"])
         assert code == EXIT_OK
