@@ -135,6 +135,15 @@ class Scenario:
                 raise ParseError("axioms needs precision >= 2: delta divides by p")
             if "kind" in params and params["kind"] != "mixed" and not self.cut:
                 raise ParseError(f"{name} of kind {params['kind']} needs a cut set")
+            if name == "cohomology" and params["expect"]:
+                top = len(self.ring().ordinary_gens)
+                degrees = {str(q) for q in range(top + 1)}
+                stray = sorted(set(params["expect"]) - degrees)
+                if stray:
+                    raise ParseError(
+                        f"cohomology expect names degree {stray[0]!r};"
+                        f" the complex of {self.ring_text} has degrees 0 to {top}"
+                    )
             if name == "poincare" and "vars" in chk:
                 pds = len(self.ring().pd_gens)
                 if pds and pds != params["vars"]:

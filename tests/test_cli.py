@@ -473,8 +473,10 @@ class TestCheckParameters:
         ("W<t>", {"name": "poincare", "vars": 2}, "vars"),
         ("W[x]", {"name": "ftransform", "rank": "2"}, "rank"),
         ("W[x]", {"name": "pcurvature", "theta": 1}, "theta"),
+        ("W[x]", {"name": "cohomology", "expect": {"1": [1], "2": [1]}}, "expect"),
     ], ids=["dimensions-dilatation", "dimensions-mixd", "isogeny-windw",
-            "poincare-vars", "ftransform-rank-text", "pcurvature-theta-number"])
+            "poincare-vars", "ftransform-rank-text", "pcurvature-theta-number",
+            "cohomology-expect-degree"])
     def test_refused_parameter_exits_two(self, ring, check, named, tmp_path, capsys):
         path, out = tmp_path / "refused.json", tmp_path / "refused.report.json"
         path.write_text(json.dumps(minimal(ring=ring, cut=["x"], checks=[check])))
