@@ -67,6 +67,15 @@ PARAMS: Dict[str, Dict[str, object]] = {
     "dimensions": {"kind": ("stages", "mixed"), "weight_cap": 6},
 }
 
+# the help of a one-shot flag whose name does not say what it takes
+HELP = {
+    "samples": "random pairs to check",
+    "vars": "divided-power variables of the cell",
+    "window": "degree window of the comparison",
+    "rank": "rank of the nilpotent p-connection",
+    "theta": 'twist coefficient over the primed ring, e.g. "xp"',
+}
+
 # the degree caps of a scenario, and of the subcommands' flags
 CAPS = {"poly_degree": 10, "pd_degree": 8, "stages": 2}
 
@@ -352,12 +361,10 @@ def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
     if pres.lift is None:
         # dilatations carry no Frobenius; rho exactness was enforced
         # by the presentation constructor
-        checks = []
-        passed = True
+        checks, passed = [], True
     else:
         rep = check_envelope_frobenius(pres)
-        checks = rep.checks
-        passed = rep.passed
+        checks, passed = rep.checks, rep.passed
     info = {
         "kind": kind,
         "presentation": pres.to_json_dict(),
@@ -390,10 +397,7 @@ def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
 
 
 def _divisor_rows(exponents: Sequence[int], p: int) -> List[Tuple[str, int]]:
-    rows: List[Tuple[str, int]] = []
-    for e in sorted(set(exponents)):
-        rows.append((str(p**e), exponents.count(e)))
-    return rows
+    return [(str(p**e), exponents.count(e)) for e in sorted(set(exponents))]
 
 
 def _check_cohomology(sc: Scenario, params: dict) -> CheckResult:
@@ -510,14 +514,8 @@ def _check_pcurvature(sc: Scenario, params: dict) -> CheckResult:
         dom, matrices={dom.ordinary_gens[0]: [[theta.map_to(dom)]]}
     )
     rep = check_pcurvature_formula(rf, pconn)
-    psi = {
-        x: mat[0][0].render() for x, mat in sorted(rep.data.psi.items())
-    }
-    info = {
-        "theta": theta_text,
-        "psi": psi,
-        "failures": list(rep.failures),
-    }
+    psi = {x: mat[0][0].render() for x, mat in sorted(rep.data.psi.items())}
+    info = {"theta": theta_text, "psi": psi, "failures": list(rep.failures)}
     lines = [f"p-curvature of the transform, p={p}, theta' = {theta_text}:"]
     for x, val in psi.items():
         lines.append(f"  psi[{x}] = {val}")
@@ -641,11 +639,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 # each one-shot subcommand: (help, default ring, takes --phi, takes --cut);
 # it runs the one check of its name, with a flag per parameter in PARAMS
-# but an object-valued one ("expect"), which only a scenario file gives
+# but "expect", which only a scenario file gives.  poincare has no --ring:
+# it reads only a ring's divided powers, which --vars sets; it runs on W[x].
 SUBCOMMANDS = {
     "envelope": ("present an envelope and check it", "W[x]", True, True),
     "cohomology": ("cohomology of a window complex", "W[x]", False, False),
-    "poincare": ("divided-power cell acyclicity", "W[x]", False, False),
+    "poincare": ("divided-power cell acyclicity", None, False, False),
     "ftransform": ("pushforward comparison for the transform", "W[x]", True, False),
     "pcurvature": ("p-curvature of the transform", "W[x]", True, False),
     "axioms": ("delta-ring axioms on random pairs", "W[x,y]", True, False),
@@ -659,7 +658,7 @@ def _run_single(args: argparse.Namespace) -> int:
         prime=args.prime,
         precision=args.precision,
         **{cap: getattr(args, cap) for cap in CAPS},
-        ring_text=args.ring,
+        ring_text=getattr(args, "ring", "W[x]"),
         frobenius=tuple(getattr(args, "phi", None) or ()),
         cut=tuple(getattr(args, "cut", None) or ()),
         checks=(check,),
@@ -692,7 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--" + cap.replace("_", "-"), type=int, default=default)
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", help=out_help)
-        cmd.add_argument("--ring", default=ring)
+        if ring is not None:
+            cmd.add_argument("--ring", default=ring)
         if phi:
             cmd.add_argument(
                 "--phi", action="append",
@@ -709,7 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
                 choices = "one of " + ", ".join(default)
                 cmd.add_argument(flag, default=default[0], help=choices)
             elif not isinstance(default, dict):
-                cmd.add_argument(flag, type=type(default), default=default)
+                cmd.add_argument(
+                    flag, type=type(default), default=default, help=HELP.get(key)
+                )
         cmd.set_defaults(func=_run_single)
 
     return parser

@@ -536,6 +536,26 @@ class TestCheckParameters:
         assert main(["cohomology", flag, value]) == EXIT_PARSE
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    def test_poincare_takes_no_ring(self, capsys):
+        # the cell comes from --vars; a ring would be a second way to set it
+        with pytest.raises(SystemExit) as exc:
+            main(["poincare", "--ring", "W<t,u>"])
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("pcurvature", "--theta", "twist coefficient over the primed ring"),
+        ("ftransform", "--rank", "rank of the nilpotent p-connection"),
+        ("poincare", "--vars", "divided-power variables"),
+        ("envelope", "--kind", "one of stages, dilatation, mixed"),
+    ])
+    def test_parameter_flags_have_help(self, command, flag, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        out = " ".join(capsys.readouterr().out.split())
+        assert flag in out and text in out
+
     def test_rank_flag_takes_what_a_scenario_takes(self, capsys):
         code = main(["ftransform", "--window", "2", "--rank", "3"])
         assert code == EXIT_OK
