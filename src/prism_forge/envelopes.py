@@ -31,6 +31,7 @@ from .pdpoly import (
     div_p,
     divisible_by_p,
     equal_reduced,
+    fresh_name,
     partial_derivative,
     substitute,
 )
@@ -162,14 +163,7 @@ def _fresh_names(base: str, count: int, taken: Sequence[str]) -> tuple[str, ...]
     taken_set = set(taken)
     if count == 1 and base not in taken_set:
         return (base,)
-    names = []
-    for i in range(1, count + 1):
-        name = f"{base}{i}"
-        while name in taken_set:
-            name = name + "_"
-        names.append(name)
-        taken_set.add(name)
-    return tuple(names)
+    return tuple(fresh_name(f"{base}{i}", taken_set) for i in range(1, count + 1))
 
 
 def _identity_images(
@@ -250,18 +244,13 @@ def prismatic_envelope_stages(
     survivors = immersion.surviving_gens
     single = len(immersion.cut_gens) == 1
     stage_names: dict[tuple[str, int], str] = {}
-    new_names: list[str] = []
-    taken = list(amb.ordinary_gens)
+    taken = set(amb.ordinary_gens)
     for idx, x in enumerate(immersion.cut_gens, start=1):
         base = "t" if single else f"t{idx}_"
         for j in range(1, stages + 1):
-            name = f"{base}{j}"
-            while name in taken or name in new_names:
-                name = name + "_"
-            stage_names[(x, j)] = name
-            new_names.append(name)
+            stage_names[(x, j)] = fresh_name(f"{base}{j}", taken)
     ring = RingSpec(
-        ordinary_gens=survivors + tuple(new_names),
+        ordinary_gens=survivors + tuple(stage_names.values()),
         pd_gens=(),
         modulus=modulus,
         poly_degree_cap=amb.poly_degree_cap,
@@ -309,7 +298,7 @@ def prismatic_envelope_stages(
     lift = FrobeniusLift(
         ring=ring,
         images=images,
-        unchecked=frozenset(new_names),
+        unchecked=frozenset(stage_names.values()),
     )
 
     weights = {g: 1 for g in survivors}
@@ -549,7 +538,7 @@ def check_envelope_frobenius(pres: EnvelopePresentation) -> EnvelopeReport:
             target = pres.structural_map(
                 delta_iterate(amb_lift, amb_lift.ring.gen(x), j)
             )
-            ok = divisible_by_p(lift.images[g] - target, 1)
+            ok = divisible_by_p(lift.images[g] - target)
             checks.append(
                 EnvelopeCheck(
                     f"congruence:{g}",
@@ -558,12 +547,12 @@ def check_envelope_frobenius(pres: EnvelopePresentation) -> EnvelopeReport:
                 )
             )
         else:
-            ok = divisible_by_p(lift.images[g] - ring.gen(g) ** p, 1)
+            ok = divisible_by_p(lift.images[g] - ring.gen(g) ** p)
             checks.append(
                 EnvelopeCheck(f"congruence:{g}", ok, f"psi({g}) = {g}^p mod p")
             )
     for u in ring.pd_gens:
-        ok = divisible_by_p(lift.images[u], 1)
+        ok = divisible_by_p(lift.images[u])
         checks.append(
             EnvelopeCheck(f"divisibility:{u}", ok, f"psi({u}) lies in p*ring")
         )

@@ -3,7 +3,9 @@
 A ring spec declares ordinary generators (plain polynomial variables)
 and divided-power generators u, whose monomials carry the weight-n
 symbol u^[n] subject to u^[m] * u^[n] = C(m+n, n) * u^[m+n].  Elements
-are immutable sparse maps from monomials to scalars.  Both total
+are immutable sparse maps from monomials to scalars, each known to at
+most the ring's precision N: a scalar known mod p^M with M > N is read
+mod p^N, and one of another prime is refused.  Both total
 ordinary degree and total divided-power weight are capped; products
 falling outside the caps are dropped and the element is marked with a
 sticky truncation flag so downstream checks can refuse to trust it.
@@ -133,6 +135,15 @@ class _MonomialCodec:
 _codec_for = lru_cache(maxsize=None)(_MonomialCodec)
 
 
+def fresh_name(name: str, taken: set) -> str:
+    """name with underscores appended until it is not in taken; taken
+    then holds it."""
+    while name in taken:
+        name += "_"
+    taken.add(name)
+    return name
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Generators, modulus and degree caps for one polynomial ring."""
@@ -189,8 +200,6 @@ class RingSpec:
 
     def constant(self, value: Union[int, Scalar]) -> "Element":
         s = value if isinstance(value, Scalar) else Scalar(value, self.modulus)
-        if s.modulus.p != self.modulus.p:
-            raise RingMismatch("constant from a different prime")
         mono = Monomial((0,) * len(self.ordinary_gens), (0,) * len(self.pd_gens))
         return Element(self, {mono: s})
 
@@ -236,7 +245,13 @@ class RingSpec:
 
 
 class Element:
-    """Immutable sparse polynomial; do not mutate `terms` after creation."""
+    """Immutable sparse polynomial; do not mutate `terms` after creation.
+
+    Every coefficient is known to at most the ring's precision N: one
+    known mod p^M with M > N is read mod p^N at precision N, the ring map
+    Z/p^M -> Z/p^N, and a coefficient of another prime is refused with
+    RingMismatch.
+    """
 
     __slots__ = ("ring", "terms", "truncated")
 
@@ -247,15 +262,22 @@ class Element:
         truncated: bool = False,
     ) -> None:
         self.ring = ring
-        # a zero residue below the ring's nominal precision still carries
-        # information (the coefficient is only known to vanish mod p^k),
-        # so it must survive; dropping it would let a later sum claim
-        # more precision than the computation supports
-        self.terms = {
-            m: c
-            for m, c in terms.items()
-            if c.residue != 0 or c.precision < ring.modulus.N
-        }
+        base = ring.modulus
+        N = base.N
+        kept = {}
+        for m, c in terms.items():
+            mod = c.modulus
+            if mod is not base and (mod.N > N or mod.p != base.p):
+                if mod.p != base.p:
+                    raise RingMismatch(f"coefficient mod {mod!r} in a ring over {base!r}")
+                c = Scalar(c.residue, base)
+            # a zero residue below the ring's precision still carries
+            # information (the coefficient is only known to vanish mod
+            # p^k), so it must survive; dropping it would let a later sum
+            # claim more precision than the computation supports
+            if c.residue or c.modulus.N < N:
+                kept[m] = c
+        self.terms = kept
         self.truncated = truncated
 
     @classmethod
@@ -396,7 +418,8 @@ class Element:
         return Element(self.ring, out, self.truncated)
 
     def map_to(self, other_ring: RingSpec) -> "Element":
-        """Move to a spec with the same generators (possibly new modulus/caps)."""
+        """Move to a spec with the same generators (possibly new modulus/caps);
+        a coefficient past the new precision is read mod p^N there."""
         if other_ring.ordinary_gens != self.ring.ordinary_gens or (
             other_ring.pd_gens != self.ring.pd_gens
         ):
@@ -410,7 +433,7 @@ class Element:
             ):
                 trunc = True
                 continue
-            out[m] = Scalar(c.residue, Modulus(c.modulus.p, min(c.precision, other_ring.modulus.N)))
+            out[m] = c
         return Element(other_ring, out, trunc)
 
     # -- rendering ----------------------------------------------------------
@@ -474,11 +497,7 @@ def _pack(e: Element, codec: _MonomialCodec, p: int, tracked: bool) -> list:
     out = []
     for m, c in e.terms.items():
         mod = c.modulus
-        v = 0
-        if tracked:
-            if mod.p != p:
-                raise ValueError(f"mixing primes {p} and {mod.p}")
-            v = min(_residue_valuation(c.residue, p), mod.N)
+        v = min(_residue_valuation(c.residue, p), mod.N) if tracked else 0
         out.append(codec.entry(m) + (c.residue, mod.N, v))
     return out
 
@@ -813,7 +832,7 @@ class _ImagePowers:
     where that gives what _substitute_into gives.
     """
 
-    __slots__ = ("ordinary", "pd", "target", "high", "_table", "_factors", "_images")
+    __slots__ = ("ordinary", "pd", "target", "_table", "_factors", "_images")
 
     def __init__(
         self, source: RingSpec, images: Mapping[str, Element], target: RingSpec
@@ -821,14 +840,6 @@ class _ImagePowers:
         self.ordinary = tuple(images[name] for name in source.ordinary_gens)
         self.pd = tuple(images[name] for name in source.pd_gens)
         self.target = target
-        # a coefficient above the target's precision, only possible from
-        # a ring of higher precision, changes how substitute sums its terms
-        N = target.modulus.N
-        self.high = any(
-            c.modulus.N > N
-            for img in self.ordinary + self.pd
-            for c in img.terms.values()
-        )
         self._table: Dict[Tuple[bool, int, int], tuple] = {}
         self._factors: Dict[Monomial, tuple] = {}
         self._images: Dict[Monomial, Optional[tuple]] = {}
@@ -869,8 +880,8 @@ class _ImagePowers:
         may add c times each sum when v(c) plus the carried valuation is
         below N: every factor then keeps the chain's support, drops and
         order, and the sums agree mod p^N.  None where the factors are
-        not all at N, the images are high or the chain truncated; such
-        terms take the chain itself.
+        not all at N or the chain truncated; such terms take the chain
+        itself.
         """
         try:
             return self._images[mono]
@@ -880,7 +891,7 @@ class _ImagePowers:
 
     def _form_image(self, mono: Monomial) -> Optional[tuple]:
         factors, low = self.factors(mono)
-        if low or self.high:
+        if low:
             return None
         target = self.target
         base, codec = target.modulus, target._codec
@@ -915,8 +926,9 @@ def substitute(
     u^[n] |-> image^[n].
 
     The terms are summed as packed residues by _substitute_into, which
-    the delta-ring check also calls.  _powers, the image powers of a
-    FrobeniusLift, must belong to these images and target.
+    the delta-ring check also calls; a coefficient of a is read at no more
+    than the target's precision N, mod p^N.  _powers, the image powers of
+    a FrobeniusLift, must belong to these images and target.
     """
     ring = a.ring
     for name in images:
@@ -936,14 +948,16 @@ def substitute(
         target = ring
     for name in ring.pd_gens:
         validate_pd_image(name, images[name])
+    base = target.modulus
+    if ring.modulus.p != base.p:
+        raise RingMismatch("element and target of different primes")
     powers = _powers if _powers is not None else _ImagePowers(ring, images, target)
-    p = target.modulus.p
-    if any(c.modulus.p != p for c in a.terms.values()):
-        raise RingMismatch("constant from a different prime")
+    q, N = base.cardinality, base.N
     acc: Dict[int, int] = {}
     precs: Dict[int, int] = {}
     truncated = _substitute_into(
-        [(m, c.residue, c.modulus.N) for m, c in a.terms.items()], powers, acc, precs
+        [(m, c.residue % q, min(c.modulus.N, N)) for m, c in a.terms.items()],
+        powers, acc, precs,
     )
     return _from_packed(target, acc, precs, truncated or a.truncated)
 
@@ -951,9 +965,10 @@ def substitute(
 def _substitute_into(
     terms: list, powers: _ImagePowers, acc: Dict[int, int], precs: Dict[int, int]
 ) -> bool:
-    """Add the images of terms (monomial, residue, precision) into acc and
-    precs under the target's packed keys, as substitute's sum; the return
-    value says whether some product was dropped to the caps.
+    """Add the images of terms (monomial, residue, precision at most the
+    target's) into acc and precs under the target's packed keys, as
+    substitute's sum; the return value says whether some product was
+    dropped to the caps.
 
     Each term c * x^e * ... * u^[f] * ... is carried as packed residues
     from factor to factor, left to right, with the rule of mul.  Between
@@ -967,11 +982,6 @@ def _substitute_into(
     p, N = base.p, base.N
     codec = target._codec
     cap_o, cap_d = target.poly_degree_cap, target.pd_degree_cap
-    # Element addition drops a zero at precision N or above and restarts
-    # the sum's precision at the next term, which a single accumulator
-    # cannot see once some precision exceeds N; terms are then summed one
-    # by one as elements would sum them
-    high = powers.high or any(n > N for _, _, n in terms)
     truncated = False
     for mono, r, n in terms:
         factors, factors_low = powers.factors(mono)
@@ -982,51 +992,20 @@ def _substitute_into(
         v = min(_residue_valuation(r, p), n) if valued else 0
         cur = [(0, 0, 0, None, r, n, v)] if r or n < N else []
         low = n != N
-        term_acc, term_precs = ({}, {}) if high else (acc, precs)
         if not factors:
             for k, _, _, _, rk, nk, _ in cur:
-                term_acc[k] = term_acc.get(k, 0) + rk
+                acc[k] = acc.get(k, 0) + rk
                 if nk != N:
-                    term_precs[k] = min(nk, term_precs.get(k, nk))
+                    precs[k] = min(nk, precs.get(k, nk))
         last = len(factors) - 1
         for j, (entries, power_low, power_truncated) in enumerate(factors):
-            step_acc, step_precs = (term_acc, term_precs) if j == last else ({}, {})
+            step_acc, step_precs = (acc, precs) if j == last else ({}, {})
             if _multiply_into(cur, entries, cap_o, cap_d, low or power_low,
                               step_acc, step_precs) or power_truncated:
                 truncated = True
             if j < last:
                 cur, low = _repack(step_acc, step_precs, codec, base, valued)
-        if high:
-            _add_into(acc, precs, term_acc, term_precs, base)
     return truncated
-
-
-def _add_into(
-    acc: Dict[int, int], precs: Dict[int, int],
-    term_acc: Dict[int, int], term_precs: Dict[int, int], base: Modulus,
-) -> None:
-    """acc += the element _from_packed would make of term_acc, as Element
-    addition sums it: a key's precision is the lesser of the two, and a
-    zero at precision N or above leaves acc at once, so a later term at
-    that key starts afresh."""
-    p, N = base.p, base.N
-    for k, r in term_acc.items():
-        prec = term_precs.get(k, N)
-        r %= p ** prec
-        if not r and prec >= N:
-            continue
-        if k in acc:
-            prec = min(prec, precs.get(k, N))
-            r = (acc[k] + r) % p ** prec
-            if not r and prec >= N:
-                del acc[k]
-                precs.pop(k, None)
-                continue
-        acc[k] = r
-        if prec != N:
-            precs[k] = prec
-        else:
-            precs.pop(k, None)
 
 
 def partial_derivative(a: Element, gen: str) -> Element:
@@ -1131,22 +1110,11 @@ def _divide_by_p(
     return out
 
 
-def divisible_by_p(a: Element, k: int = 1) -> bool:
-    """True when every coefficient is divisible by p^k at its precision.
-
-    A coefficient whose tracked precision is below k cannot certify
-    divisibility and raises PrecisionExhausted.
-    """
+def divisible_by_p(a: Element) -> bool:
+    """True when every coefficient is divisible by p.  Every coefficient
+    is known to at least one digit, so its residue mod p decides."""
     p = a.ring.modulus.p
-    for m, c in a.terms.items():
-        if c.precision < k:
-            raise PrecisionExhausted(
-                f"coefficient of {_render_monomial(a.ring, m)} known only "
-                f"mod p^{c.precision}, cannot test divisibility by p^{k}"
-            )
-        if c.residue % p ** k != 0:
-            return False
-    return True
+    return all(c.residue % p == 0 for c in a.terms.values())
 
 
 def equal_reduced(a: Element, b: Element) -> bool:

@@ -65,6 +65,7 @@ from .pdpoly import (
     _residues_partial,
     div_p,
     equal_reduced,
+    fresh_name,
     partial_derivative,
     substitute,
     window_monomials,
@@ -138,7 +139,7 @@ class RelativeFrobenius:
     domain_ring: RingSpec
     image_ring: RingSpec
     images: Dict[str, Element]
-    zeta: Dict[str, Dict[str, Element]] = field(default_factory=dict, repr=False)
+    zeta: Dict[str, Dict[str, Element]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dom, img = self.domain_ring, self.image_ring
@@ -166,22 +167,20 @@ class RelativeFrobenius:
                 raise ValueError(
                     f"image of {gp!r} is not {g}^p mod p; not a relative Frobenius"
                 )
-        if not self.zeta:
-            zeta: Dict[str, Dict[str, Element]] = {}
-            for gp in dom.ordinary_gens:
-                row: Dict[str, Element] = {}
-                for g in img.ordinary_gens:
-                    d = partial_derivative(self.images[gp], g)
-                    if d.is_zero():
-                        continue
-                    try:
-                        row[g] = div_p(d)
-                    except NotDivisible as exc:
-                        raise ZetaUndefined(
-                            f"d({gp})/d{g} is not divisible by p: {exc}"
-                        ) from exc
-                zeta[gp] = row
-            self.zeta = zeta
+        self.zeta = {}
+        for gp in dom.ordinary_gens:
+            row: Dict[str, Element] = {}
+            for g in img.ordinary_gens:
+                d = partial_derivative(self.images[gp], g)
+                if d.is_zero():
+                    continue
+                try:
+                    row[g] = div_p(d)
+                except NotDivisible as exc:
+                    raise ZetaUndefined(
+                        f"d({gp})/d{g} is not divisible by p: {exc}"
+                    ) from exc
+            self.zeta[gp] = row
 
     @property
     def prime(self) -> int:
@@ -200,15 +199,8 @@ class RelativeFrobenius:
         """The primed coordinate copy of a ring's ordinary generators: x
         becomes xp, with underscores added until the name is free."""
         taken = set(ring.ordinary_gens)
-        primed = []
-        for g in ring.ordinary_gens:
-            name = g + "p"
-            while name in taken:
-                name += "_"
-            taken.add(name)
-            primed.append(name)
         return RingSpec(
-            ordinary_gens=tuple(primed),
+            ordinary_gens=tuple(fresh_name(g + "p", taken) for g in ring.ordinary_gens),
             pd_gens=(),
             modulus=ring.modulus,
             poly_degree_cap=ring.poly_degree_cap,
@@ -916,13 +908,7 @@ def cotangent_comparison(
     mod1 = Modulus(p, 1)
 
     taken = set(ring.ordinary_gens)
-    t_names = []
-    for g in cut:
-        name = "t_" + g
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        t_names.append(name)
+    t_names = [fresh_name("t_" + g, taken) for g in cut]
     env1 = RingSpec(
         ordinary_gens=survivors,
         pd_gens=tuple(t_names),

@@ -102,11 +102,11 @@ def test_criterion_02_envelope_fixtures():
         problems.append("mixed: x does not go to p*s")
     if not equal_reduced(pres.structural_images["y"], t.scale(p) + s**p):
         problems.append("mixed: y does not go to p*t + s^p")
-    if not divisible_by_p(pres.lift.images["s"] - s**p, 1):
+    if not divisible_by_p(pres.lift.images["s"] - s**p):
         problems.append("mixed: psi(s) != s^p mod p")
-    if not divisible_by_p(pres.lift.images["t"], 1):
+    if not divisible_by_p(pres.lift.images["t"]):
         problems.append("mixed: psi(t) != 0 mod p")
-    if not divisible_by_p(t**p, 1):
+    if not divisible_by_p(t**p):
         problems.append("mixed: t^p != 0 mod p")
     if not check_envelope_frobenius(pres).passed:
         problems.append("mixed: frobenius checks fail")

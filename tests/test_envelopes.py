@@ -213,7 +213,7 @@ class TestStagewise:
         )
         psi_t1 = pres.lift.images["t1"]
         env_y1 = pres.ring.gen("y1")
-        assert divisible_by_p(psi_t1 - env_y1, 1)
+        assert divisible_by_p(psi_t1 - env_y1)
         report = check_envelope_frobenius(pres)
         assert report.passed, [c.detail for c in report.failures()]
 

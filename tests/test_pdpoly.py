@@ -347,6 +347,50 @@ class TestLowPrecisionZeros:
         assert divided_power(e, 1) == e
 
 
+class TestCoefficientsPastThePrecision:
+    """An element holds no coefficient known past its ring's precision N,
+    nor one of another prime."""
+
+    def test_read_mod_p_n_at_precision_n(self):
+        ring = RingSpec(("x",), (), Modulus(3, 2), 4, 0)
+        x, one = Monomial((1,), ()), Monomial((0,), ())
+        e = Element(ring, {x: Scalar(10, Modulus(3, 4)), one: Scalar(9, Modulus(3, 4))})
+        assert e.terms == {x: Scalar(1, ring.modulus)}
+        assert e == ring.gen("x") and e.min_precision() == 2
+        assert ring.constant(Scalar(18, Modulus(3, 3))).terms == {}
+        assert ring.monomial({"x": 2}, {}, Scalar(-1, Modulus(3, 5))) == (
+            ring.monomial({"x": 2}, {}, 8))
+
+    def test_refuses_another_prime(self):
+        ring = RingSpec(("x",), (), Modulus(3, 2), 4, 0)
+        with pytest.raises(RingMismatch):
+            Element(ring, {Monomial((0,), ()): Scalar(1, Modulus(2, 4))})
+        with pytest.raises(RingMismatch):
+            ring.constant(Scalar(1, Modulus(2, 4)))
+        other = RingSpec(("x",), (), Modulus(2, 2), 4, 0)
+        with pytest.raises(RingMismatch):
+            substitute(other.zero(), {"x": ring.gen("x")})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_substitute_reads_the_element_at_the_target_precision(self, data):
+        """The same terms, or the same exception.  The truncation flags may
+        differ: a term that vanishes mod p^N still takes the images'
+        powers, and their flags, as a zero constant would, where map_to
+        drops it."""
+        a, images, target = data.draw(substitution_cases())
+        if target.modulus.N == a.ring.modulus.N:
+            N = a.ring.modulus.N
+            target = a.ring.at_precision(data.draw(st.integers(1, max(N - 1, 1))))
+            images = {g: img.map_to(target) for g, img in images.items()}
+
+        def terms(e):
+            got = outcome(substitute, e, images, target)
+            return got if isinstance(got, type) else got[0]
+
+        assert terms(a) == terms(a.map_to(target))
+
+
 class TestSubstitute:
     def test_ordinary_substitution(self):
         ring = ring_with_pd()
