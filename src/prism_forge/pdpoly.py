@@ -284,8 +284,9 @@ class Element:
     def _trusted(
         cls, ring: RingSpec, terms: Dict[Monomial, Scalar], truncated: bool
     ) -> "Element":
-        """An element from terms that hold no zero at the ring's precision
-        or above, so the filter of __init__ would drop nothing."""
+        """An element from terms of the ring's prime, known to at most its
+        precision N and holding no zero at N, so __init__ would change
+        nothing."""
         e = object.__new__(cls)
         e.ring = ring
         e.terms = terms
@@ -573,8 +574,8 @@ def _from_packed(
 ) -> Element:
     """Element from integer sums under packed keys.  A key missing from
     precs is known to the ring's precision N.  Each sum is reduced mod
-    p^prec and a zero at precision N or above is dropped, as
-    Element.__init__ would drop it."""
+    p^prec and a zero at precision N is dropped, as Element.__init__
+    would drop it."""
     base = ring.modulus
     moduli = {base.N: base}
     terms: Dict[Monomial, Scalar] = {}
@@ -1083,14 +1084,14 @@ def _divide_by_p(
 ) -> list:
     """div_p's division of a difference held as (key, residue, precision)
     in term order: (key, residue / p, precision - 1) for each term but a
-    zero at precision N or above.  A term known mod p alone raises
+    zero at precision N.  A term known mod p alone raises
     PrecisionExhausted and one not divisible by p NotDivisible, naming
     monomial_of(key).  When nothing is left the quotient is a zero known
     mod p^(N-1) under the key one, the constant monomial's."""
     p, N = ring.modulus.p, ring.modulus.N
     out = []
     for k, r, n in diff:
-        if not r and n >= N:
+        if not r and n == N:
             continue
         if n < 2:
             raise PrecisionExhausted(f"cannot drop 1 levels below precision {n}")
