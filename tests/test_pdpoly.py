@@ -23,6 +23,7 @@ from prism_forge.pdpoly import (
     div_p,
     divided_power,
     divisible_by_p,
+    fresh_name,
     mul,
     partial_derivative,
     substitute,
@@ -594,6 +595,14 @@ class TestWindows:
         ring = RingSpec(("x",), ("u",), Modulus(3, 2), 2, 1)
         monos = window_monomials(ring, 5)
         assert all(m.ordinary_degree <= 2 and m.pd_weight <= 1 for m in monos)
+
+
+class TestFreshName:
+    def test_appends_underscores_and_takes_the_name(self):
+        taken = {"x", "xp", "xp_"}
+        assert fresh_name("xp", taken) == "xp__"
+        assert fresh_name("xp", taken) == "xp___"
+        assert fresh_name("y", taken) == "y" and "y" in taken
 
 
 class TestRingAxioms:
