@@ -358,19 +358,13 @@ def _presentation(sc: Scenario, kind: str):
 def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
     kind = params["kind"]
     pres = _presentation(sc, kind)
-    if pres.lift is None:
-        # dilatations carry no Frobenius; rho exactness was enforced
-        # by the presentation constructor
-        checks, passed = [], True
-    else:
-        rep = check_envelope_frobenius(pres)
-        checks, passed = rep.checks, rep.passed
+    rep = check_envelope_frobenius(pres)
     info = {
         "kind": kind,
         "presentation": pres.to_json_dict(),
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in checks
+            for c in rep.checks
         ],
     }
     env_ring = pres.ring
@@ -390,10 +384,10 @@ def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
         lines.append("frobenius:")
         for g in env_ring.all_gens():
             lines.append(f"  {g} -> {pres.lift.images[g].render()}")
-    for c in checks:
+    for c in rep.checks:
         tag = "pass" if c.passed else "FAIL"
         lines.append(f"  [{tag}] {c.name}" + (f": {c.detail}" if c.detail else ""))
-    return CheckResult("envelope", passed, info, lines)
+    return CheckResult("envelope", rep.passed, info, lines)
 
 
 def _divisor_rows(exponents: Sequence[int], p: int) -> List[Tuple[str, int]]:

@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .envelopes import EnvelopePresentation
 from .homology import (
@@ -225,8 +225,6 @@ def envelope_p_connection(
     presentation, so d' agrees with the p-twisted exterior derivative of
     the ambient ring pushed through the structural map.
     """
-    if pres.ambient is None:
-        raise ValueError("presentation does not remember its ambient ring")
     return PConnection(
         ring=pres.ring,
         coordinates=pres.ambient.ring.ordinary_gens,
@@ -747,11 +745,6 @@ def _d_table(conn: PConnection, e: Element, window: Sequence[Monomial]) -> DTabl
         if not term.is_zero():
             table[index] = (mono, term)
     return table
-
-
-def _d_walk(conn: PConnection, e: Element) -> Iterable[Tuple[Monomial, Element]]:
-    """The (t^[I], d^I e) pairs of e's table, in window order."""
-    return _d_table(conn, e, window_monomials(conn.ring, conn.ring.pd_degree_cap)).values()
 
 
 def _contract(ring: RingSpec, table: DTable, at: Tuple[int, ...]) -> Element:

@@ -9,6 +9,10 @@ delta-iterate, and the aligned prismatic envelope that collapses those
 stages into a single divided-power variable when the Frobenius image of
 each cut generator falls back into the cut ideal up to p^2-terms.
 
+All three start from one cut: t = x/p adjoined for each cut generator
+x, the structural map x -> p*t, the connection rows d'g = p*dg and
+d't = dx, and the first Frobenius images psi(t) = phi(x)/p.
+
 Monomials in the new variables, constrained stage-by-stage below the
 prime, form a normal-form basis mod p; the presentations expose enough
 data (weights, structural map, Frobenius images, connection coefficients)
@@ -87,9 +91,8 @@ class CoordinateImmersion:
 class EnvelopePresentation:
     """Explicit model of an envelope ring.
 
-    structural_images sends each ambient generator into the envelope ring;
-    rho_images record the exact p-fold division of each cut generator, so
-    p * rho_images[x] == structural_images[x] holds on the nose.  The
+    structural_images sends each ambient generator into the envelope ring,
+    a cut generator x to p times a new generator, which is rho(x).  The
     Frobenius lift, when installed, satisfies its defining congruences
     only modulo the recorded relations (the envelope ring is modeled as a
     free polynomial ring), which is why stagewise presentations mark their
@@ -100,28 +103,15 @@ class EnvelopePresentation:
 
     kind: EnvelopeKind
     ring: RingSpec
-    ambient: Optional[FrobeniusLift]
+    ambient: FrobeniusLift
     cut_gens: tuple[str, ...]
     structural_images: dict[str, Element]
-    rho_images: dict[str, Element]
     lift: Optional[FrobeniusLift]
     relations: tuple[str, ...] = ()
     stage_count: int = 0
     gen_weights: dict[str, int] = field(default_factory=dict)
     connection_images: dict[str, dict[str, Element]] = field(default_factory=dict)
     stage_names: dict[tuple[str, int], str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        p = self.ring.modulus.p
-        for g in self.cut_gens:
-            if g not in self.rho_images:
-                raise ValueError(f"missing rho image for cut generator {g!r}")
-            if not equal_reduced(
-                self.rho_images[g].scale(p), self.structural_images[g]
-            ):
-                raise ValueError(
-                    f"rho image of {g!r} does not divide the structural image by p"
-                )
 
     def structural_map(self, a: Element) -> Element:
         """Push an ambient element into the envelope ring."""
@@ -166,10 +156,57 @@ def _fresh_names(base: str, count: int, taken: Sequence[str]) -> tuple[str, ...]
     return tuple(fresh_name(f"{base}{i}", taken_set) for i in range(1, count + 1))
 
 
-def _identity_images(
-    gens: Sequence[str], target: RingSpec
+def _cut(
+    immersion: CoordinateImmersion,
+    t_names: Sequence[str],
+    new_gens: Sequence[str],
+    pd_degree_cap: Optional[int] = None,
+) -> tuple[RingSpec, dict[str, Element], dict[str, dict[str, Element]]]:
+    """Adjoin t = x/p for each cut generator x, named in t_names.
+
+    The ring is the survivors' ring with new_gens, which hold the t's,
+    adjoined as ordinary generators or, given a divided-power cap, as
+    divided-power generators after the ambient ones.  Returns the ring,
+    the structural images (x -> p*t, every other ambient generator to
+    itself) and the connection rows: d'g = p*dg on the surviving
+    generators and d't = dx.
+    """
+    amb = immersion.ambient.ring
+    survivors = immersion.surviving_gens
+    divided = pd_degree_cap is not None
+    ring = RingSpec(
+        ordinary_gens=survivors + (() if divided else tuple(new_gens)),
+        pd_gens=amb.pd_gens + (tuple(new_gens) if divided else ()),
+        modulus=amb.modulus,
+        poly_degree_cap=amb.poly_degree_cap,
+        pd_degree_cap=pd_degree_cap if divided else amb.pd_degree_cap,
+    )
+    p = amb.modulus.p
+    structural = {g: ring.gen(g) for g in survivors + amb.pd_gens}
+    conn = {g: {g: ring.constant(p)} for g in survivors}
+    for x, t in zip(immersion.cut_gens, t_names):
+        structural[x] = ring.gen(t).scale(p)
+        conn[t] = {x: ring.one()}
+    return ring, structural, conn
+
+
+def _first_images(
+    immersion: CoordinateImmersion,
+    ring: RingSpec,
+    structural: dict[str, Element],
+    t_names: Sequence[str],
 ) -> dict[str, Element]:
-    return {g: target.gen(g) for g in gens}
+    """Frobenius images on the cut's ring: phi(g) pushed through for every
+    uncut ambient generator g, and psi(t) = phi(x)/p for each cut
+    generator x."""
+    lift = immersion.ambient
+    images = {
+        g: substitute(lift.images[g], structural, target=ring)
+        for g in immersion.surviving_gens + lift.ring.pd_gens
+    }
+    for x, t in zip(immersion.cut_gens, t_names):
+        images[t] = div_p(substitute(lift.images[x], structural, target=ring))
+    return images
 
 
 def dilatation(immersion: CoordinateImmersion) -> EnvelopePresentation:
@@ -182,38 +219,19 @@ def dilatation(immersion: CoordinateImmersion) -> EnvelopePresentation:
     amb = immersion.ambient.ring
     if amb.pd_gens:
         raise ValueError("dilatation expects a purely polynomial ambient ring")
-    survivors = immersion.surviving_gens
     t_names = _fresh_names("t", len(immersion.cut_gens), amb.ordinary_gens)
-    ring = RingSpec(
-        ordinary_gens=survivors + t_names,
-        pd_gens=(),
-        modulus=amb.modulus,
-        poly_degree_cap=amb.poly_degree_cap,
-        pd_degree_cap=amb.pd_degree_cap,
-    )
-    structural = _identity_images(survivors, ring)
-    rho_images: dict[str, Element] = {}
-    relations = []
-    conn: dict[str, dict[str, Element]] = {}
-    p = amb.modulus.p
-    for x, t in zip(immersion.cut_gens, t_names):
-        structural[x] = ring.gen(t).scale(p)
-        rho_images[x] = ring.gen(t)
-        relations.append(f"p*{t} = {x}")
-        conn[t] = {x: ring.one()}
-    for g in survivors:
-        conn[g] = {g: ring.constant(p)}
-    weights = {g: 1 for g in ring.all_gens()}
+    ring, structural, conn = _cut(immersion, t_names, t_names)
     return EnvelopePresentation(
         kind=EnvelopeKind.DILATATION,
         ring=ring,
         ambient=immersion.ambient,
         cut_gens=immersion.cut_gens,
         structural_images=structural,
-        rho_images=rho_images,
         lift=None,
-        relations=tuple(relations),
-        gen_weights=weights,
+        relations=tuple(
+            f"p*{t} = {x}" for x, t in zip(immersion.cut_gens, t_names)
+        ),
+        gen_weights={g: 1 for g in ring.all_gens()},
         connection_images=conn,
     )
 
@@ -249,20 +267,9 @@ def prismatic_envelope_stages(
         base = "t" if single else f"t{idx}_"
         for j in range(1, stages + 1):
             stage_names[(x, j)] = fresh_name(f"{base}{j}", taken)
-    ring = RingSpec(
-        ordinary_gens=survivors + tuple(stage_names.values()),
-        pd_gens=(),
-        modulus=modulus,
-        poly_degree_cap=amb.poly_degree_cap,
-        pd_degree_cap=amb.pd_degree_cap,
-    )
+    firsts = tuple(stage_names[(x, 1)] for x in immersion.cut_gens)
+    ring, structural, conn = _cut(immersion, firsts, tuple(stage_names.values()))
     p = modulus.p
-    structural = _identity_images(survivors, ring)
-    rho_images: dict[str, Element] = {}
-    for x in immersion.cut_gens:
-        t1 = ring.gen(stage_names[(x, 1)])
-        structural[x] = t1.scale(p)
-        rho_images[x] = t1
 
     # ambient delta-iterates, kept in ambient coordinates for the
     # differential recursion as well as for the relations
@@ -271,9 +278,7 @@ def prismatic_envelope_stages(
         for j in range(1, stages):
             deltas[(x, j)] = delta_iterate(amb_lift, amb.gen(x), j)
 
-    relations: list[str] = []
-    for x in immersion.cut_gens:
-        relations.append(f"p*{stage_names[(x, 1)]} = {x}")
+    relations = [f"p*{t} = {x}" for x, t in zip(immersion.cut_gens, firsts)]
     for x in immersion.cut_gens:
         for j in range(1, stages):
             rhs = substitute(deltas[(x, j)], structural, target=ring) - ring.gen(
@@ -283,12 +288,9 @@ def prismatic_envelope_stages(
 
     # Frobenius recursion; unchecked congruence for the stage generators
     # since psi(t) = t^p holds only modulo the relations above.
-    images: dict[str, Element] = {}
-    for g in survivors:
-        images[g] = substitute(amb_lift.images[g], structural, target=ring)
+    images = _first_images(immersion, ring, structural, firsts)
     for x in immersion.cut_gens:
-        prev = div_p(substitute(amb_lift.images[x], structural, target=ring))
-        images[stage_names[(x, 1)]] = prev
+        prev = images[stage_names[(x, 1)]]
         for j in range(1, stages):
             phi_delta = substitute(
                 apply_phi(amb_lift, deltas[(x, j)]), structural, target=ring
@@ -305,14 +307,10 @@ def prismatic_envelope_stages(
     for (x, j), name in stage_names.items():
         weights[name] = p ** (j - 1)
 
-    # canonical p-connection coefficients: d't[i,1] = dx_i and
+    # canonical p-connection coefficients past the cut's d't[i,1] = dx_i:
     # d't[i,j+1] = d(delta^j x_i) - t[i,j]^(p-1) * d't[i,j]
     coords = amb.ordinary_gens
-    conn: dict[str, dict[str, Element]] = {}
-    for g in survivors:
-        conn[g] = {g: ring.constant(p)}
     for x in immersion.cut_gens:
-        conn[stage_names[(x, 1)]] = {x: ring.one()}
         for j in range(1, stages):
             t_prev = ring.gen(stage_names[(x, j)])
             prev_row = conn[stage_names[(x, j)]]
@@ -333,7 +331,6 @@ def prismatic_envelope_stages(
         ambient=amb_lift,
         cut_gens=immersion.cut_gens,
         structural_images=structural,
-        rho_images=rho_images,
         lift=lift,
         relations=tuple(relations),
         stage_count=stages,
@@ -375,53 +372,26 @@ def prismatic_envelope_aligned(
         witness = _alignment_witness(amb_lift.images[x], immersion.cut_gens)
         if witness is not None:
             raise NotAligned(x, witness.render())
-    survivors = immersion.surviving_gens
     t_names = _fresh_names("t", len(immersion.cut_gens), amb.ordinary_gens)
     if pd_degree_cap is None:
         pd_degree_cap = (
             amb.pd_degree_cap if amb.pd_degree_cap > 0 else amb.poly_degree_cap
         )
-    ring = RingSpec(
-        ordinary_gens=survivors,
-        pd_gens=amb.pd_gens + t_names,
-        modulus=amb.modulus,
-        poly_degree_cap=amb.poly_degree_cap,
-        pd_degree_cap=pd_degree_cap,
-    )
-    p = amb.modulus.p
-    structural = _identity_images(survivors, ring)
-    for u in amb.pd_gens:
-        structural[u] = ring.gen(u)
-    rho_images: dict[str, Element] = {}
-    relations: list[str] = []
-    for x, t in zip(immersion.cut_gens, t_names):
-        structural[x] = ring.gen(t).scale(p)
-        rho_images[x] = ring.gen(t)
-        relations.append(f"p*{t} = {x}  (divided powers adjoined to {t})")
-    images: dict[str, Element] = {}
-    for g in survivors:
-        images[g] = substitute(amb_lift.images[g], structural, target=ring)
-    for u in amb.pd_gens:
-        images[u] = substitute(amb_lift.images[u], structural, target=ring)
-    for x, t in zip(immersion.cut_gens, t_names):
-        images[t] = div_p(substitute(amb_lift.images[x], structural, target=ring))
-    lift = FrobeniusLift(ring=ring, images=images)
-    conn: dict[str, dict[str, Element]] = {}
-    for g in survivors:
-        conn[g] = {g: ring.constant(p)}
-    for x, t in zip(immersion.cut_gens, t_names):
-        conn[t] = {x: ring.one()}
-    weights = {g: 1 for g in ring.all_gens()}
+    ring, structural, conn = _cut(immersion, t_names, t_names, pd_degree_cap)
     return EnvelopePresentation(
         kind=EnvelopeKind.PRISMATIC_ALIGNED,
         ring=ring,
         ambient=amb_lift,
         cut_gens=immersion.cut_gens,
         structural_images=structural,
-        rho_images=rho_images,
-        lift=lift,
-        relations=tuple(relations),
-        gen_weights=weights,
+        lift=FrobeniusLift(
+            ring=ring, images=_first_images(immersion, ring, structural, t_names)
+        ),
+        relations=tuple(
+            f"p*{t} = {x}  (divided powers adjoined to {t})"
+            for x, t in zip(immersion.cut_gens, t_names)
+        ),
+        gen_weights={g: 1 for g in ring.all_gens()},
         connection_images=conn,
     )
 
@@ -466,7 +436,6 @@ def two_gen_mixed_envelope(
         "x": s.scale(p),
         "y": t1.scale(p) + s ** p,
     }
-    rho_images = {"x": s}
     psi_s = div_p(substitute(amb_lift.images["x"], structural, target=ring))
     psi_t = div_p(
         substitute(amb_lift.images["y"], structural, target=ring), psi_s ** p
@@ -483,7 +452,6 @@ def two_gen_mixed_envelope(
         ambient=amb_lift,
         cut_gens=("x",),
         structural_images=structural,
-        rho_images=rho_images,
         lift=lift,
         relations=("p*s = x", f"p*t^[1] = y - s^{p}"),
         # t divides the weight-p element y - s^p, so it carries weight p;
@@ -515,7 +483,8 @@ class EnvelopeReport:
 def check_envelope_frobenius(pres: EnvelopePresentation) -> EnvelopeReport:
     """Verify the Frobenius structure of a presentation.
 
-    For stagewise presentations the mod-p congruence for a stage
+    A presentation without a Frobenius lift (a dilatation) has nothing to
+    check, and its report is empty and passes.  For stagewise presentations the mod-p congruence for a stage
     generator is against the image of the matching delta-iterate, since
     t^p only reduces to that iterate modulo the recorded relations.  The
     intertwining psi(structural(g)) = structural(phi(g)) is exact at the
@@ -523,9 +492,6 @@ def check_envelope_frobenius(pres: EnvelopePresentation) -> EnvelopeReport:
     """
     checks: list[EnvelopeCheck] = []
     if pres.lift is None:
-        checks.append(
-            EnvelopeCheck("frobenius-lift", False, "no lift installed")
-        )
         return EnvelopeReport(checks)
     lift = pres.lift
     ring = pres.ring
@@ -556,18 +522,17 @@ def check_envelope_frobenius(pres: EnvelopePresentation) -> EnvelopeReport:
         checks.append(
             EnvelopeCheck(f"divisibility:{u}", ok, f"psi({u}) lies in p*ring")
         )
-    if amb_lift is not None:
-        for g in amb_lift.ring.all_gens():
-            lhs = substitute(pres.structural_images[g], lift.images, target=ring)
-            rhs = pres.structural_map(amb_lift.images[g])
-            ok = equal_reduced(lhs, rhs)
-            checks.append(
-                EnvelopeCheck(
-                    f"intertwining:{g}",
-                    ok,
-                    f"psi(structural({g})) = structural(phi({g}))",
-                )
+    for g in amb_lift.ring.all_gens():
+        lhs = substitute(pres.structural_images[g], lift.images, target=ring)
+        rhs = pres.structural_map(amb_lift.images[g])
+        ok = equal_reduced(lhs, rhs)
+        checks.append(
+            EnvelopeCheck(
+                f"intertwining:{g}",
+                ok,
+                f"psi(structural({g})) = structural(phi({g}))",
             )
+        )
     return EnvelopeReport(checks)
 
 
@@ -578,51 +543,23 @@ def mod_p_dimensions(
 
     Ordinary generators contribute free exponents except stage
     generators below the top stage, which are capped below p; pd
-    generators contribute one divided power per weight.  Returns counts
-    for d = 0 .. weight_cap.
+    generators contribute one divided power per weight.  So the counts
+    for d = 0 .. weight_cap are the coefficients of the product, cut at
+    z^weight_cap, of one series 1 + z^w + ... + z^(bound*w) per
+    generator of weight w.
     """
-    ring = pres.ring
-    p = ring.modulus.p
-    counts = [0] * (weight_cap + 1)
-    stage_of = {name: (x, j) for (x, j), name in pres.stage_names.items()}
-
-    gen_specs: list[tuple[int, Optional[int]]] = []
-    for g in ring.ordinary_gens:
+    p = pres.ring.modulus.p
+    capped = {
+        name for (_, j), name in pres.stage_names.items() if j < pres.stage_count
+    }
+    counts = [1] + [0] * weight_cap
+    for g in pres.ring.all_gens():
         w = pres.gen_weights.get(g, 1)
-        if g in stage_of:
-            x, j = stage_of[g]
-            bound = None if j == pres.stage_count else p - 1
-        else:
-            bound = None
-        gen_specs.append((w, bound))
-
-    def count_ordinary(idx: int, budget: int) -> int:
-        if idx == len(gen_specs):
-            return 1
-        w, bound = gen_specs[idx]
-        total = 0
-        e = 0
-        while e * w <= budget and (bound is None or e <= bound):
-            total += count_ordinary(idx + 1, budget - e * w)
-            e += 1
-        return total
-
-    pd_weights = [pres.gen_weights.get(u, 1) for u in ring.pd_gens]
-
-    def count_pd(idx: int, budget: int) -> int:
-        if idx == len(pd_weights):
-            return count_ordinary(0, budget)
-        total = 0
-        e = 0
-        while e * pd_weights[idx] <= budget:
-            total += count_pd(idx + 1, budget - e * pd_weights[idx])
-            e += 1
-        return total
-
-    for d in range(weight_cap + 1):
-        exact = count_pd(0, d)
-        below = count_pd(0, d - 1) if d else 0
-        counts[d] = exact - below
+        bound = p - 1 if g in capped else weight_cap
+        counts = [
+            sum(counts[d - e * w] for e in range(min(bound, d // w) + 1))
+            for d in range(weight_cap + 1)
+        ]
     return counts
 
 

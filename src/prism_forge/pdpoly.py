@@ -976,15 +976,19 @@ def _substitute_into(
     factors its sums are reduced and its zeros at full precision dropped,
     exactly as the element mul returns would hold them, so that a term
     that vanishes drops no later product to the caps; the last factor
-    adds into one accumulator for all terms.
+    adds into one accumulator for all terms.  A term that is a zero known
+    to N adds nothing, so its image powers, and their truncation, are
+    never formed.
     """
     target = powers.target
     base = target.modulus
-    p, N = base.p, base.N
+    p, N, q = base.p, base.N, base.cardinality
     codec = target._codec
     cap_o, cap_d = target.poly_degree_cap, target.pd_degree_cap
     truncated = False
     for mono, r, n in terms:
+        if n == N and r % q == 0:
+            continue
         factors, factors_low = powers.factors(mono)
         # valuations matter only to a product with a coefficient below N
         valued = n != N or factors_low

@@ -341,6 +341,9 @@ def element_substitute(a, images, target=None):
     result = target.zero()
     for mono, coeff in a.terms.items():
         acc = target.constant(coeff)
+        if not acc.terms:
+            # a zero known to the target's precision adds nothing
+            continue
         for name, e in zip(ring.ordinary_gens, mono.ordinary):
             if e:
                 acc = scalar_mul(acc, power_of(name, e, divided=False))

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prism_forge.padic import Modulus, PrecisionExhausted, valuation, Scalar
-from prism_forge.pdpoly import Element, Monomial, RingSpec
+from prism_forge.pdpoly import Element, Monomial, RingSpec, window_monomials
 from prism_forge.deltaring import FrobeniusLift
 from prism_forge.envelopes import (
     CoordinateImmersion,
@@ -16,7 +16,7 @@ from prism_forge.envelopes import (
 )
 from prism_forge.derham import (
     NotIntegrable,
-    _d_walk,
+    _d_table,
     PConnection,
     WindowOverflow,
     apply_pconnection,
@@ -495,8 +495,10 @@ class TestContractionAgainstOracle:
     @example(cell_case(2, 4, 3, 3, {(0, 0, 0): (1, 4)}, {(1, 1, 0): (0, 2)}, truncated=True))
     def test_walk_contraction_and_identities(self, case):
         conn, batch = case
+        window = window_monomials(conn.ring, conn.ring.pd_degree_cap)
         for e in batch:
-            assert [(m, in_order(t)) for m, t in _d_walk(conn, e)] == [
+            table = _d_table(conn, e, window)
+            assert [(m, in_order(t)) for m, t in table.values()] == [
                 (m, in_order(t)) for m, t in oracles.d_walk(conn, e)
             ]
             assert in_order(poincare_contraction(conn, e)) == in_order(

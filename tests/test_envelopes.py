@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prism_forge.padic import Modulus, NotDivisible, Scalar
 from prism_forge.pdpoly import RingSpec, divisible_by_p, equal_reduced
@@ -54,6 +56,9 @@ class TestDilatation:
         assert pres.structural_images["y"].render() == "y"
         assert pres.relations == ("p*t = x",)
         assert pres.lift is None
+        # no lift, nothing to check: the report is empty and passes
+        report = check_envelope_frobenius(pres)
+        assert report.checks == [] and report.passed
 
     def test_rho_divides_ideal_elements(self):
         ring = poly_ring(3, 3, ("x", "y"))
@@ -80,7 +85,7 @@ class TestDilatation:
         ring = poly_ring(3, 3, ("x", "t"))
         pres = dilatation(CoordinateImmersion(power_lift(ring), ("x",)))
         assert pres.ring.ordinary_gens == ("t", "t1")
-        assert pres.rho_images["x"].render() == "t1"
+        assert pres.rho(ring.gen("x")).render() == "t1"
 
     def test_rho_on_random_ideal_elements(self):
         ring = poly_ring(3, 3, ("x", "y"))
@@ -357,3 +362,64 @@ class TestSerialization:
         assert d["relations"][1] == "p*t2 = -t1^3"
         assert d["stages"] == 2
         assert "frobenius" in d
+
+
+# -- properties of the cut constructors -----------------------------------------
+
+
+@st.composite
+def immersions(draw):
+    """W[x], W[x,y] or W[x,y,z] over Z/p^N with a nonempty cut and a lift
+    phi(g) = g^p + p*h_g, h_g of up to two terms of degree at most 2 in
+    each generator.  For a cut generator the terms of p*h_x outside the
+    cut ideal are p^2-divisible, so the immersion is aligned."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(2, 4))
+    gens = draw(st.sampled_from((("x",), ("x", "y"), ("x", "y", "z"))))
+    ring = poly_ring(p, N, gens)
+    cut = tuple(g for g in gens if draw(st.booleans())) or (gens[0],)
+    cut_idx = [gens.index(x) for x in cut]
+    images = {}
+    for g in gens:
+        h = {}
+        for _ in range(draw(st.integers(0, 2))):
+            o = tuple(draw(st.integers(0, 2)) for _ in gens)
+            c = draw(st.integers(0, ring.modulus.cardinality - 1))
+            if g in cut and not any(o[i] for i in cut_idx):
+                c *= p
+            h[o] = c
+        images[g] = ring.gen(g) ** p + sum(
+            (ring.monomial(dict(zip(gens, o)), {}, c) for o, c in h.items()),
+            ring.zero(),
+        ).scale(p)
+    return CoordinateImmersion(FrobeniusLift(ring=ring, images=images), cut)
+
+
+def _cut_envelopes(imm):
+    """(presentation, names of the generators x/p) for the dilatation,
+    every stage count below N and the aligned envelope."""
+    r = len(imm.cut_gens)
+    t_names = ("t",) if r == 1 else tuple(f"t{i}" for i in range(1, r + 1))
+    firsts = ("t1",) if r == 1 else tuple(f"t{i}_1" for i in range(1, r + 1))
+    out = [(dilatation(imm), t_names), (prismatic_envelope_aligned(imm), t_names)]
+    for s in range(1, imm.ambient.ring.modulus.N):
+        out.append((prismatic_envelope_stages(imm, s), firsts))
+    return out
+
+
+class TestCutProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(immersions())
+    def test_dimensions_rho_and_frobenius(self, imm):
+        amb = imm.ambient.ring
+        N = amb.modulus.N
+        for pres, names in _cut_envelopes(imm):
+            # the stage series telescope to that of a polynomial ring on
+            # as many generators as the ambient ring has
+            for cap in range(9):
+                assert mod_p_dimensions(pres, cap) == polynomial_dimensions(
+                    len(amb.ordinary_gens), cap)
+            for x, t in zip(imm.cut_gens, names):
+                assert pres.rho(amb.gen(x)) == pres.ring.gen(t).reduce_precision(N - 1)
+            report = check_envelope_frobenius(pres)
+            assert report.passed, [c.detail for c in report.failures()]

@@ -375,21 +375,26 @@ class TestCoefficientsPastThePrecision:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_substitute_reads_the_element_at_the_target_precision(self, data):
-        """The same terms, or the same exception.  The truncation flags may
-        differ: a term that vanishes mod p^N still takes the images'
-        powers, and their flags, as a zero constant would, where map_to
-        drops it."""
+        """The same terms and truncation flag, or the same exception."""
         a, images, target = data.draw(substitution_cases())
         if target.modulus.N == a.ring.modulus.N:
             N = a.ring.modulus.N
             target = a.ring.at_precision(data.draw(st.integers(1, max(N - 1, 1))))
             images = {g: img.map_to(target) for g, img in images.items()}
+        assert outcome(substitute, a, images, target) == outcome(
+            substitute, a.map_to(target), images, target)
 
-        def terms(e):
-            got = outcome(substitute, e, images, target)
-            return got if isinstance(got, type) else got[0]
-
-        assert terms(a) == terms(a.map_to(target))
+    def test_a_term_vanishing_at_the_target_precision_truncates_nothing(self):
+        """x^2 with coefficient 4 is zero mod 2^2, so the cube of x's image,
+        which the cap of 4 would cut, is never formed."""
+        src = RingSpec(("x",), (), Modulus(2, 3), 4, 0)
+        tgt = src.at_precision(2)
+        a = src.monomial({"x": 2}, {}, 4)
+        images = {"x": tgt.gen("x") ** 3}
+        got = substitute(a, images, tgt)
+        assert got.is_zero() and not got.truncated
+        assert outcome(substitute, a, images, tgt) == outcome(
+            element_substitute, a, images, tgt)
 
 
 class TestSubstitute:
