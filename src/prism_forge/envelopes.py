@@ -484,11 +484,12 @@ def check_envelope_frobenius(pres: EnvelopePresentation) -> EnvelopeReport:
     """Verify the Frobenius structure of a presentation.
 
     A presentation without a Frobenius lift (a dilatation) has nothing to
-    check, and its report is empty and passes.  For stagewise presentations the mod-p congruence for a stage
-    generator is against the image of the matching delta-iterate, since
-    t^p only reduces to that iterate modulo the recorded relations.  The
-    intertwining psi(structural(g)) = structural(phi(g)) is exact at the
-    precision both sides carry.
+    check, and its report is empty and passes.  For stagewise
+    presentations the mod-p congruence for a stage generator is against
+    the image of the matching delta-iterate, since t^p only reduces to
+    that iterate modulo the recorded relations.  The intertwining
+    psi(structural(g)) = structural(phi(g)) is exact at the precision
+    both sides carry.
     """
     checks: list[EnvelopeCheck] = []
     if pres.lift is None:
