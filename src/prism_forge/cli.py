@@ -526,11 +526,11 @@ def _check_cotangent(sc: Scenario, params: dict) -> CheckResult:
     ring = sc.ring(pd_cap=max(sc.pd_degree, cap + 1))
     lift = sc.lift(ring)
     rep = cotangent_comparison(lift, sc.cut, cap)
-    info = {"cap": cap, "quasi_iso": rep.quasi_iso.passed, "detail": rep.detail}
+    info = {"cap": cap, "quasi_iso": rep.passed, "detail": rep.detail}
     lines = [
         f"cotangent comparison, cut {{{', '.join(sc.cut)}}} in {sc.ring_text},"
         f" cap {cap}:",
-        f"  quasi-isomorphism: {'yes' if rep.quasi_iso.passed else 'NO'}",
+        f"  quasi-isomorphism: {'yes' if rep.passed else 'NO'}",
     ]
     return CheckResult("cotangent", rep.passed, info, lines)
 

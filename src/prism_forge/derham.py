@@ -221,13 +221,15 @@ def envelope_p_connection(
 ) -> PConnection:
     """Connection of an envelope, in the ambient coordinate differentials.
 
-    The derivation rules are the recorded connection rows of the
+    One coordinate per ambient generator, divided powers included.  The
+    derivation rules are the recorded connection rows of the
     presentation, so d' agrees with the p-twisted exterior derivative of
-    the ambient ring pushed through the structural map.
+    the ambient ring pushed through the structural map: an ambient
+    divided power u that the cut keeps has d'u = p du.
     """
     return PConnection(
         ring=pres.ring,
-        coordinates=pres.ambient.ring.ordinary_gens,
+        coordinates=pres.ambient.ring.all_gens(),
         gen_differentials={g: dict(row) for g, row in pres.connection_images.items()},
         rank=rank,
         matrices=matrices or {},
@@ -267,6 +269,24 @@ def _nabla_basis(
         if not row[slot].is_zero():
             pieces.append((i, row[slot] * f))
     return pieces
+
+
+def _twisted_by(conn: PConnection, gens: Sequence[str], c: int) -> bool:
+    """Whether the coordinates pair with gens by position, each d'g being
+    c dx for its coordinate x and nothing else: the one reading of the
+    twist rows (c = p canonical, c = 1 untwisted).  A missing row, d'g = 0,
+    fails wherever c is nonzero mod p^N."""
+    ring = conn.ring
+    if len(gens) != len(conn.coordinates):
+        return False
+    want = ring.constant(c)
+    for g, x in zip(gens, conn.coordinates):
+        row = conn.gen_differentials.get(g, {})
+        if any(k != x and not e.is_zero() for k, e in row.items()):
+            return False
+        if not equal_reduced(row.get(x, ring.zero()), want):
+            return False
+    return True
 
 
 # -- integrability -----------------------------------------------------------
@@ -357,18 +377,19 @@ class DeRhamComplex:
     # -- moving between forms and coordinate vectors -------------------------
 
     def vector_of(self, q: int, parts: Mapping[Tuple[int, ...], Sequence[Element]]) -> List[int]:
-        """Coordinate vector of a q-form given as wedge -> rank components."""
-        vec = [0] * self.rank(q)
+        """Coordinate vector of a q-form given as wedge -> rank components,
+        each written by the builder's rule (_add_form): a truncated or
+        out-of-window component raises WindowOverflow, and one known
+        below the ring's precision PrecisionExhausted."""
+        index = self._index[q] if 0 <= q < len(self._index) else {}
+        col: SparseRows = [{} for _ in range(self.rank(q))]
         for wedge, comps in parts.items():
             if len(comps) != self.connection.rank:
                 raise ValueError("component list does not match the module rank")
             for slot, e in enumerate(comps):
-                for mono, c in e.terms.items():
-                    if c.residue == 0:
-                        continue
-                    vec[self.index_of(q, (mono, slot, tuple(wedge)))] += c.residue
+                _add_form(col, index, 0, e, slot, tuple(wedge), 1, False)
         pN = self.connection.ring.modulus.cardinality
-        return [v % pN for v in vec]
+        return [row.get(0, 0) % pN for row in col]
 
     def form_of(self, q: int, vec: Sequence[int]) -> Dict[Tuple[int, ...], List[Element]]:
         """Inverse of vector_of; zero components are left out."""
@@ -390,6 +411,48 @@ class DeRhamComplex:
 
 def _insertion_sign(wedge: Tuple[int, ...], k: int) -> int:
     return -1 if sum(1 for s in wedge if s < k) % 2 else 1
+
+
+def _add_form(
+    rows: SparseRows,
+    index: Mapping[BasisForm, int],
+    col: int,
+    g: Element,
+    slot: int,
+    wedge: Tuple[int, ...],
+    sign: int,
+    clip: bool,
+) -> None:
+    """Add sign * g e_slot dx_wedge into column col of a window's rows.
+
+    index gives the row of each basis form.  The one way a form enters a
+    window: a g the ring caps truncated raises WindowOverflow, zero
+    residues are skipped, a nonzero coefficient known below the ring's
+    precision raises PrecisionExhausted, and a monomial outside the
+    window raises WindowOverflow.  clip=True drops what the caps or the
+    window cut instead.  Entries are left unreduced mod p^N.
+    """
+    if g.truncated and not clip:
+        raise WindowOverflow(
+            "ring degree caps clipped a coefficient of a form; enlarge the ring caps"
+        )
+    N = g.ring.modulus.N
+    for mono, c in g.terms.items():
+        if c.residue == 0:
+            continue
+        if c.precision < N:
+            raise PrecisionExhausted(
+                f"coefficient of {mono} known only mod p^{c.precision}"
+            )
+        row = index.get((mono, slot, wedge))
+        if row is None:
+            if clip:
+                continue
+            raise WindowOverflow(
+                f"the degree-{len(wedge)} window has no {mono} in slot {slot}; "
+                "raise the cap or weights"
+            )
+        rows[row][col] = rows[row].get(col, 0) + sign * c.residue
 
 
 def build_p_derham(
@@ -452,32 +515,6 @@ def build_p_derham(
     diffs: List[SparseRows] = []
     for q in range(m):
         mat: SparseRows = [{} for _ in bases[q + 1]]
-
-        def add(g: Element, slot: int, wedge: Tuple[int, ...], sign: int, col: int) -> None:
-            if g.truncated and not clip:
-                raise WindowOverflow(
-                    "ring degree caps clipped a differential image; "
-                    "enlarge the ring caps"
-                )
-            for mono, c in g.terms.items():
-                if c.residue == 0:
-                    continue
-                if c.precision < modulus.N:
-                    raise PrecisionExhausted(
-                        f"differential coefficient of {mono} known only "
-                        f"mod p^{c.precision}"
-                    )
-                target = (mono, slot, wedge)
-                row = index[q + 1].get(target)
-                if row is None:
-                    if clip:
-                        continue
-                    raise WindowOverflow(
-                        f"degree-{q} differential needs {mono} in the "
-                        f"degree-{q + 1} window; raise the cap or weights"
-                    )
-                mat[row][col] = mat[row].get(col, 0) + sign * c.residue
-
         for col, (mono, slot, wedge) in enumerate(bases[q]):
             f = Element(ring, {mono: one})
             for k, coord in enumerate(conn.coordinates):
@@ -486,7 +523,7 @@ def build_p_derham(
                 sign = _insertion_sign(wedge, k)
                 bigger = tuple(sorted(wedge + (k,)))
                 for i, g in _nabla_basis(conn, coord, amats[k], f, slot):
-                    add(g, i, bigger, sign, col)
+                    _add_form(mat, index[q + 1], col, g, i, bigger, sign, clip)
         diffs.append([{j: x % pN for j, x in row.items() if x % pN} for row in mat])
 
     cx = FiniteComplex(
@@ -602,15 +639,7 @@ def _is_divided_power_cell(conn: PConnection) -> bool:
         for mat in conn.matrices.values()
     ):
         return False
-    if len(ring.pd_gens) != len(conn.coordinates):
-        return False
-    for t, x in zip(ring.pd_gens, conn.coordinates):
-        row = conn.gen_differentials.get(t, {})
-        if set(k for k, e in row.items() if not e.is_zero()) != {x}:
-            return False
-        if not (row[x] - ring.one()).is_zero():
-            return False
-    return True
+    return _twisted_by(conn, ring.pd_gens, 1)
 
 
 def _require_divided_power_cell(conn: PConnection) -> None:

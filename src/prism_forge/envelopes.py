@@ -9,9 +9,10 @@ delta-iterate, and the aligned prismatic envelope that collapses those
 stages into a single divided-power variable when the Frobenius image of
 each cut generator falls back into the cut ideal up to p^2-terms.
 
-All three start from one cut: t = x/p adjoined for each cut generator
-x, the structural map x -> p*t, the connection rows d'g = p*dg and
-d't = dx, and the first Frobenius images psi(t) = phi(x)/p.
+All three start from one cut of the ambient ring: t = x/p adjoined for
+each cut generator x, the structural map x -> p*t, the connection rows
+d'g = p*dg (ambient divided powers included) and d't = dx, and the
+first Frobenius images psi(t) = phi(x)/p.
 
 Monomials in the new variables, constrained stage-by-stage below the
 prime, form a normal-form basis mod p; the presentations expose enough
@@ -157,34 +158,35 @@ def _fresh_names(base: str, count: int, taken: Sequence[str]) -> tuple[str, ...]
 
 
 def _cut(
-    immersion: CoordinateImmersion,
+    amb: RingSpec,
+    cut_gens: Sequence[str],
     t_names: Sequence[str],
     new_gens: Sequence[str],
     pd_degree_cap: Optional[int] = None,
 ) -> tuple[RingSpec, dict[str, Element], dict[str, dict[str, Element]]]:
-    """Adjoin t = x/p for each cut generator x, named in t_names.
+    """Adjoin t = x/p to the ambient ring amb for each cut generator x,
+    named in t_names.
 
-    The ring is the survivors' ring with new_gens, which hold the t's,
-    adjoined as ordinary generators or, given a divided-power cap, as
-    divided-power generators after the ambient ones.  Returns the ring,
-    the structural images (x -> p*t, every other ambient generator to
-    itself) and the connection rows: d'g = p*dg on the surviving
-    generators and d't = dx.
+    The ring is amb without the cut generators, with new_gens, which hold
+    the t's, adjoined as ordinary generators or, given a divided-power
+    cap, as divided-power generators after the ambient ones.  Returns the
+    ring, the structural images (x -> p*t, every other ambient generator
+    to itself) and the connection rows: d'g = p*dg on every uncut ambient
+    generator, divided powers included, and d't = dx.
     """
-    amb = immersion.ambient.ring
-    survivors = immersion.surviving_gens
+    kept = tuple(g for g in amb.ordinary_gens if g not in cut_gens)
     divided = pd_degree_cap is not None
     ring = RingSpec(
-        ordinary_gens=survivors + (() if divided else tuple(new_gens)),
+        ordinary_gens=kept + (() if divided else tuple(new_gens)),
         pd_gens=amb.pd_gens + (tuple(new_gens) if divided else ()),
         modulus=amb.modulus,
         poly_degree_cap=amb.poly_degree_cap,
         pd_degree_cap=pd_degree_cap if divided else amb.pd_degree_cap,
     )
     p = amb.modulus.p
-    structural = {g: ring.gen(g) for g in survivors + amb.pd_gens}
-    conn = {g: {g: ring.constant(p)} for g in survivors}
-    for x, t in zip(immersion.cut_gens, t_names):
+    structural = {g: ring.gen(g) for g in kept + amb.pd_gens}
+    conn = {g: {g: ring.constant(p)} for g in kept + amb.pd_gens}
+    for x, t in zip(cut_gens, t_names):
         structural[x] = ring.gen(t).scale(p)
         conn[t] = {x: ring.one()}
     return ring, structural, conn
@@ -220,7 +222,7 @@ def dilatation(immersion: CoordinateImmersion) -> EnvelopePresentation:
     if amb.pd_gens:
         raise ValueError("dilatation expects a purely polynomial ambient ring")
     t_names = _fresh_names("t", len(immersion.cut_gens), amb.ordinary_gens)
-    ring, structural, conn = _cut(immersion, t_names, t_names)
+    ring, structural, conn = _cut(amb, immersion.cut_gens, t_names, t_names)
     return EnvelopePresentation(
         kind=EnvelopeKind.DILATATION,
         ring=ring,
@@ -268,7 +270,9 @@ def prismatic_envelope_stages(
         for j in range(1, stages + 1):
             stage_names[(x, j)] = fresh_name(f"{base}{j}", taken)
     firsts = tuple(stage_names[(x, 1)] for x in immersion.cut_gens)
-    ring, structural, conn = _cut(immersion, firsts, tuple(stage_names.values()))
+    ring, structural, conn = _cut(
+        amb, immersion.cut_gens, firsts, tuple(stage_names.values())
+    )
     p = modulus.p
 
     # ambient delta-iterates, kept in ambient coordinates for the
@@ -377,7 +381,9 @@ def prismatic_envelope_aligned(
         pd_degree_cap = (
             amb.pd_degree_cap if amb.pd_degree_cap > 0 else amb.poly_degree_cap
         )
-    ring, structural, conn = _cut(immersion, t_names, t_names, pd_degree_cap)
+    ring, structural, conn = _cut(
+        amb, immersion.cut_gens, t_names, t_names, pd_degree_cap
+    )
     return EnvelopePresentation(
         kind=EnvelopeKind.PRISMATIC_ALIGNED,
         ring=ring,

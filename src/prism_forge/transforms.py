@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,9 +37,11 @@ from .derham import (
     EMatrix,
     PConnection,
     WindowOverflow,
+    _add_form,
     _e_all,
     _e_map,
     _e_zero,
+    _twisted_by,
     build_p_derham,
     polynomial_connection,
     polynomial_p_connection,
@@ -53,7 +56,8 @@ from .homology import (
     is_strict_quasi_iso,
     mapping_cone,
 )
-from .padic import Modulus, NotDivisible, PrecisionExhausted, Scalar
+from .envelopes import _cut
+from .padic import Modulus, NotDivisible, Scalar
 from .pdpoly import (
     Element,
     Monomial,
@@ -64,6 +68,7 @@ from .pdpoly import (
     _residues_mul,
     _residues_partial,
     div_p,
+    divisible_by_p,
     equal_reduced,
     fresh_name,
     partial_derivative,
@@ -91,7 +96,6 @@ __all__ = [
     "cartier_identity_check",
     "ComparisonReport",
     "check_pushforward_quasi_iso",
-    "CotangentReport",
     "cotangent_comparison",
 ]
 
@@ -160,10 +164,7 @@ class RelativeFrobenius:
             e = self.images[gp]
             if e.ring != img:
                 raise ValueError(f"image of {gp!r} lives in the wrong ring")
-            diff = e - img.gen(g) ** p
-            if not all(
-                c.residue % p == 0 for c in diff.terms.values()
-            ):
+            if not divisible_by_p(e - img.gen(g) ** p):
                 raise ValueError(
                     f"image of {gp!r} is not {g}^p mod p; not a relative Frobenius"
                 )
@@ -225,18 +226,11 @@ def _require_canonical_twist(conn: PConnection, what: str) -> None:
     ring = conn.ring
     if conn.coordinates != ring.all_gens():
         raise ValueError(f"{what} needs coordinates equal to the ring generators")
-    p = ring.modulus.p
-    for g in ring.ordinary_gens:
-        row = conn.gen_differentials.get(g, {})
-        live = {x for x, e in row.items() if not e.is_zero()}
-        ok = live <= {g} and (
-            g not in row or equal_reduced(row.get(g, ring.zero()), ring.constant(p))
+    if not _twisted_by(conn, ring.all_gens(), ring.modulus.p):
+        raise ValueError(
+            f"{what} needs the canonical p-twisted derivative d'g = p dg "
+            "on every generator"
         )
-        if not ok:
-            raise ValueError(
-                f"{what} needs the canonical p-twisted derivative, "
-                f"but d'{g} is nonstandard"
-            )
 
 
 # -- F-transform and p-transform ------------------------------------------------
@@ -335,10 +329,8 @@ def pullback_factorization_failures(
     expected = phi_pullback_matrices(rf, pconn)
     img = rf.image_ring
     failures = []
-    for g in img.ordinary_gens:
-        row = composite.gen_differentials.get(g, {})
-        if not equal_reduced(row.get(g, img.zero()), img.constant(img.modulus.p)):
-            failures.append(f"composite twist rule for {g} is not p dg")
+    if not _twisted_by(composite, img.ordinary_gens, img.modulus.p):
+        failures.append("composite twist rule is not d'g = p dg")
     for x in img.ordinary_gens:
         got, want = composite.matrix(x), expected[x]
         for i, (got_row, want_row) in enumerate(zip(got, want)):
@@ -378,79 +370,63 @@ def isogeny_maps(cx: FiniteComplex, cx_p: FiniteComplex) -> Tuple[ChainMap, Chai
     )
 
 
-def _assert_full_precision(e: Element) -> None:
-    N = e.ring.modulus.N
-    for mono, c in e.terms.items():
-        if c.residue != 0 and c.precision < N:
-            raise PrecisionExhausted(
-                f"comparison coefficient of {mono} known only mod p^{c.precision}"
-            )
-
-
-def _zeta_wedge_columns(
-    domain_gens: Tuple[str, ...],
+def _zeta_wedge(
     zeta: Mapping[str, Mapping[str, Element]],
     source: DeRhamComplex,
     target: DeRhamComplex,
-    q: int,
-    scale_power: int,
-    pushforward,
-) -> SparseRows:
-    """Rows of p^scale_power * (q-fold zeta wedge) o pushforward.
+    pushforward: Callable[[Element], Element],
+    scaled: bool,
+) -> ChainMap:
+    """The chain map p^q * (q-fold zeta wedge) o pushforward in each
+    degree q, or the bare wedge when not scaled.
 
-    zeta rows must already live in the target coefficient ring.
+    zeta is keyed by the source coordinates, and its rows must already
+    live in the target coefficient ring.  Each image enters the target
+    window by derham's _add_form rule; a pushforward the caps truncated
+    is refused first, since a truncated zero has no terms to refuse.
     """
     img = target.connection.ring
     p = img.modulus.p
     rank = source.connection.rank
+    gens = source.connection.coordinates
     coords = list(img.ordinary_gens)
-    rows: SparseRows = [{} for _ in range(target.rank(q))]
     one = Scalar(1, source.connection.ring.modulus)
-    for col, (mono, slot, wedge) in enumerate(source.basis(q)):
-        base = pushforward(Element(source.connection.ring, {mono: one}))
-        if base.truncated:
-            raise WindowOverflow(
-                "pushforward left the image ring caps; raise poly_degree_cap"
-            )
-        parts: Dict[Tuple[int, ...], List[Element]] = {
-            (): [img.zero()] * rank
-        }
-        parts[()][slot] = base
-        for k in wedge:
-            xp = domain_gens[k]
-            new: Dict[Tuple[int, ...], List[Element]] = {}
-            for held, comps in parts.items():
-                for l, x in enumerate(coords):
-                    z = zeta[xp].get(x)
-                    if z is None or l in held:
-                        continue
-                    sign = -1 if sum(1 for t in held if t > l) % 2 else 1
-                    grown = tuple(sorted(held + (l,)))
-                    bucket = new.setdefault(grown, [img.zero()] * rank)
-                    for i in range(rank):
-                        if comps[i].is_zero():
+    blocks: List[SparseRows] = []
+    for q in range(len(gens) + 1):
+        rows: SparseRows = [{} for _ in range(target.rank(q))]
+        for col, (mono, slot, wedge) in enumerate(source.basis(q)):
+            base = pushforward(Element(source.connection.ring, {mono: one}))
+            if base.truncated:
+                raise WindowOverflow(
+                    "pushforward left the image ring caps; raise poly_degree_cap"
+                )
+            parts: Dict[Tuple[int, ...], List[Element]] = {(): [img.zero()] * rank}
+            parts[()][slot] = base
+            for k in wedge:
+                new: Dict[Tuple[int, ...], List[Element]] = {}
+                for held, comps in parts.items():
+                    for l, x in enumerate(coords):
+                        z = zeta[gens[k]].get(x)
+                        if z is None or l in held:
                             continue
-                        piece = comps[i] * z
-                        bucket[i] = (
-                            bucket[i] + piece if sign > 0 else bucket[i] - piece
-                        )
-            parts = new
-        scaled: Dict[Tuple[int, ...], List[Element]] = {}
-        for held, comps in parts.items():
-            row = []
-            for e in comps:
-                e = e.scale(pow(p, scale_power)) if scale_power else e
-                if e.truncated:
-                    raise WindowOverflow(
-                        "zeta wedge left the image ring caps; raise poly_degree_cap"
-                    )
-                _assert_full_precision(e)
-                row.append(e)
-            scaled[held] = row
-        for r, v in enumerate(target.vector_of(q, scaled)):
-            if v:
-                rows[r][col] = v
-    return rows
+                        sign = -1 if sum(1 for t in held if t > l) % 2 else 1
+                        grown = tuple(sorted(held + (l,)))
+                        bucket = new.setdefault(grown, [img.zero()] * rank)
+                        for i in range(rank):
+                            if comps[i].is_zero():
+                                continue
+                            piece = comps[i] * z
+                            bucket[i] = (
+                                bucket[i] + piece if sign > 0 else bucket[i] - piece
+                            )
+                parts = new
+            for held, comps in parts.items():
+                for i, e in enumerate(comps):
+                    e = e.scale(p ** q) if scaled and q else e
+                    _add_form(rows, target._index[q], col, e, i, held, 1, False)
+        pN = img.modulus.cardinality
+        blocks.append([{j: x % pN for j, x in row.items() if x % pN} for row in rows])
+    return ChainMap(source=source.complex, target=target.complex, rows=tuple(blocks))
 
 
 def frobenius_comparison(
@@ -485,14 +461,7 @@ def frobenius_comparison(
     source = build_p_derham(pconn, cap=window_cap)
     pulled = p_transform(f_transform(rf, pconn))
     target = build_p_derham(pulled, cap=rf.prime * window_cap)
-    m = len(dom.ordinary_gens)
-    rows = tuple(
-        _zeta_wedge_columns(
-            dom.ordinary_gens, rf.zeta, source, target, q, q, rf.pushforward
-        )
-        for q in range(m + 1)
-    )
-    return ChainMap(source=source.complex, target=target.complex, rows=rows)
+    return _zeta_wedge(rf.zeta, source, target, rf.pushforward, scaled=True)
 
 
 @dataclass
@@ -615,14 +584,11 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
         )
     if conn.coordinates != ring.all_gens():
         raise ValueError("coordinates must be the ring generators")
-    for g in ring.ordinary_gens:
-        row = conn.gen_differentials.get(g, {})
-        live = {x for x, e in row.items() if not e.is_zero()}
-        if live != {g} or not equal_reduced(row[g], ring.one()):
-            raise ValueError(
-                "p-curvature needs the untwisted exterior derivative "
-                f"(d{g} = dg); apply the F-transform first"
-            )
+    if not _twisted_by(conn, ring.ordinary_gens, 1):
+        raise ValueError(
+            "p-curvature needs the untwisted exterior derivative "
+            "(d'g = dg on every generator); apply the F-transform first"
+        )
     out: Dict[str, EMatrix] = {}
     for coord in conn.coordinates:
         index = ring.ordinary_index(coord)
@@ -840,17 +806,8 @@ def check_pushforward_quasi_iso(
         target_conn, cap=need, clip=True, windows=[shaped] * (m + 1)
     )
 
-    def push(a: Element) -> Element:
-        return substitute(a, images1, target=img1)
-
-    rows = tuple(
-        _zeta_wedge_columns(
-            dom1.ordinary_gens, zeta1, source, target, q, 0, push
-        )
-        for q in range(m + 1)
-    )
-    cmap = ChainMap(source=source.complex, target=target.complex, rows=rows)
-    qi = is_strict_quasi_iso(cmap)
+    push = partial(substitute, images=images1, target=img1)
+    qi = is_strict_quasi_iso(_zeta_wedge(zeta1, source, target, push, scaled=False))
     sdims = fp_cohomology_dims(source.complex)
     tdims = fp_cohomology_dims(target.complex)
     detail = "" if qi.passed else qi.detail
@@ -866,18 +823,11 @@ def check_pushforward_quasi_iso(
 # -- the conormal comparison -------------------------------------------------------
 
 
-@dataclass
-class CotangentReport:
-    passed: bool
-    quasi_iso: QuasiIsoReport
-    detail: str = ""
-
-
 def cotangent_comparison(
     ambient: FrobeniusLift,
     cut_gens: Sequence[str],
     cap: int,
-) -> CotangentReport:
+) -> QuasiIsoReport:
     """Two-term conormal complex versus the truncated envelope complex.
 
     The conormal module of the cut locus (together with the class of p)
@@ -890,7 +840,8 @@ def cotangent_comparison(
     Introduction to Homological Algebra, 1994, 1.5) that holds exactly
     when the cone has no cohomology in degrees <= 0.  Windows follow the
     conormal weights: the class of p has weight 0, coordinate classes
-    and differentials weight 1.
+    and differentials weight 1.  The envelope is the divided-power cut
+    of envelopes, taken mod p with both caps at cap.
     """
     ring = ambient.ring
     if ring.pd_gens:
@@ -904,36 +855,20 @@ def cotangent_comparison(
             raise ValueError(f"cut generator {g!r} is not an ambient coordinate")
     if cap < 1:
         raise ValueError("window cap must be at least 1")
-    survivors = tuple(g for g in ring.ordinary_gens if g not in cut)
     mod1 = Modulus(p, 1)
-
+    amb1 = RingSpec(ring.ordinary_gens, (), mod1, cap, cap)
     taken = set(ring.ordinary_gens)
     t_names = [fresh_name("t_" + g, taken) for g in cut]
-    env1 = RingSpec(
-        ordinary_gens=survivors,
-        pd_gens=tuple(t_names),
-        modulus=mod1,
-        poly_degree_cap=cap,
-        pd_degree_cap=cap,
-    )
-    rules = {
-        t: {x: env1.one()} for t, x in zip(t_names, cut)
-    }
+    env1, _, rows = _cut(amb1, cut, t_names, t_names, pd_degree_cap=cap)
     conn = PConnection(
         ring=env1,
         coordinates=ring.ordinary_gens,
-        gen_differentials=rules,
+        gen_differentials=rows,
         weights={g: 1 for g in env1.all_gens()},
     )
     dr = build_p_derham(conn, cap=cap)
 
-    ox = RingSpec(
-        ordinary_gens=survivors,
-        pd_gens=(),
-        modulus=mod1,
-        poly_degree_cap=cap,
-        pd_degree_cap=0,
-    )
+    ox = RingSpec(env1.ordinary_gens, (), mod1, cap, 0)
     v_full = window_monomials(ox, cap)
     v_prev = window_monomials(ox, cap - 1)
     m = len(ring.ordinary_gens)
@@ -990,7 +925,4 @@ def cotangent_comparison(
         source=lhs, target=rhs, rows=(block_minus, block_zero, [{}] * n2),
     ))
     # degree 1 of the cone is C^2/B^2, which the comparison does not claim
-    qi = QuasiIsoReport.from_cone_dims(cone.min_degree, fp_cohomology_dims(cone)[:-1])
-    return CotangentReport(
-        passed=qi.passed, quasi_iso=qi, detail="" if qi.passed else qi.detail
-    )
+    return QuasiIsoReport.from_cone_dims(cone.min_degree, fp_cohomology_dims(cone)[:-1])

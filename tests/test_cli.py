@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import re
+import shlex
 import sys
 from importlib.resources import files
 from pathlib import Path
@@ -197,6 +199,36 @@ class TestDeterminism:
         assert [call(argv) for argv in (axioms, poincare, axioms)] == [
             fresh[0], fresh[1], fresh[0]
         ]
+
+
+def readme_one_shots() -> dict:
+    """Subcommand -> argv of each `prism-forge` line in README's sh blocks,
+    but `run`, whose reports the bundled-scenario goldens already hold."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line)[1:] for line in lines if line.startswith("prism-forge ")]
+    return {argv[0]: argv for argv in argvs if argv[0] != "run"}
+
+
+class TestReadmeOneShots:
+    """README's one-shot commands print and write what they did when the
+    goldens under tests/golden/oneshot_* were made."""
+
+    def test_all_six_are_read(self):
+        assert sorted(readme_one_shots()) == [
+            "axioms", "cohomology", "envelope", "ftransform", "pcurvature", "poincare",
+        ]
+
+    @pytest.mark.parametrize("command", sorted(readme_one_shots()))
+    def test_matches_golden(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("PRISM_FORGE_SEED", raising=False)
+        out = tmp_path / "report.json"
+        code = main(readme_one_shots()[command] + ["--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert stdout == (GOLDEN / f"oneshot_{command}.stdout").read_text()
+        assert out.read_bytes() == (GOLDEN / f"oneshot_{command}.report.json").read_bytes()
 
 
 class TestSubcommands:

@@ -135,6 +135,18 @@ class TestTwoVariablePolynomial:
         assert back[(0,)][0] == parts[(0,)][0]
         assert back[(1,)][0] == parts[(1,)][0]
 
+    @pytest.mark.parametrize("make_x, error", [
+        (lambda x, y: x.reduce_precision(1), PrecisionExhausted),
+        (lambda x, y: x + x ** 4 * y, WindowOverflow),
+    ], ids=["known-mod-p", "truncated"])
+    def test_vector_of_refuses_what_the_window_cannot_hold(self, make_x, error):
+        # at N = 2 a coefficient known mod 3 only, or an x whose x^5 y the
+        # caps dropped, must not be read as the residue of x known to N
+        ring, dr = self.make(p=3, N=2, cap=4)
+        dx = make_x(ring.gen("x"), ring.gen("y"))
+        with pytest.raises(error):
+            dr.vector_of(1, {(0,): [dx], (1,): [ring.zero()]})
+
     def test_against_brute_force_counting(self):
         # small enough to enumerate the quotient group directly
         ring = poly_ring(2, 2, ("x", "y"), cap=2)
@@ -193,6 +205,28 @@ class TestEnvelopeComplexes:
         dr = build_p_derham(envelope_p_connection(pres), cap=5)
         assert dr.cohomology(0).exponents == (2,)
         assert dr.cohomology(1).is_trivial()
+
+    @pytest.mark.parametrize("p, N", [(3, 3), (2, 3), (3, 2)])
+    def test_aligned_envelope_over_divided_powers(self, p, N):
+        # cutting x = 0 out of W[x,y]<u> keeps W[y]<u>: the envelope's
+        # ambient divided power u gets d'u = p du and a coordinate, and
+        # its complex has the cohomology of W[y]<u>'s own, window by window
+        amb = RingSpec(("x", "y"), ("u",), Modulus(p, N), 12, 12)
+        images = {"x": amb.gen("x") ** p, "y": amb.gen("y") ** p, "u": amb.gen("u").scale(p)}
+        pres = prismatic_envelope_aligned(
+            CoordinateImmersion(FrobeniusLift(ring=amb, images=images), ("x",))
+        )
+        conn = envelope_p_connection(pres)
+        assert conn.coordinates == ("x", "y", "u")
+        assert conn.gen_differentials["u"] == {"u": pres.ring.constant(p)}
+        assert curvature_failures(conn) == []
+        line = polynomial_p_connection(RingSpec(("y",), ("u",), Modulus(p, N), 12, 12))
+        for cap in range(1, 7):
+            got = build_p_derham(conn, cap=cap).all_cohomology()
+            want = build_p_derham(line, cap=cap).all_cohomology()
+            assert {q: g.exponents for q, g in got.items()} == {
+                **{q: g.exponents for q, g in want.items()}, 3: ()
+            }, cap
 
     def test_dilatation_complex_frozen(self):
         # kernel: constants (exp 2), y and y^2 against 3n b_n = 0 (exp 1

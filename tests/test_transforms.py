@@ -22,6 +22,7 @@ from prism_forge.derham import (
     _e_identity,
     _e_map,
     _e_mul,
+    PConnection,
     apply_pconnection,
     build_p_derham,
     polynomial_connection,
@@ -146,8 +147,16 @@ class TestTransformGuards:
         [
             (lambda rf: polynomial_p_connection(rf.image_ring), "Frobenius domain"),
             (lambda rf: polynomial_connection(rf.domain_ring), "canonical p-twisted"),
+            (
+                lambda rf: PConnection(
+                    ring=rf.domain_ring,
+                    coordinates=rf.domain_ring.all_gens(),
+                    gen_differentials={},
+                ),
+                "canonical p-twisted",
+            ),
         ],
-        ids=["image-ring", "untwisted"],
+        ids=["image-ring", "untwisted", "no-twist-row"],
     )
     def test_refuses(self, entry, make, match):
         rf = line_frobenius(3, 2)
