@@ -382,8 +382,9 @@ def _zeta_wedge(
 
     zeta is keyed by the source coordinates, and its rows must already
     live in the target coefficient ring.  Each image enters the target
-    window by derham's _add_form rule; a pushforward the caps truncated
-    is refused first, since a truncated zero has no terms to refuse.
+    window by derham's _add_form rule.  A pushforward the caps truncated
+    is refused first: the wedge skips zero components, so a base
+    truncated to zero would leave no trace.
     """
     img = target.connection.ring
     p = img.modulus.p
