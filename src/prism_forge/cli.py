@@ -144,6 +144,17 @@ class Scenario:
                 raise ParseError("axioms needs precision >= 2: delta divides by p")
             if "kind" in params and params["kind"] != "mixed" and not self.cut:
                 raise ParseError(f"{name} of kind {params['kind']} needs a cut set")
+            if name == "cotangent" or params.get("kind") in ("stages", "dilatation"):
+                ring = self.ring()
+                if ring.pd_gens:
+                    raise ParseError(f"{name} cuts a polynomial ring, not {self.ring_text}")
+                stray = [g for g in self.cut if g not in ring.ordinary_gens]
+                if stray:
+                    raise ParseError(f"{name} cut {stray[0]!r} is not in {self.ring_text}")
+                if len(set(self.cut)) != len(self.cut):
+                    raise ParseError(f"{name} cut {list(self.cut)} repeats a generator")
+            if params.get("kind") == "stages" and self.stages >= self.precision:
+                raise ParseError(f"{name} needs precision above its {self.stages} stages")
             if name == "cohomology" and params["expect"]:
                 top = len(self.ring().ordinary_gens)
                 degrees = {str(q) for q in range(top + 1)}

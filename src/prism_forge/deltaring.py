@@ -6,8 +6,8 @@ precision than a.  The two delta-ring axioms (additivity with its
 binomial correction, and the twisted Leibniz rule) are checked on
 seeded random samples rather than assumed; the check keeps every sample
 as pdpoly's packed residues and builds elements only for the witnesses
-of a failure.  It forms phi of each monomial once per lift and computes
-each delta in one pass over the sample's terms.
+of a failure.  It forms phi of each monomial once per lift, and each
+delta is phi(x).div_p(x^p), the one division of residues by p.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ from .pdpoly import (
     RingSpec,
     _ImagePowers,
     _Residues,
-    _divide_by_p,
     _from_packed,
     _product_into,
-    _residues_add,
-    _residues_mul,
     _substitute_into,
     div_p,
     divisible_by_p,
@@ -154,38 +151,27 @@ class _PackedLift:
     """The element arithmetic check_delta_axioms needs, on pdpoly's
     _Residues.
 
-    Each step keeps the rules of the element operation it stands for:
-    products and sums by pdpoly's _product_into, _residues_mul and
-    _residues_add, phi by pdpoly._substitute_into over the lift's image
-    powers, and division by p by div_p's rules, so every residue,
-    precision, truncation flag, exception and term order is the one the
-    element computation gives.  Products, sums and powers are only formed
-    of elements known to N everywhere, so they track no precision, and
-    the residuals of the two identities are summed at the precision they
-    are compared at (residual).
-
-    A delta is one pass: phi(x) sums c times the lift's memo image of each
-    monomial (_ImagePowers.image) where the memo allows, and the chain
-    of _substitute_into otherwise; the sum is then reduced and x^p
-    subtracted in the order div_p would subtract it, and the difference
-    goes to _divide_by_p.
+    Sums, products and powers are _Residues' operators, phi sums
+    pdpoly._substitute_into's images over the lift's image powers, and
+    each delta is phi(x).div_p(x^p), so every residue, precision,
+    truncation flag, exception and term order is the one the element
+    computation gives.  Sums, products and powers are only formed of
+    elements known to N everywhere, so they track no precision, and the
+    residuals of the two identities are summed at the precision they are
+    compared at (residual).
     """
 
     def __init__(self, lift: FrobeniusLift) -> None:
-        ring = lift.ring
         self.lift = lift
-        self.ring = ring
-        self.codec = ring._codec
-        self.p, self.N = ring.modulus.p, ring.modulus.N
-        self.card = ring.modulus.cardinality
-        self.cap_o, self.cap_d = ring.poly_degree_cap, ring.pd_degree_cap
-        # the divided-power images are validated at the first delta
+        self.ring = lift.ring
+        # the divided-power images are validated at the first phi
         self.validated = False
 
     def draw(self, rng: random.Random) -> _Residues:
         """A random element: a sum of ring.monomial terms with random
         exponents and coefficients, drawn from rng in that order."""
-        ring, width, card = self.ring, self.codec.width, self.card
+        ring = self.ring
+        width, card = ring._codec.width, ring.modulus.cardinality
         terms: Dict[int, int] = {}
         top = 0
         for _ in range(rng.randint(1, SAMPLE_TERMS)):
@@ -203,9 +189,9 @@ class _PackedLift:
                 key = key << width | e
             weight = SAMPLE_PD_WEIGHT - budget
             c = rng.randrange(card)
-            if degree > self.cap_o:
+            if degree > ring.poly_degree_cap:
                 raise ValueError("monomial exceeds ordinary degree cap")
-            if weight > self.cap_d:
+            if weight > ring.pd_degree_cap:
                 raise ValueError("monomial exceeds divided-power weight cap")
             if c:
                 top = max(top, degree)
@@ -214,47 +200,37 @@ class _PackedLift:
                     terms[key] = c
                 else:
                     del terms[key]
-        return _Residues(terms, top, False)
+        return _Residues(ring, terms, top, False)
 
-    def power(self, x: _Residues, n: int) -> _Residues:
-        """x^n by the products of Element.__pow__."""
-        result = None
-        base = x
-        while n:
-            if n & 1:
-                result = base if result is None else _residues_mul(result, base, self.ring)
-            base_needed = n > 1
-            n >>= 1
-            if base_needed and n:
-                base = _residues_mul(base, base, self.ring)
-        return result
-
-    def powers(self, x: _Residues, n: int) -> List[_Residues]:
-        """[x^0, ..., x^n], each by the products of Element.__pow__."""
-        ring = self.ring
-        out = [_Residues({0: 1}, 0, False), x]
+    @staticmethod
+    def powers(x: _Residues, n: int) -> List[_Residues]:
+        """[x^0, ..., x^n], each by the products of x ** i."""
+        out = [x ** 0, x]
         for i in range(2, n + 1):
             top = 1 << (i.bit_length() - 1)
             if i == top:
-                out.append(_residues_mul(out[top // 2], out[top // 2], ring))
+                out.append(out[top // 2] * out[top // 2])
             else:
-                out.append(_residues_mul(out[i - top], out[top], ring))
+                out.append(out[i - top] * out[top])
         return out
 
-    def delta(self, x: _Residues, x_p: _Residues) -> _Residues:
-        """(phi(x) - x_p) / p for x and x_p = x^p known to N everywhere,
-        as delta(lift, x) forms it with div_p."""
+    def phi(self, x: _Residues) -> _Residues:
+        """phi(x) for x known to N everywhere, as apply_phi gives it: c
+        times the lift's memo image of each monomial
+        (_ImagePowers.image) where the memo allows, the chain of
+        _substitute_into otherwise, reduced with its zeros at N dropped
+        and its precisions kept."""
         lift, ring = self.lift, self.ring
         if not self.validated:
             for name in ring.pd_gens:
                 validate_pd_image(name, lift.images[name])
             self.validated = True
-        p, N, card = self.p, self.N, self.card
-        powers, monomial = lift._powers, self.codec.monomial
+        p, N = ring.modulus.p, ring.modulus.N
+        powers, monomial = lift._powers, ring._codec.monomial
         acc: Dict[int, int] = {}
         precs: Dict[int, int] = {}
-        truncated = x.truncated or x_p.truncated
-        degree = x_p.degree
+        truncated = x.truncated
+        degree = 0
         for k, r in x.terms.items():
             mono = monomial(k)
             image = powers.image(mono)
@@ -267,34 +243,8 @@ class _PackedLift:
             else:
                 if _substitute_into([(mono, r, N)], powers, acc, precs):
                     truncated = True
-                degree = self.cap_o
-        # phi(x) - x_p as div_p takes it: phi's terms, reduced with its
-        # zeros at N dropped, then the keys only x_p holds
-        xp = x_p.terms
-        diff = []
-        gone = []
-        for k, s in acc.items():
-            n = precs.get(k, N)
-            mod = card if n == N else p ** n
-            r = s % mod
-            if r or n < N:
-                d = xp.get(k)
-                diff.append((k, r if d is None else (r - d) % mod, n))
-            else:
-                gone.append(k)
-        for k in gone:
-            del acc[k]
-        diff += [(k, -d % card, N) for k, d in xp.items() if k not in acc]
-        terms: Dict[int, int] = {}
-        out_precs: Dict[int, int] = {}
-        for k, q, n in _divide_by_p(diff, ring, 0, monomial):
-            terms[k] = q
-            out_precs[k] = n
-        return _Residues(terms, degree, truncated, out_precs)
-
-    def min_precision(self, x: _Residues) -> int:
-        # precs holds every key known below N
-        return min(x.precs.values(), default=self.N)
+                degree = ring.poly_degree_cap
+        return _Residues.reduced(ring, acc, degree, truncated, precs)
 
     def residual(self, claim: int, parts: Sequence[Tuple[int, _Residues]],
                  products: Sequence[Tuple[int, _Residues, _Residues]]) -> tuple:
@@ -318,21 +268,20 @@ class _PackedLift:
             for k, r in x.terms.items():
                 acc[k] = acc.get(k, 0) + sign * r
         for c, x, y in products:
-            if _product_into(x, y, c, self.ring, acc) or x.truncated or y.truncated:
+            if _product_into(x, y, c, acc) or x.truncated or y.truncated:
                 truncated = True
-        q = self.p ** claim
+        q = self.ring.modulus.p ** claim
         return {k: r % q for k, r in acc.items()}, truncated
 
     def witness(self, axiom: str, a: _Residues, b: _Residues, claim: int,
                 lhs: Dict[int, int]) -> AxiomWitness:
         """The failure as AxiomWitness renders it from elements: a and b
         known to N, the residual to claim digits at every key."""
-        ring = self.ring
         return AxiomWitness(
             axiom,
-            _from_packed(ring, a.terms, {}, False).render(),
-            _from_packed(ring, b.terms, {}, False).render(),
-            _from_packed(ring, lhs, dict.fromkeys(lhs, claim), False).render(),
+            a.element().render(),
+            b.element().render(),
+            _from_packed(self.ring, lhs, dict.fromkeys(lhs, claim), False).render(),
         )
 
 
@@ -355,7 +304,7 @@ def check_delta_axioms(
     witnesses.
     """
     ops = _PackedLift(lift)
-    p = ops.p
+    p = lift.ring.modulus.p
     rng = random.Random(seed)
     report = AxiomReport(samples=samples, checked=0, skipped=0)
     correction_coeffs = [math.comb(p, i) // p for i in range(1, p)]
@@ -363,15 +312,14 @@ def check_delta_axioms(
     for _ in range(samples):
         a, b = ops.draw(rng), ops.draw(rng)
         pa, pb = ops.powers(a, p), ops.powers(b, p)
-        da, db = ops.delta(a, pa[p]), ops.delta(b, pb[p])
-        a_plus_b = _residues_add(a, b, ops.ring)
-        d_sum = ops.delta(a_plus_b, ops.power(a_plus_b, p))
-        ab = _residues_mul(a, b, ops.ring)
-        d_prod = ops.delta(ab, ops.power(ab, p))
+        da, db = ops.phi(a).div_p(pa[p]), ops.phi(b).div_p(pb[p])
+        a_plus_b = a + b
+        d_sum = ops.phi(a_plus_b).div_p(a_plus_b ** p)
+        ab = a * b
+        d_prod = ops.phi(ab).div_p(ab ** p)
         # the identities hold at the precision the delta outputs carry
-        claim = min(ops.min_precision(d_sum), ops.min_precision(da),
-                    ops.min_precision(db))
-        claim_prod = min(claim, ops.min_precision(d_prod))
+        claim = min(d_sum.min_precision(), da.min_precision(), db.min_precision())
+        claim_prod = min(claim, d_prod.min_precision())
         lhs_sum, truncated_sum = ops.residual(
             claim, [(1, d_sum), (-1, da), (-1, db)],
             [(correction_coeffs[i - 1], pa[i], pb[p - i]) for i in range(1, p)],

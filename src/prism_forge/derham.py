@@ -275,14 +275,17 @@ def _twisted_by(conn: PConnection, gens: Sequence[str], c: int) -> bool:
     """Whether the coordinates pair with gens by position, each d'g being
     c dx for its coordinate x and nothing else: the one reading of the
     twist rows (c = p canonical, c = 1 untwisted).  A missing row, d'g = 0,
-    fails wherever c is nonzero mod p^N."""
+    fails wherever c is nonzero mod p^N, and so does a row with an entry
+    known below N, which cannot be read to N digits."""
     ring = conn.ring
+    N = ring.modulus.N
     if len(gens) != len(conn.coordinates):
         return False
     want = ring.constant(c)
     for g, x in zip(gens, conn.coordinates):
         row = conn.gen_differentials.get(g, {})
-        if any(k != x and not e.is_zero() for k, e in row.items()):
+        if any(e.min_precision() < N or k != x and not e.is_zero()
+               for k, e in row.items()):
             return False
         if not equal_reduced(row.get(x, ring.zero()), want):
             return False

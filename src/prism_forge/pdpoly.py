@@ -385,20 +385,7 @@ class Element:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        if n == 0:
-            return self.ring.one()
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed and n:
-                base = base * base
-        return result
+        return _power(self, n, self.ring.one)
 
     def scale(self, c: Union[int, Scalar]) -> "Element":
         return mul(self, self.ring.constant(c))
@@ -468,6 +455,24 @@ class Element:
     def __repr__(self) -> str:
         flag = ", truncated" if self.truncated else ""
         return f"<{self.render()} over {self.ring.modulus!r}{flag}>"
+
+
+def _power(x, n: int, one: Callable[[], object]):
+    """x^n for Element and _Residues alike: one() at n = 0, else binary
+    powering, each step's result * base before its base * base."""
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    if n == 0:
+        return one()
+    result = None
+    base = x
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 def _render_monomial(ring: RingSpec, mono: Monomial) -> str:
@@ -611,22 +616,24 @@ def _repack(
 
 
 class _Residues:
-    """An element as integer residues under packed monomial keys, with no
-    Element or Scalar around them; the delta-ring check and p-curvature
-    run on these.
+    """An element of a ring as integer residues under packed monomial
+    keys, with no Element or Scalar around them; the delta-ring check,
+    p-curvature and div_p run on these.
 
-    terms holds each residue reduced mod p^prec with no zero known to
-    the ring's precision N, in the order Element would hold the terms;
-    precs holds the precision of each key known below N, and is empty
-    when every coefficient is at N; truncated is Element's sticky flag;
-    degree bounds the ordinary degree of every key from above.  Products
-    and sums (_residues_mul, _residues_add) read every residue at N.
+    terms holds each residue reduced mod p^prec with no zero known to the
+    ring's precision N, in Element's term order; precs holds the precision
+    of each key known below N; truncated is Element's sticky flag; degree
+    bounds the ordinary degree of every key from above.  +, * and ** are
+    Element's, and partial(i) is partial_derivative in the i-th ordinary
+    generator, for operands known to N: they read every residue at N, so
+    callers keep operands known below N out of them.
     """
 
-    __slots__ = ("terms", "precs", "truncated", "degree", "entries")
+    __slots__ = ("ring", "terms", "precs", "truncated", "degree", "entries")
 
-    def __init__(self, terms: Dict[int, int], degree: int, truncated: bool,
-                 precs: Optional[Dict[int, int]] = None) -> None:
+    def __init__(self, ring: RingSpec, terms: Dict[int, int], degree: int,
+                 truncated: bool, precs: Optional[Dict[int, int]] = None) -> None:
+        self.ring = ring
         self.terms = terms
         self.precs = precs or {}
         self.truncated = truncated
@@ -636,36 +643,151 @@ class _Residues:
 
     @classmethod
     def of(cls, e: Element) -> "_Residues":
-        """The residues of an element known to its ring's precision
-        everywhere."""
-        codec = e.ring._codec
+        """The residues of an element, each coefficient known below N
+        keeping its precision in precs."""
+        codec, N = e.ring._codec, e.ring.modulus.N
         terms: Dict[int, int] = {}
+        precs: Dict[int, int] = {}
         degree = 0
         for m, c in e.terms.items():
             key, o, _, _ = codec.entry(m)
             terms[key] = c.residue
-            if o > degree:
-                degree = o
-        return cls(terms, degree, e.truncated)
+            if c.modulus.N < N:
+                precs[key] = c.modulus.N
+            degree = max(degree, o)
+        return cls(e.ring, terms, degree, e.truncated, precs)
 
-    def packed(self, ring: RingSpec) -> list:
+    @classmethod
+    def reduced(cls, ring: RingSpec, acc: Dict[int, int], degree: int,
+                truncated: bool, precs: Optional[Dict[int, int]] = None) -> "_Residues":
+        """Integer sums under packed keys, reduced as _from_packed reduces
+        them."""
+        card = ring.modulus.cardinality
+        if not precs:
+            return cls(ring, {k: r for k, s in acc.items() if (r := s % card)},
+                       degree, truncated)
+        p, N = ring.modulus.p, ring.modulus.N
+        terms: Dict[int, int] = {}
+        for k, s in acc.items():
+            n = precs.get(k, N)
+            r = s % (card if n == N else p ** n)
+            if r or n < N:
+                terms[k] = r
+        return cls(ring, terms, degree, truncated, precs)
+
+    def element(self) -> Element:
+        return _from_packed(self.ring, self.terms, self.precs, self.truncated)
+
+    def min_precision(self) -> int:
+        # precs holds every key known below N
+        return min(self.precs.values(), default=self.ring.modulus.N)
+
+    def packed(self) -> list:
         """The entries of an untracked product, every residue at N."""
         if self.entries is None:
-            key_entry, N = ring._codec.key_entry, ring.modulus.N
+            key_entry, N = self.ring._codec.key_entry, self.ring.modulus.N
             self.entries = [key_entry(k) + (r, N, 0) for k, r in self.terms.items()]
         return self.entries
 
+    def __add__(self, other: "_Residues") -> "_Residues":
+        acc = dict(self.terms)
+        for k, r in other.terms.items():
+            acc[k] = acc.get(k, 0) + r
+        return _Residues.reduced(self.ring, acc, max(self.degree, other.degree),
+                                 self.truncated or other.truncated)
 
-def _product_into(x: _Residues, y: _Residues, c: int, ring: RingSpec,
-                  acc: Dict[int, int]) -> bool:
+    def __mul__(self, other: "_Residues") -> "_Residues":
+        acc: Dict[int, int] = {}
+        truncated = _product_into(self, other, 1, acc)
+        return _Residues.reduced(self.ring, acc, self.degree + other.degree,
+                                 truncated or self.truncated or other.truncated)
+
+    def __pow__(self, n: int) -> "_Residues":
+        return _power(self, n, lambda: _Residues(self.ring, {0: 1}, 0, False))
+
+    def __eq__(self, other: "_Residues") -> bool:
+        return (self.ring == other.ring and self.terms == other.terms
+                and self.precs == other.precs)
+
+    __hash__ = None
+
+    def partial(self, index: int) -> "_Residues":
+        """The derivative in the ordinary generator of that index: each
+        key whose exponent field for the generator is e > 0 loses one
+        there and its residue is scaled by e; a key whose field is 0 drops
+        out."""
+        codec, card = self.ring._codec, self.ring.modulus.cardinality
+        shift = codec.width * (codec.n - 1 - index)
+        mask = (1 << codec.width) - 1
+        one = 1 << shift
+        terms: Dict[int, int] = {}
+        for k, r in self.terms.items():
+            e = k >> shift & mask
+            if e and (r := r * e % card):
+                terms[k - one] = r
+        return _Residues(self.ring, terms, max(self.degree - 1, 0), self.truncated)
+
+    def div_p(self, other: Optional["_Residues"] = None) -> "_Residues":
+        """(self - other) / p, or self / p without other, known to one
+        digit less: the one division of residues by p.
+
+        The difference is taken key by key at the lesser of the two
+        precisions, in the order Element subtraction holds its terms, and
+        each term but a zero at N is divided by p: one known mod p alone
+        raises PrecisionExhausted, one not divisible by p NotDivisible.
+        When nothing is left, the quotient is a zero known mod p^(N-1) at
+        the constant key 0, not one with no terms, which would claim all N
+        digits; at N = 1 no digit is left and PrecisionExhausted is raised.
+        """
+        ring = self.ring
+        p, N, card = ring.modulus.p, ring.modulus.N, ring.modulus.cardinality
+        if other is None:
+            other = _Residues(ring, {}, 0, False)
+        precs, sub_precs = self.precs, other.precs
+        # no precision lookups when both sides are at N everywhere
+        low = precs or sub_precs
+        diff = dict(self.terms)
+        for k, d in other.terms.items():
+            diff[k] = diff.get(k, 0) - d
+        terms: Dict[int, int] = {}
+        out_precs: Dict[int, int] = {}
+        for k, r in diff.items():
+            n = min(precs.get(k, N), sub_precs.get(k, N)) if low else N
+            r %= card if n == N else p ** n
+            if not r and n == N:
+                continue
+            if n < 2:
+                raise PrecisionExhausted(f"cannot drop 1 levels below precision {n}")
+            if r % p:
+                raise NotDivisible(
+                    f"coefficient {r} of {_render_monomial(ring, ring._codec.monomial(k))}"
+                    " is not divisible by p^1"
+                )
+            terms[k] = r // p
+            out_precs[k] = n - 1
+        if not terms:
+            if N < 2:
+                raise PrecisionExhausted(
+                    "dividing by p at precision 1 leaves no digit: "
+                    "the difference vanishes mod p"
+                )
+            terms[0] = 0
+            out_precs[0] = N - 1
+        return _Residues(ring, terms, max(self.degree, other.degree),
+                         self.truncated or other.truncated, out_precs)
+
+
+def _product_into(x: _Residues, y: _Residues, c: int, acc: Dict[int, int]) -> bool:
     """acc += c * x * y as _multiply_into sums it, untracked, over the
-    entries of x and of c * y, and whether it dropped a pair to the caps.
+    entries of x and of c * y in x's ring, and whether it dropped a pair
+    to the caps.
 
     In a ring without divided-power generators, where the degree bounds
     of x and y add up to no more than the ordinary cap, no pair leaves
     the caps and none takes a binomial, so the residue dicts are
     multiplied directly, in the same order: x's terms outer, y's inner.
     """
+    ring = x.ring
     if not ring.pd_gens and x.degree + y.degree <= ring.poly_degree_cap:
         ty = list(y.terms.items())
         for kx, rx in x.terms.items():
@@ -674,48 +796,11 @@ def _product_into(x: _Residues, y: _Residues, c: int, ring: RingSpec,
                 k = kx + ky
                 acc[k] = acc.get(k, 0) + rx * ry
         return False
-    ty = y.packed(ring)
+    ty = y.packed()
     if c != 1:
         ty = [(k, o, w, d, c * r, n, v) for k, o, w, d, r, n, v in ty]
-    return _multiply_into(x.packed(ring), ty, ring.poly_degree_cap,
+    return _multiply_into(x.packed(), ty, ring.poly_degree_cap,
                           ring.pd_degree_cap, False, acc, {})
-
-
-def _residues_mul(x: _Residues, y: _Residues, ring: RingSpec) -> _Residues:
-    """x * y, as mul gives it for x and y known to N everywhere."""
-    acc: Dict[int, int] = {}
-    truncated = _product_into(x, y, 1, ring, acc)
-    card = ring.modulus.cardinality
-    return _Residues({k: r for k, s in acc.items() if (r := s % card)},
-                     x.degree + y.degree, truncated or x.truncated or y.truncated)
-
-
-def _residues_add(x: _Residues, y: _Residues, ring: RingSpec) -> _Residues:
-    """x + y, as Element addition gives it for x and y known to N
-    everywhere."""
-    acc = dict(x.terms)
-    for k, r in y.terms.items():
-        acc[k] = acc.get(k, 0) + r
-    card = ring.modulus.cardinality
-    return _Residues({k: r for k, s in acc.items() if (r := s % card)},
-                     max(x.degree, y.degree), x.truncated or y.truncated)
-
-
-def _residues_partial(x: _Residues, ring: RingSpec, index: int) -> _Residues:
-    """The derivative in the ordinary generator of that index, as
-    partial_derivative gives it for x known to N everywhere: each key
-    whose exponent field for the generator is e > 0 loses one there and
-    its residue is scaled by e; a key whose field is 0 drops out."""
-    codec, card = ring._codec, ring.modulus.cardinality
-    shift = codec.width * (codec.n - 1 - index)
-    mask = (1 << codec.width) - 1
-    one = 1 << shift
-    terms: Dict[int, int] = {}
-    for k, r in x.terms.items():
-        e = k >> shift & mask
-        if e and (r := r * e % card):
-            terms[k - one] = r
-    return _Residues(terms, max(x.degree - 1, 0), x.truncated)
 
 
 def _single_term_divided_power(
@@ -1045,74 +1130,13 @@ def div_p(a: Element, b: Optional[Element] = None) -> Element:
     """(a - b) / p, or a / p without b, known to one digit less.
 
     The one division of an element by p: delta and every Frobenius
-    quotient of an envelope go through it.  The difference is taken
-    residue by residue, at the lesser of the two precisions, with zeros
-    at full precision dropped, in the order a - b would hold its terms,
-    and divided by p coefficient by coefficient, building no element in
-    between.  When nothing is left, the quotient is a zero known mod
-    p^(N-1) at the constant monomial, not an element with no terms,
-    which would claim all N digits; at N = 1 no digit is left and
-    PrecisionExhausted is raised.
+    quotient of an envelope go through it.  It is _Residues.div_p on the
+    residues of a and b, which builds no element in between.
     """
-    ring = a.ring
-    sub: Mapping[Monomial, Scalar] = {}
-    truncated = a.truncated
     if b is not None:
         a._check_ring(b)
-        sub = b.terms
-        truncated = truncated or b.truncated
-    diff = []
-    for m, c in a.terms.items():
-        d = sub.get(m)
-        if d is None:
-            diff.append((m, c.residue, c.modulus.N))
-        else:
-            mod = c.modulus if c.modulus is d.modulus else c._join(d)
-            diff.append((m, (c.residue - d.residue) % mod.cardinality, mod.N))
-    for m, d in sub.items():
-        if m not in a.terms:
-            diff.append((m, -d.residue % d.modulus.cardinality, d.modulus.N))
-    one = Monomial((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
-    below: Dict[int, Modulus] = {}
-    out = {}
-    for m, q, n in _divide_by_p(diff, ring, one, lambda m: m):
-        lower = below.get(n)
-        if lower is None:
-            lower = below[n] = Modulus(ring.modulus.p, n)
-        out[m] = Scalar(q, lower)
-    return Element(ring, out, truncated)
-
-
-def _divide_by_p(
-    diff: list, ring: RingSpec, one, monomial_of: Callable[[object], Monomial]
-) -> list:
-    """div_p's division of a difference held as (key, residue, precision)
-    in term order: (key, residue / p, precision - 1) for each term but a
-    zero at precision N.  A term known mod p alone raises
-    PrecisionExhausted and one not divisible by p NotDivisible, naming
-    monomial_of(key).  When nothing is left the quotient is a zero known
-    mod p^(N-1) under the key one, the constant monomial's."""
-    p, N = ring.modulus.p, ring.modulus.N
-    out = []
-    for k, r, n in diff:
-        if not r and n == N:
-            continue
-        if n < 2:
-            raise PrecisionExhausted(f"cannot drop 1 levels below precision {n}")
-        if r % p:
-            raise NotDivisible(
-                f"coefficient {r} of {_render_monomial(ring, monomial_of(k))} "
-                "is not divisible by p^1"
-            )
-        out.append((k, r // p, n - 1))
-    if not out:
-        if N < 2:
-            raise PrecisionExhausted(
-                "dividing by p at precision 1 leaves no digit: "
-                "the difference vanishes mod p"
-            )
-        out.append((one, 0, N - 1))
-    return out
+        b = _Residues.of(b)
+    return _Residues.of(a).div_p(b).element()
 
 
 def divisible_by_p(a: Element) -> bool:

@@ -39,7 +39,9 @@ from .derham import (
     WindowOverflow,
     _add_form,
     _e_all,
+    _e_identity,
     _e_map,
+    _e_mul,
     _e_zero,
     _twisted_by,
     build_p_derham,
@@ -62,11 +64,7 @@ from .pdpoly import (
     Element,
     Monomial,
     RingSpec,
-    _from_packed,
     _Residues,
-    _residues_add,
-    _residues_mul,
-    _residues_partial,
     div_p,
     divisible_by_p,
     equal_reduced,
@@ -501,55 +499,13 @@ def check_frobenius_isogeny(
 
 # -- p-curvature -----------------------------------------------------------------
 
-# A mod-p matrix as pdpoly's packed residues; the composition and the
-# formula's matrix products run on these.
-RMatrix = List[List[_Residues]]
 
-
-def _residues_matrix(mat: EMatrix) -> RMatrix:
-    return [[_Residues.of(e) for e in row] for row in mat]
-
-
-def _residues_identity(ring: RingSpec, n: int) -> RMatrix:
-    one, zero = _Residues.of(ring.one()), _Residues.of(ring.zero())
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _mat_add(a: RMatrix, b: RMatrix, ring: RingSpec) -> RMatrix:
-    return _e_map(lambda x, y: _residues_add(x, y, ring), a, b)
-
-
-def _mat_mul(a: RMatrix, b: RMatrix, ring: RingSpec) -> Tuple[RMatrix, bool]:
-    """a b mod p, and whether any product of two terms left the ring's
-    caps (those are dropped)."""
-    cols = list(zip(*b))
-    truncated = False
-    out = []
-    for row in a:
-        new_row = []
-        for col in cols:
-            entry = None
-            for x, y in zip(row, col):
-                prod = _residues_mul(x, y, ring)
-                entry = prod if entry is None else _residues_add(entry, prod, ring)
-            truncated = truncated or entry.truncated
-            new_row.append(entry)
-        out.append(new_row)
-    return out, truncated
-
-
-def _same(a: RMatrix, b: RMatrix) -> bool:
-    return _e_all(lambda x, y: x.terms == y.terms, a, b)
-
-
-def _commute(a: RMatrix, b: RMatrix, ring: RingSpec, context: str) -> bool:
-    """Whether a b = b a mod p; a truncated product on either side is
-    refused, so dropped terms never read as a failure to commute."""
-    ab, ab_truncated = _mat_mul(a, b, ring)
-    ba, ba_truncated = _mat_mul(b, a, ring)
-    if ab_truncated or ba_truncated:
-        raise _overflow(context)
-    return _same(ab, ba)
+def _product(a: EMatrix, b: EMatrix, context: str) -> EMatrix:
+    """a b, refused when a term of a product left the ring's caps or an
+    entry is flagged truncated."""
+    out = _e_mul(a, b)
+    _refuse_truncated(out, context)
+    return out
 
 
 def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
@@ -568,12 +524,12 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
     can fail, so tests/test_transforms.py holds those identities against
     the oracle instead.
 
-    The recursion runs on pdpoly's packed residues mod p (_Residues,
-    with _residues_mul, _residues_add and _residues_partial), and
-    elements are built only for the result.
-    A product that leaves the caps, or an input entry flagged truncated,
-    raises WindowOverflow.  tests/oracles.py keeps the composition of
-    every order, one Element operation at a time, as the oracle.
+    The recursion runs on matrices of pdpoly's packed residues mod p
+    (_Residues and its operators) through derham's matrix helpers, and
+    elements are built only for the result.  A product that leaves the
+    caps, or an input entry flagged truncated, raises WindowOverflow.
+    tests/oracles.py keeps the composition of every order, one Element
+    operation at a time, as the oracle.
     """
     ring = conn.ring
     if ring.modulus.N != 1:
@@ -595,15 +551,12 @@ def p_curvature(conn: PConnection) -> Dict[str, EMatrix]:
         index = ring.ordinary_index(coord)
         amat = conn.matrix(coord)
         _refuse_truncated(amat, "the operator composition")
-        a = _residues_matrix(amat)
-        ak = _residues_identity(ring, conn.rank)
+        a = _e_map(_Residues.of, amat)
+        ak = _e_map(_Residues.of, _e_identity(ring, conn.rank))
         for _ in range(ring.modulus.p):
-            prod, truncated = _mat_mul(a, ak, ring)
-            if truncated:
-                raise _overflow("the operator composition")
-            dak = _e_map(lambda b: _residues_partial(b, ring, index), ak)
-            ak = _mat_add(dak, prod, ring)
-        out[coord] = _e_map(lambda d: _from_packed(ring, d.terms, {}, False), ak)
+            prod = _product(a, ak, "the operator composition")
+            ak = _e_map(lambda b, c: b.partial(index) + c, ak, prod)
+        out[coord] = _e_map(_Residues.element, ak)
     return out
 
 
@@ -637,9 +590,9 @@ def check_pcurvature_formula(
     an exact matrix identity.  Theta is f_transform reduced mod p.  The
     report also verifies that the psi matrices commute with each other
     and with every Theta.  Theta^p and the commutation products run on
-    packed residues mod p, through the product of p_curvature; the
-    oracle in tests/oracles.py takes them one Element operation at a
-    time.
+    matrices of packed residues mod p, through the refusing product of
+    p_curvature; the oracle in tests/oracles.py takes them one Element
+    operation at a time.
     """
     dom1 = rf.domain_ring.at_precision(1)
     img1 = rf.image_ring.at_precision(1)
@@ -648,28 +601,29 @@ def check_pcurvature_formula(
     theta_source, theta_pullback, images1 = _mod_p(rf, pconn, dom1, img1)
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
-    r_psi = {x: _residues_matrix(m) for x, m in psi.items()}
-    r_theta = {x: _residues_matrix(m) for x, m in theta_pullback.items()}
+    r_psi = {x: _e_map(_Residues.of, m) for x, m in psi.items()}
+    r_theta = {x: _e_map(_Residues.of, m) for x, m in theta_pullback.items()}
     failures: List[str] = []
     for xp, x in rf.coordinate_pairs():
-        power = _residues_identity(img1, n)
+        power = _e_map(_Residues.of, _e_identity(img1, n))
         for _ in range(p):
-            power, truncated = _mat_mul(power, r_theta[x], img1)
-            if truncated:
-                raise _overflow("the matrix p-th power")
-        pulled = _residues_matrix(_e_map(
-            lambda e: substitute(e, images1, target=img1), theta_source[xp]
-        ))
+            power = _product(power, r_theta[x], "the matrix p-th power")
+        pulled = _e_map(
+            lambda e: _Residues.of(substitute(e, images1, target=img1)), theta_source[xp]
+        )
         # psi = Theta^p - F(theta'), read as psi + F(theta') = Theta^p
-        if not _same(_mat_add(r_psi[x], pulled, img1), power):
+        if _e_map(operator.add, r_psi[x], pulled) != power:
             failures.append(f"curvature formula fails in the coordinate {x}")
+    # a truncated product is refused, never read as a failure to commute
     coords = list(img1.ordinary_gens)
     for x, y in combinations(coords, 2):
-        if not _commute(r_psi[x], r_psi[y], img1, "the psi product"):
+        a, b, what = r_psi[x], r_psi[y], "the psi product"
+        if _product(a, b, what) != _product(b, a, what):
             failures.append(f"psi matrices in {x} and {y} do not commute")
     for x in coords:
         for y in coords:
-            if not _commute(r_psi[x], r_theta[y], img1, "the psi-twist product"):
+            a, b, what = r_psi[x], r_theta[y], "the psi-twist product"
+            if _product(a, b, what) != _product(b, a, what):
                 failures.append(
                     f"psi in {x} does not commute with the twist matrix in {y}"
                 )

@@ -395,6 +395,68 @@ def element_delta(lift, a, a_p=None):
     return exact_div_p_elem(element_sub(element_apply_phi(lift, a), a_p), 1)
 
 
+def element_div_p(a, b=None):
+    """(a - b) / p, or a / p without b, known to one digit less.
+
+    The library's div_p as it was before it became the residue division
+    _Residues.div_p, with its division loop inlined: the difference is
+    taken coefficient by coefficient on Monomial keys, at the lesser of
+    the two precisions, with zeros at full precision dropped, in the order
+    a - b would hold its terms, and divided by p.  When nothing is left,
+    the quotient is a zero known mod p^(N-1) at the constant monomial; at
+    N = 1 no digit is left and PrecisionExhausted is raised."""
+    from prism_forge.padic import Modulus, NotDivisible, PrecisionExhausted, Scalar
+    from prism_forge.pdpoly import Element, Monomial, _render_monomial
+
+    ring = a.ring
+    sub = {}
+    truncated = a.truncated
+    if b is not None:
+        a._check_ring(b)
+        sub = b.terms
+        truncated = truncated or b.truncated
+    diff = []
+    for m, c in a.terms.items():
+        d = sub.get(m)
+        if d is None:
+            diff.append((m, c.residue, c.modulus.N))
+        else:
+            mod = c.modulus if c.modulus is d.modulus else c._join(d)
+            diff.append((m, (c.residue - d.residue) % mod.cardinality, mod.N))
+    for m, d in sub.items():
+        if m not in a.terms:
+            diff.append((m, -d.residue % d.modulus.cardinality, d.modulus.N))
+    one = Monomial((0,) * len(ring.ordinary_gens), (0,) * len(ring.pd_gens))
+    p, N = ring.modulus.p, ring.modulus.N
+    quotient = []
+    for m, r, n in diff:
+        if not r and n == N:
+            continue
+        if n < 2:
+            raise PrecisionExhausted(f"cannot drop 1 levels below precision {n}")
+        if r % p:
+            raise NotDivisible(
+                f"coefficient {r} of {_render_monomial(ring, m)} "
+                "is not divisible by p^1"
+            )
+        quotient.append((m, r // p, n - 1))
+    if not quotient:
+        if N < 2:
+            raise PrecisionExhausted(
+                "dividing by p at precision 1 leaves no digit: "
+                "the difference vanishes mod p"
+            )
+        quotient.append((one, 0, N - 1))
+    below = {}
+    out = {}
+    for m, q, n in quotient:
+        lower = below.get(n)
+        if lower is None:
+            lower = below[n] = Modulus(ring.modulus.p, n)
+        out[m] = Scalar(q, lower)
+    return Element(ring, out, truncated)
+
+
 # ---------------------------------------------------------------------------
 # The delta-ring axiom check on elements.
 #

@@ -517,6 +517,52 @@ class TestCheckParameters:
         assert check["name"] in err and named in err
         assert not out.exists()
 
+    CUT_READERS = {
+        "envelope-stages": {"name": "envelope", "kind": "stages"},
+        "envelope-dilatation": {"name": "envelope", "kind": "dilatation"},
+        "dimensions-stages": {"name": "dimensions", "kind": "stages"},
+        "cotangent": {"name": "cotangent"},
+    }
+
+    @pytest.mark.parametrize("reader", sorted(CUT_READERS))
+    @pytest.mark.parametrize("ring,cut,named", [
+        ("W[x]", ["y"], "'y'"),
+        ("W[x]", ["x", "x"], "repeats"),
+        ("W[x]<t>", ["t"], "polynomial ring"),
+    ], ids=["unknown-generator", "duplicate", "divided-power-ring"])
+    def test_a_cut_the_check_cannot_read_exits_two(self, reader, ring, cut, named,
+                                                    tmp_path, capsys):
+        # each failed its check with exit 1 and wrote a report
+        check = self.CUT_READERS[reader]
+        path, out = tmp_path / "refused.json", tmp_path / "refused.report.json"
+        path.write_text(json.dumps(minimal(ring=ring, cut=cut, checks=[check])))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert check["name"] in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["envelope-stages", "dimensions-stages"])
+    @pytest.mark.parametrize("precision,stages", [(2, 2), (2, 3), (3, 3)])
+    def test_stages_at_or_above_the_precision_exit_two(self, reader, precision, stages,
+                                                       tmp_path, capsys):
+        check = self.CUT_READERS[reader]
+        path, out = tmp_path / "refused.json", tmp_path / "refused.report.json"
+        path.write_text(json.dumps(minimal(
+            precision=precision, caps={"stages": stages}, cut=["x"], checks=[check])))
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert check["name"] in err and f"{stages} stages" in err
+        assert not out.exists()
+
+    def test_checks_that_read_no_cut_or_no_stages_are_not_refused(self):
+        parse_scenario_dict(minimal(ring="W[x]<t>", cut=["y", "y"], checks=[
+            {"name": "poincare"}, {"name": "envelope", "kind": "mixed"},
+            {"name": "dimensions", "kind": "mixed"},
+        ]))
+        parse_scenario_dict(minimal(caps={"stages": 2}, cut=["x"], checks=[
+            {"name": "envelope", "kind": "dilatation"}, {"name": "cotangent"},
+        ]))
+
     def test_defaults_fill_in_but_the_report_keeps_the_file_checks(self):
         sc = parse_scenario_dict(minimal(checks=[
             {"name": "isogeny"}, {"name": "dimensions", "kind": "mixed"},

@@ -522,13 +522,14 @@ def higher_degree_case():
 
 
 def packed_delta(lift, a):
-    """delta(a) through _PackedLift.delta, as an element, after checking
-    that the degree bound the delta carries holds for its terms."""
+    """delta(a) as _PackedLift forms it, phi(x).div_p(x^p), as an element,
+    after checking that the degree bound the delta carries holds for its
+    terms."""
     ops = deltaring._PackedLift(lift)
     ring = lift.ring
-    x = deltaring._Residues({ring._codec.entry(m)[0]: c.residue for m, c in a.terms.items()},
+    x = deltaring._Residues(ring, {ring._codec.entry(m)[0]: c.residue for m, c in a.terms.items()},
                             a.ordinary_degree(), a.truncated)
-    out = ops.delta(x, ops.power(x, ring.modulus.p))
+    out = ops.phi(x).div_p(x ** ring.modulus.p)
     assert all(ring._codec.key_entry(k)[1] <= out.degree for k in out.terms)
     return pdpoly._from_packed(ring, out.terms, out.precs, out.truncated)
 

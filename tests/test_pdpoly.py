@@ -17,9 +17,6 @@ from prism_forge.pdpoly import (
     _multiply_into,
     _product_into,
     _Residues,
-    _residues_add,
-    _residues_mul,
-    _residues_partial,
     div_p,
     divided_power,
     divisible_by_p,
@@ -31,6 +28,7 @@ from prism_forge.pdpoly import (
 )
 from oracles import (
     element_matches_fracpoly,
+    element_div_p,
     element_sub,
     element_substitute,
     exact_div_p_elem,
@@ -571,6 +569,29 @@ class TestDivPAgainstExactDivision:
         assert quotient_terms(div_p, a, b) == want
 
 
+def division_outcome(fn, a, b):
+    """The terms in order as (monomial, residue, precision) and the
+    truncation flag, or the class and message of the exception raised."""
+    try:
+        e = fn(a, b)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
+
+
+class TestDivPAgainstTheElementDivision:
+    """div_p, the residue division, gives what the element division it
+    replaced gives (tests/oracles.py), exceptions and messages included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(division_pairs())
+    @example(same_pair(1))
+    @example(same_pair(3))
+    def test_same_outcome(self, pair):
+        a, b = pair
+        assert division_outcome(div_p, a, b) == division_outcome(element_div_p, a, b)
+
+
 class TestOrderAndRendering:
     def test_graded_lex_descending(self):
         ring = ring_with_pd()
@@ -654,7 +675,7 @@ def residue_pairs(draw):
 
     def residues(e):
         x = _Residues.of(e)
-        return _Residues(x.terms, x.degree + draw(st.integers(0, 3)), x.truncated)
+        return _Residues(ring, x.terms, x.degree + draw(st.integers(0, 3)), x.truncated)
 
     c = draw(st.sampled_from([1, -1, p] + [comb(p, i) // p for i in range(1, p)]))
     return ring, a, b, residues(a), residues(b), c
@@ -699,6 +720,17 @@ def in_order(e):
     return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
 
 
+@st.composite
+def low_precision_pairs(draw):
+    """Two elements of one ring, with coefficients and zeros known below
+    N, either truncation flag, and sometimes equal."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring = ring_of(draw(st.sampled_from(sorted(SHAPES))), p, draw(st.integers(1, 4)),
+                   draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    a = draw(elements(ring, may_be_truncated=True))
+    return a, a if draw(st.booleans()) else draw(elements(ring, may_be_truncated=True))
+
+
 class TestSharedResidues:
     @settings(max_examples=300, deadline=None)
     @given(residue_pairs())
@@ -711,7 +743,7 @@ class TestSharedResidues:
             return [codec.key_entry(k) + (factor * r, N, 0) for k, r in z.terms.items()]
 
         got, want = {}, {}
-        flags = [_product_into(x, y, c, ring, got) for _ in range(2)]
+        flags = [_product_into(x, y, c, got) for _ in range(2)]
         wants = [_multiply_into(fresh(x), fresh(y, c), ring.poly_degree_cap,
                                 ring.pd_degree_cap, False, want, {}) for _ in range(2)]
         assert list(got.items()) == list(want.items())
@@ -721,8 +753,24 @@ class TestSharedResidues:
     @given(residue_pairs())
     def test_product_and_sum_are_the_element_ones(self, case):
         ring, a, b, x, y, _ = case
-        assert read_back(ring, _residues_mul(x, y, ring)) == in_order(mul(a, b))
-        assert read_back(ring, _residues_add(x, y, ring)) == in_order(a + b)
+        assert read_back(ring, x * y) == in_order(mul(a, b))
+        assert read_back(ring, x + y) == in_order(a + b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(residue_pairs())
+    def test_power_is_the_element_power(self, case):
+        ring, a, _, x, _, _ = case
+        for n in range(ring.modulus.p + 1):
+            assert read_back(ring, x ** n) == in_order(a ** n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(low_precision_pairs())
+    def test_of_keeps_precisions_and_gives_the_element_back(self, pair):
+        a, b = pair
+        x, y = _Residues.of(a), _Residues.of(b)
+        assert in_order(x.element()) == in_order(a)
+        assert x.min_precision() == a.min_precision()
+        assert (x == y) == (a == b)
 
     @settings(max_examples=300, deadline=None)
     @given(partial_cases())
@@ -731,5 +779,5 @@ class TestSharedResidues:
     @example(partial_case(1, "y"))
     def test_partial_is_partial_derivative(self, case):
         ring, e, gen = case
-        got = _residues_partial(_Residues.of(e), ring, ring.ordinary_index(gen))
+        got = _Residues.of(e).partial(ring.ordinary_index(gen))
         assert read_back(ring, got) == in_order(partial_derivative(e, gen))

@@ -155,8 +155,20 @@ class TestTransformGuards:
                 ),
                 "canonical p-twisted",
             ),
+            (
+                # d'x' = 0 known mod 3 only, which 3 dx' agrees with there
+                lambda rf: PConnection(
+                    ring=rf.domain_ring,
+                    coordinates=rf.domain_ring.all_gens(),
+                    gen_differentials={
+                        g: {g: rf.domain_ring.constant(Scalar(0, Modulus(3, 1)))}
+                        for g in rf.domain_ring.all_gens()
+                    },
+                ),
+                "canonical p-twisted",
+            ),
         ],
-        ids=["image-ring", "untwisted", "no-twist-row"],
+        ids=["image-ring", "untwisted", "no-twist-row", "low-precision-twist-row"],
     )
     def test_refuses(self, entry, make, match):
         rf = line_frobenius(3, 2)
