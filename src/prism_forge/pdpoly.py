@@ -13,8 +13,8 @@ sticky truncation flag so downstream checks can refuse to trust it.
 Products and substitution accumulate integer residues under packed
 monomial keys, one loop for both, and build scalars and an element only
 for their result; substitution reads image powers from a table that a
-Frobenius lift keeps for its images.  div_p is the one division of an
-element by p, (a - b)/p, and its quotient claims no digit it lost.
+Frobenius lift keeps for its images.  _Residues.div_p, on such residues,
+is the one division by p, and its quotient claims no digit it lost.
 """
 
 from __future__ import annotations
