@@ -10,7 +10,7 @@ F-transform circle of comparisons), cli (scenario runner).
 """
 
 from .padic import Modulus, NotDivisible, Scalar, exact_div_p
-from .pdpoly import Element, Monomial, RingSpec, equal_reduced, substitute
+from .pdpoly import Element, Monomial, RingMap, RingSpec, equal_reduced, substitute
 from .deltaring import (
     FrobeniusLift,
     apply_phi,

@@ -76,6 +76,10 @@ HELP = {
     "theta": 'twist coefficient over the primed ring, e.g. "xp"',
 }
 
+# the checks that build their ring with no divided powers; they and the
+# checks that cut the ring refuse a ring with divided-power generators
+POLYNOMIAL_ONLY = ("cohomology", "ftransform", "isogeny", "pcurvature")
+
 # the degree caps of a scenario, and of the subcommands' flags
 CAPS = {"poly_degree": 10, "pd_degree": 8, "stages": 2}
 
@@ -144,10 +148,11 @@ class Scenario:
                 raise ParseError("axioms needs precision >= 2: delta divides by p")
             if "kind" in params and params["kind"] != "mixed" and not self.cut:
                 raise ParseError(f"{name} of kind {params['kind']} needs a cut set")
-            if name == "cotangent" or params.get("kind") in ("stages", "dilatation"):
+            cuts = name == "cotangent" or params.get("kind") in ("stages", "dilatation")
+            if (cuts or name in POLYNOMIAL_ONLY) and self.ring().pd_gens:
+                raise ParseError(f"{name} needs a polynomial ring, not {self.ring_text}")
+            if cuts:
                 ring = self.ring()
-                if ring.pd_gens:
-                    raise ParseError(f"{name} cuts a polynomial ring, not {self.ring_text}")
                 stray = [g for g in self.cut if g not in ring.ordinary_gens]
                 if stray:
                     raise ParseError(f"{name} cut {stray[0]!r} is not in {self.ring_text}")
@@ -385,7 +390,7 @@ def _check_envelope(sc: Scenario, params: dict) -> CheckResult:
     ring_str = "W" + (f"[{gens}]" if gens else "") + (f"<{pds}>" if pds else "")
     lines.append(f"ring: {ring_str} over Z/{sc.prime}^{sc.precision}")
     lines.append("structural map:")
-    for g, e in sorted(pres.structural_images.items()):
+    for g, e in sorted(pres.structural.images.items()):
         lines.append(f"  {g} -> {e.render()}")
     if pres.relations:
         lines.append("relations:")

@@ -6,8 +6,10 @@ precision than a.  The two delta-ring axioms (additivity with its
 binomial correction, and the twisted Leibniz rule) are checked on
 seeded random samples rather than assumed; the check keeps every sample
 as pdpoly's packed residues and builds elements only for the witnesses
-of a failure.  It forms phi of each monomial once per lift, and each
-delta is phi(x).div_p(x^p), the one division of residues by p.
+of a failure.  phi is a pdpoly.RingMap, built once per lift: apply_phi
+and the check apply it, it keeps the powers of the images, and it forms
+the image of each monomial once.  Each delta is phi(x).div_p(x^p), the
+one division of residues by p.
 """
 
 from __future__ import annotations
@@ -17,19 +19,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .padic import PrecisionExhausted, _residue_valuation
+from .padic import PrecisionExhausted
 from .pdpoly import (
     Element,
+    RingMap,
     RingSpec,
-    _ImagePowers,
     _Residues,
     _from_packed,
     _product_into,
-    _substitute_into,
     div_p,
     divisible_by_p,
     substitute,
-    validate_pd_image,
 )
 
 # a sampled element of the axiom check: at most SAMPLE_TERMS terms, each
@@ -60,8 +60,8 @@ class FrobeniusLift:
     ring: RingSpec
     images: Mapping[str, Element]
     unchecked: frozenset = frozenset()
-    # powers and divided powers of the images, formed on first use
-    _powers: _ImagePowers = field(init=False, repr=False, compare=False)
+    # phi as a ring map, which keeps the powers of the images once formed
+    phi: RingMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in self.ring.all_gens():
@@ -90,16 +90,14 @@ class FrobeniusLift:
                     f"phi({name}) must be divisible by {p} for a divided-power "
                     "generator"
                 )
-        object.__setattr__(
-            self, "_powers", _ImagePowers(self.ring, self.images, self.ring)
-        )
+        object.__setattr__(self, "phi", RingMap(self.ring, self.images, self.ring))
 
 
 def apply_phi(lift: FrobeniusLift, a: Element) -> Element:
     """phi(a); divided powers go to divided powers of the image."""
     if a.ring is not lift.ring and a.ring != lift.ring:
         raise ValueError("element is not in the lift's ring")
-    return substitute(a, lift.images, target=lift.ring, _powers=lift._powers)
+    return substitute(a, lift.phi)
 
 
 def delta(lift: FrobeniusLift, a: Element) -> Element:
@@ -151,21 +149,19 @@ class _PackedLift:
     """The element arithmetic check_delta_axioms needs, on pdpoly's
     _Residues.
 
-    Sums, products and powers are _Residues' operators, phi sums
-    pdpoly._substitute_into's images over the lift's image powers, and
-    each delta is phi(x).div_p(x^p), so every residue, precision,
-    truncation flag, exception and term order is the one the element
-    computation gives.  Sums, products and powers are only formed of
-    elements known to N everywhere, so they track no precision, and the
-    residuals of the two identities are summed at the precision they are
-    compared at (residual).
+    Sums, products and powers are _Residues' operators, phi is the lift's
+    ring map applied to residues (RingMap.apply_residues), and each delta
+    is phi(x).div_p(x^p), so every residue, precision, truncation flag,
+    exception and term order is the one the element computation gives.
+    Sums, products and powers are only formed of elements known to N
+    everywhere, so they track no precision, and the residuals of the two
+    identities are summed at the precision they are compared at
+    (residual).
     """
 
     def __init__(self, lift: FrobeniusLift) -> None:
-        self.lift = lift
         self.ring = lift.ring
-        # the divided-power images are validated at the first phi
-        self.validated = False
+        self.phi = lift.phi.apply_residues
 
     def draw(self, rng: random.Random) -> _Residues:
         """A random element: a sum of ring.monomial terms with random
@@ -213,38 +209,6 @@ class _PackedLift:
             else:
                 out.append(out[i - top] * out[top])
         return out
-
-    def phi(self, x: _Residues) -> _Residues:
-        """phi(x) for x known to N everywhere, as apply_phi gives it: c
-        times the lift's memo image of each monomial
-        (_ImagePowers.image) where the memo allows, the chain of
-        _substitute_into otherwise, reduced with its zeros at N dropped
-        and its precisions kept."""
-        lift, ring = self.lift, self.ring
-        if not self.validated:
-            for name in ring.pd_gens:
-                validate_pd_image(name, lift.images[name])
-            self.validated = True
-        p, N = ring.modulus.p, ring.modulus.N
-        powers, monomial = lift._powers, ring._codec.monomial
-        acc: Dict[int, int] = {}
-        precs: Dict[int, int] = {}
-        truncated = x.truncated
-        degree = 0
-        for k, r in x.terms.items():
-            mono = monomial(k)
-            image = powers.image(mono)
-            if image is not None and (
-                    not image[1] or _residue_valuation(r, p) + image[1] < N):
-                for key, s in image[0]:
-                    acc[key] = acc.get(key, 0) + r * s
-                if image[2] > degree:
-                    degree = image[2]
-            else:
-                if _substitute_into([(mono, r, N)], powers, acc, precs):
-                    truncated = True
-                degree = ring.poly_degree_cap
-        return _Residues.reduced(ring, acc, degree, truncated, precs)
 
     def residual(self, claim: int, parts: Sequence[Tuple[int, _Residues]],
                  products: Sequence[Tuple[int, _Residues, _Residues]]) -> tuple:

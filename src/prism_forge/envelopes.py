@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .padic import Modulus, valuation
 from .pdpoly import (
     Element,
+    RingMap,
     RingSpec,
     UnknownGenerator,
     div_p,
@@ -92,31 +94,36 @@ class CoordinateImmersion:
 class EnvelopePresentation:
     """Explicit model of an envelope ring.
 
-    structural_images sends each ambient generator into the envelope ring,
-    a cut generator x to p times a new generator, which is rho(x).  The
-    Frobenius lift, when installed, satisfies its defining congruences
-    only modulo the recorded relations (the envelope ring is modeled as a
-    free polynomial ring), which is why stagewise presentations mark their
-    new generators as exempt from the constructor-level congruence check.
-    connection_images[g][x] is the coefficient of dx in d'g for the
-    canonical p-connection.
+    structural is the ring map from the ambient ring into the envelope
+    ring, which sends a cut generator x to p times a new generator, that
+    is rho(x).  form_lift forms the Frobenius lift, read as lift, when the
+    lift is first read; it is None where no lift is installed.  The lift
+    satisfies its defining congruences only modulo the recorded relations
+    (the envelope ring is modeled as a free polynomial ring), which is
+    why stagewise presentations mark their new generators as exempt from
+    the constructor-level congruence check.  connection_images[g][x] is
+    the coefficient of dx in d'g for the canonical p-connection.
     """
 
     kind: EnvelopeKind
     ring: RingSpec
     ambient: FrobeniusLift
     cut_gens: tuple[str, ...]
-    structural_images: dict[str, Element]
-    lift: Optional[FrobeniusLift]
+    structural: RingMap
+    form_lift: Optional[Callable[[], FrobeniusLift]] = field(compare=False, repr=False)
     relations: tuple[str, ...] = ()
     stage_count: int = 0
     gen_weights: dict[str, int] = field(default_factory=dict)
     connection_images: dict[str, dict[str, Element]] = field(default_factory=dict)
     stage_names: dict[tuple[str, int], str] = field(default_factory=dict)
 
+    @cached_property
+    def lift(self) -> Optional[FrobeniusLift]:
+        return None if self.form_lift is None else self.form_lift()
+
     def structural_map(self, a: Element) -> Element:
         """Push an ambient element into the envelope ring."""
-        return substitute(a, self.structural_images, target=self.ring)
+        return substitute(a, self.structural)
 
     def rho(self, a: Element) -> Element:
         """Divide an element of the cut ideal (p, x_1, ..., x_r) by p.
@@ -135,7 +142,7 @@ class EnvelopePresentation:
             "cut_generators": list(self.cut_gens),
             "relations": list(self.relations),
             "structural_map": {
-                g: e.render() for g, e in sorted(self.structural_images.items())
+                g: e.render() for g, e in sorted(self.structural.images.items())
             },
             "weights": {g: w for g, w in sorted(self.gen_weights.items())},
         }
@@ -163,15 +170,15 @@ def _cut(
     t_names: Sequence[str],
     new_gens: Sequence[str],
     pd_degree_cap: Optional[int] = None,
-) -> tuple[RingSpec, dict[str, Element], dict[str, dict[str, Element]]]:
+) -> tuple[RingSpec, RingMap, dict[str, dict[str, Element]]]:
     """Adjoin t = x/p to the ambient ring amb for each cut generator x,
     named in t_names.
 
     The ring is amb without the cut generators, with new_gens, which hold
     the t's, adjoined as ordinary generators or, given a divided-power
     cap, as divided-power generators after the ambient ones.  Returns the
-    ring, the structural images (x -> p*t, every other ambient generator
-    to itself) and the connection rows: d'g = p*dg on every uncut ambient
+    ring, the structural map (x -> p*t, every other ambient generator to
+    itself) and the connection rows: d'g = p*dg on every uncut ambient
     generator, divided powers included, and d't = dx.
     """
     kept = tuple(g for g in amb.ordinary_gens if g not in cut_gens)
@@ -189,25 +196,24 @@ def _cut(
     for x, t in zip(cut_gens, t_names):
         structural[x] = ring.gen(t).scale(p)
         conn[t] = {x: ring.one()}
-    return ring, structural, conn
+    return ring, RingMap(amb, structural, ring), conn
 
 
 def _first_images(
     immersion: CoordinateImmersion,
-    ring: RingSpec,
-    structural: dict[str, Element],
+    structural: RingMap,
     t_names: Sequence[str],
 ) -> dict[str, Element]:
-    """Frobenius images on the cut's ring: phi(g) pushed through for every
-    uncut ambient generator g, and psi(t) = phi(x)/p for each cut
-    generator x."""
+    """Frobenius images on the cut's ring: phi(g) pushed through the
+    structural map for every uncut ambient generator g, and psi(t) =
+    phi(x)/p for each cut generator x."""
     lift = immersion.ambient
     images = {
-        g: substitute(lift.images[g], structural, target=ring)
+        g: substitute(lift.images[g], structural)
         for g in immersion.surviving_gens + lift.ring.pd_gens
     }
     for x, t in zip(immersion.cut_gens, t_names):
-        images[t] = div_p(substitute(lift.images[x], structural, target=ring))
+        images[t] = div_p(substitute(lift.images[x], structural))
     return images
 
 
@@ -228,8 +234,8 @@ def dilatation(immersion: CoordinateImmersion) -> EnvelopePresentation:
         ring=ring,
         ambient=immersion.ambient,
         cut_gens=immersion.cut_gens,
-        structural_images=structural,
-        lift=None,
+        structural=structural,
+        form_lift=None,
         relations=tuple(
             f"p*{t} = {x}" for x, t in zip(immersion.cut_gens, t_names)
         ),
@@ -247,8 +253,9 @@ def prismatic_envelope_stages(
     chain of relations p*t[i,j+1] = delta^j(x_i) - t[i,j]^p is recorded
     in rendered form.  Frobenius images are produced by the recursion
     psi(t[i,1]) = phi(x_i)/p, psi(t[i,j+1]) = (phi(delta^j x_i) -
-    psi(t[i,j])^p)/p, each a div_p quotient.  Precision drops by one per
-    stage, so stages must stay below the working precision.
+    psi(t[i,j])^p)/p, each a div_p quotient, formed when the lift is
+    first read.  Precision drops by one per stage, so stages must stay
+    below the working precision.
     """
     amb_lift = immersion.ambient
     amb = amb_lift.ring
@@ -285,27 +292,26 @@ def prismatic_envelope_stages(
     relations = [f"p*{t} = {x}" for x, t in zip(immersion.cut_gens, firsts)]
     for x in immersion.cut_gens:
         for j in range(1, stages):
-            rhs = substitute(deltas[(x, j)], structural, target=ring) - ring.gen(
+            rhs = substitute(deltas[(x, j)], structural) - ring.gen(
                 stage_names[(x, j)]
             ) ** p
             relations.append(f"p*{stage_names[(x, j + 1)]} = {rhs.render()}")
 
-    # Frobenius recursion; unchecked congruence for the stage generators
-    # since psi(t) = t^p holds only modulo the relations above.
-    images = _first_images(immersion, ring, structural, firsts)
-    for x in immersion.cut_gens:
-        prev = images[stage_names[(x, 1)]]
-        for j in range(1, stages):
-            phi_delta = substitute(
-                apply_phi(amb_lift, deltas[(x, j)]), structural, target=ring
-            )
-            prev = div_p(phi_delta, prev ** p)
-            images[stage_names[(x, j + 1)]] = prev
-    lift = FrobeniusLift(
-        ring=ring,
-        images=images,
-        unchecked=frozenset(stage_names.values()),
-    )
+    def form_lift() -> FrobeniusLift:
+        # Frobenius recursion; unchecked congruence for the stage generators
+        # since psi(t) = t^p holds only modulo the relations above.
+        images = _first_images(immersion, structural, firsts)
+        for x in immersion.cut_gens:
+            prev = images[stage_names[(x, 1)]]
+            for j in range(1, stages):
+                phi_delta = substitute(apply_phi(amb_lift, deltas[(x, j)]), structural)
+                prev = div_p(phi_delta, prev ** p)
+                images[stage_names[(x, j + 1)]] = prev
+        return FrobeniusLift(
+            ring=ring,
+            images=images,
+            unchecked=frozenset(stage_names.values()),
+        )
 
     weights = {g: 1 for g in survivors}
     for (x, j), name in stage_names.items():
@@ -320,9 +326,7 @@ def prismatic_envelope_stages(
             prev_row = conn[stage_names[(x, j)]]
             row: dict[str, Element] = {}
             for y in coords:
-                part = substitute(
-                    partial_derivative(deltas[(x, j)], y), structural, target=ring
-                )
+                part = substitute(partial_derivative(deltas[(x, j)], y), structural)
                 if y in prev_row:
                     part = part - t_prev ** (p - 1) * prev_row[y]
                 if not part.is_zero():
@@ -334,8 +338,8 @@ def prismatic_envelope_stages(
         ring=ring,
         ambient=amb_lift,
         cut_gens=immersion.cut_gens,
-        structural_images=structural,
-        lift=lift,
+        structural=structural,
+        form_lift=form_lift,
         relations=tuple(relations),
         stage_count=stages,
         gen_weights=weights,
@@ -389,9 +393,9 @@ def prismatic_envelope_aligned(
         ring=ring,
         ambient=amb_lift,
         cut_gens=immersion.cut_gens,
-        structural_images=structural,
-        lift=FrobeniusLift(
-            ring=ring, images=_first_images(immersion, ring, structural, t_names)
+        structural=structural,
+        form_lift=lambda: FrobeniusLift(
+            ring=ring, images=_first_images(immersion, structural, t_names)
         ),
         relations=tuple(
             f"p*{t} = {x}  (divided powers adjoined to {t})"
@@ -438,15 +442,12 @@ def two_gen_mixed_envelope(
     )
     s = ring.gen("s")
     t1 = ring.gen("t")
-    structural = {
-        "x": s.scale(p),
-        "y": t1.scale(p) + s ** p,
-    }
-    psi_s = div_p(substitute(amb_lift.images["x"], structural, target=ring))
-    psi_t = div_p(
-        substitute(amb_lift.images["y"], structural, target=ring), psi_s ** p
-    )
-    lift = FrobeniusLift(ring=ring, images={"s": psi_s, "t": psi_t})
+    structural = RingMap(amb, {"x": s.scale(p), "y": t1.scale(p) + s ** p}, ring)
+
+    def form_lift() -> FrobeniusLift:
+        psi_s = div_p(substitute(amb_lift.images["x"], structural))
+        psi_t = div_p(substitute(amb_lift.images["y"], structural), psi_s ** p)
+        return FrobeniusLift(ring=ring, images={"s": psi_s, "t": psi_t})
     conn = {
         "s": {"x": ring.one()},
         # t^[1] = (y - s^p)/p, so d't = dy - s^(p-1)*dx
@@ -457,8 +458,8 @@ def two_gen_mixed_envelope(
         ring=ring,
         ambient=amb_lift,
         cut_gens=("x",),
-        structural_images=structural,
-        lift=lift,
+        structural=structural,
+        form_lift=form_lift,
         relations=("p*s = x", f"p*t^[1] = y - s^{p}"),
         # t divides the weight-p element y - s^p, so it carries weight p;
         # this keeps d't = dy - s^(p-1) dx weight-lowering
@@ -530,7 +531,7 @@ def check_envelope_frobenius(pres: EnvelopePresentation) -> EnvelopeReport:
             EnvelopeCheck(f"divisibility:{u}", ok, f"psi({u}) lies in p*ring")
         )
     for g in amb_lift.ring.all_gens():
-        lhs = substitute(pres.structural_images[g], lift.images, target=ring)
+        lhs = apply_phi(lift, pres.structural.images[g])
         rhs = pres.structural_map(amb_lift.images[g])
         ok = equal_reduced(lhs, rhs)
         checks.append(

@@ -12,9 +12,11 @@ sticky truncation flag so downstream checks can refuse to trust it.
 
 Products and substitution accumulate integer residues under packed
 monomial keys, one loop for both, and build scalars and an element only
-for their result; substitution reads image powers from a table that a
-Frobenius lift keeps for its images.  _Residues.div_p, on such residues,
-is the one division by p, and its quotient claims no digit it lost.
+for their result.  Every substitution applies a RingMap, built once from
+the generator images: it checks them once and keeps, for all its
+applications, the powers of the images and the images of monomials.
+_Residues.div_p, on such residues, is the one division by p, and its
+quotient claims no digit it lost.
 """
 
 from __future__ import annotations
@@ -901,34 +903,61 @@ def validate_pd_image(gen: str, image: Element) -> None:
             )
 
 
-class _ImagePowers:
-    """Powers and divided powers of generator images, packed for a target
-    ring, each formed on first use.
+class RingMap:
+    """The ring map from source to target that sends each generator to its
+    image: x -> images[x] and u^[n] -> images[u]^[n].
 
-    A power is keyed by (divided, slot, n), slot being the generator's
-    index among the ordinary or among the divided-power generators of the
-    source ring, so x^n and u^[n] in the same slot stay apart.  Each value
-    is (packed entries with valuations, whether some entry is below the
-    target's precision, truncation flag of the power).  FrobeniusLift
-    keeps one for its images, which never change; substitute otherwise
-    builds one per call.
+    substitute applies it to elements of the source ring.  Construction
+    checks what every application needs: an image for each generator and
+    for no other name, all images in one target ring (the images' own
+    when target is None, source when there are no generators), of the
+    source's prime.  Divided-power images must admit divided powers, each
+    term of weight >= 1 or with a p-divisible coefficient; that is checked
+    at the first application, so a lift may carry an image nothing reads.
 
-    image(m) memoizes the image of a source monomial with coefficient 1
-    for the delta-ring axiom check, which scales it by each coefficient
-    where that gives what _substitute_into gives.
+    The map keeps what its applications share.  A power is keyed by
+    (divided, slot, n), slot being the generator's index among the
+    ordinary or among the divided-power generators of the source, so x^n
+    and u^[n] in the same slot stay apart; each value is (packed entries
+    with valuations, whether some entry is below the target's precision,
+    truncation flag of the power).  factors(m) lists the powers of a
+    source monomial's factors, and image(m) memoizes the image of a
+    monomial with coefficient 1 for apply_residues.
     """
 
-    __slots__ = ("ordinary", "pd", "target", "_table", "_factors", "_images")
+    __slots__ = ("source", "target", "images", "ordinary", "pd",
+                 "_unvalidated", "_table", "_factors", "_images")
 
-    def __init__(
-        self, source: RingSpec, images: Mapping[str, Element], target: RingSpec
-    ) -> None:
+    def __init__(self, source: RingSpec, images: Mapping[str, Element],
+                 target: Optional[RingSpec] = None) -> None:
+        for name in images:
+            if not source.has_gen(name):
+                raise UnknownGenerator(name)
+        for name in source.all_gens():
+            if name not in images:
+                raise UnknownGenerator(f"no image for generator {name}")
+        if target is None:
+            target = next((img.ring for img in images.values()), source)
+        for img in images.values():
+            if img.ring is not target and img.ring != target:
+                raise RingMismatch("images live in different rings")
+        if source.modulus.p != target.modulus.p:
+            raise RingMismatch("element and target of different primes")
+        self.source = source
+        self.target = target
+        self.images = images
         self.ordinary = tuple(images[name] for name in source.ordinary_gens)
         self.pd = tuple(images[name] for name in source.pd_gens)
-        self.target = target
+        # the divided-power images the first application validates
+        self._unvalidated = tuple(zip(source.pd_gens, self.pd))
         self._table: Dict[Tuple[bool, int, int], tuple] = {}
         self._factors: Dict[Monomial, tuple] = {}
         self._images: Dict[Monomial, Optional[tuple]] = {}
+
+    def _validate(self) -> None:
+        for name, image in self._unvalidated:
+            validate_pd_image(name, image)
+        self._unvalidated = ()
 
     def get(self, divided: bool, slot: int, n: int) -> tuple:
         key = (divided, slot, n)
@@ -995,61 +1024,59 @@ class _ImagePowers:
         degree = max([codec.key_entry(k)[1] for k in acc], default=0)
         return list(acc.items()), carried, degree
 
+    def apply_residues(self, x: _Residues) -> _Residues:
+        """The image of x, residues of the source ring known to the
+        target's precision N everywhere, as substitute gives it: c times
+        the memo image of each monomial where the memo allows, the chain
+        of _substitute_into otherwise, reduced with its zeros at N dropped
+        and its precisions kept."""
+        self._validate()
+        target = self.target
+        p, N = target.modulus.p, target.modulus.N
+        monomial = self.source._codec.monomial
+        acc: Dict[int, int] = {}
+        precs: Dict[int, int] = {}
+        truncated = x.truncated
+        degree = 0
+        for k, r in x.terms.items():
+            mono = monomial(k)
+            image = self.image(mono)
+            if image is not None and (
+                    not image[1] or _residue_valuation(r, p) + image[1] < N):
+                for key, s in image[0]:
+                    acc[key] = acc.get(key, 0) + r * s
+                if image[2] > degree:
+                    degree = image[2]
+            else:
+                if _substitute_into([(mono, r, N)], self, acc, precs):
+                    truncated = True
+                degree = target.poly_degree_cap
+        return _Residues.reduced(target, acc, degree, truncated, precs)
 
-def substitute(
-    a: Element,
-    images: Mapping[str, Element],
-    target: Optional[RingSpec] = None,
-    *,
-    _powers: Optional[_ImagePowers] = None,
-) -> Element:
-    """Evaluate a under generator -> image.
 
-    Every generator of a's ring needs an image in one common target
-    ring.  Ordinary generators may go anywhere; divided-power
-    generators must land on elements admitting divided powers (each
-    term of weight >= 1 or with p-divisible coefficient), and
-    u^[n] |-> image^[n].
+def substitute(a: Element, f: RingMap) -> Element:
+    """f(a), for a in the source ring of the ring map f.
 
-    The terms are summed as packed residues by _substitute_into, which
-    the delta-ring check also calls; a coefficient of a is read at no more
-    than the target's precision N, mod p^N.  _powers, the image powers of
-    a FrobeniusLift, must belong to these images and target.
+    The terms are summed as packed residues by _substitute_into over the
+    image powers f keeps; a coefficient of a is read at no more than the
+    target's precision N, mod p^N.
     """
-    ring = a.ring
-    for name in images:
-        if not ring.has_gen(name):
-            raise UnknownGenerator(name)
-    for name in ring.all_gens():
-        if name not in images:
-            raise UnknownGenerator(f"no image for generator {name}")
-    for img in images.values():
-        if target is None:
-            target = img.ring
-        elif img.ring is not target and img.ring != target:
-            raise RingMismatch("images live in different rings")
-    if target is None:
-        if not a.is_constant():
-            raise RingMismatch("no target ring deducible")
-        target = ring
-    for name in ring.pd_gens:
-        validate_pd_image(name, images[name])
-    base = target.modulus
-    if ring.modulus.p != base.p:
-        raise RingMismatch("element and target of different primes")
-    powers = _powers if _powers is not None else _ImagePowers(ring, images, target)
+    if a.ring is not f.source and a.ring != f.source:
+        raise RingMismatch("element is not in the source ring of the map")
+    f._validate()
+    base = f.target.modulus
     q, N = base.cardinality, base.N
     acc: Dict[int, int] = {}
     precs: Dict[int, int] = {}
     truncated = _substitute_into(
         [(m, c.residue % q, min(c.modulus.N, N)) for m, c in a.terms.items()],
-        powers, acc, precs,
+        f, acc, precs,
     )
-    return _from_packed(target, acc, precs, truncated or a.truncated)
+    return _from_packed(f.target, acc, precs, truncated or a.truncated)
 
 
 def _substitute_into(
-    terms: list, powers: _ImagePowers, acc: Dict[int, int], precs: Dict[int, int]
+    terms: list, f: RingMap, acc: Dict[int, int], precs: Dict[int, int]
 ) -> bool:
     """Add the images of terms (monomial, residue, precision at most the
     target's) into acc and precs under the target's packed keys, as
@@ -1065,7 +1092,7 @@ def _substitute_into(
     to N adds nothing, so its image powers, and their truncation, are
     never formed.
     """
-    target = powers.target
+    target = f.target
     base = target.modulus
     p, N, q = base.p, base.N, base.cardinality
     codec = target._codec
@@ -1074,7 +1101,7 @@ def _substitute_into(
     for mono, r, n in terms:
         if n == N and r % q == 0:
             continue
-        factors, factors_low = powers.factors(mono)
+        factors, factors_low = f.factors(mono)
         # valuations matter only to a product with a coefficient below N
         valued = n != N or factors_low
         # the coefficient as a constant; a zero known below precision N

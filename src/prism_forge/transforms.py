@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -63,6 +62,7 @@ from .padic import Modulus, NotDivisible, Scalar
 from .pdpoly import (
     Element,
     Monomial,
+    RingMap,
     RingSpec,
     _Residues,
     div_p,
@@ -130,7 +130,8 @@ class RelativeFrobenius:
 
     images sends each generator of domain_ring (the primed copy) to an
     element of image_ring congruent to the p-th power of the matching
-    generator (matched by position).  zeta records the exact p-fold
+    generator (matched by position).  map is F as a ring map, which the
+    pullback and the zeta wedge apply.  zeta records the exact p-fold
     division of each coordinate differential of an image,
 
         zeta[x'][x] = p^{-1} * (d/dx) images[x'],
@@ -141,6 +142,7 @@ class RelativeFrobenius:
     domain_ring: RingSpec
     image_ring: RingSpec
     images: Dict[str, Element]
+    map: RingMap = field(init=False, repr=False, compare=False)
     zeta: Dict[str, Dict[str, Element]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -166,6 +168,7 @@ class RelativeFrobenius:
                 raise ValueError(
                     f"image of {gp!r} is not {g}^p mod p; not a relative Frobenius"
                 )
+        self.map = RingMap(dom, self.images, img)
         self.zeta = {}
         for gp in dom.ordinary_gens:
             row: Dict[str, Element] = {}
@@ -188,10 +191,6 @@ class RelativeFrobenius:
     def coordinate_pairs(self) -> List[Tuple[str, str]]:
         """(primed, unprimed) coordinate names, matched by position."""
         return list(zip(self.domain_ring.ordinary_gens, self.image_ring.ordinary_gens))
-
-    def pushforward(self, a: Element) -> Element:
-        """Substitute the images into an element of the primed ring."""
-        return substitute(a, self.images, target=self.image_ring)
 
     @staticmethod
     def primed_ring(ring: RingSpec) -> RingSpec:
@@ -250,7 +249,7 @@ def _pullback(
             c = coeff(xp, x)
             if c.is_zero():
                 continue
-            pushed = _e_map(lambda e: rf.pushforward(e) * c, pconn.matrix(xp))
+            pushed = _e_map(lambda e: substitute(e, rf.map) * c, pconn.matrix(xp))
             acc = _e_map(operator.add, acc, pushed)
         out[x] = acc
     return out
@@ -372,11 +371,12 @@ def _zeta_wedge(
     zeta: Mapping[str, Mapping[str, Element]],
     source: DeRhamComplex,
     target: DeRhamComplex,
-    pushforward: Callable[[Element], Element],
+    push: RingMap,
     scaled: bool,
 ) -> ChainMap:
-    """The chain map p^q * (q-fold zeta wedge) o pushforward in each
-    degree q, or the bare wedge when not scaled.
+    """The chain map p^q * (q-fold zeta wedge) o push in each degree q,
+    or the bare wedge when not scaled, for push a ring map from the
+    source's coefficient ring into the target's.
 
     zeta is keyed by the source coordinates, and its rows must already
     live in the target coefficient ring.  Each image enters the target
@@ -394,7 +394,7 @@ def _zeta_wedge(
     for q in range(len(gens) + 1):
         rows: SparseRows = [{} for _ in range(target.rank(q))]
         for col, (mono, slot, wedge) in enumerate(source.basis(q)):
-            base = pushforward(Element(source.connection.ring, {mono: one}))
+            base = substitute(Element(source.connection.ring, {mono: one}), push)
             if base.truncated:
                 raise WindowOverflow(
                     "pushforward left the image ring caps; raise poly_degree_cap"
@@ -460,7 +460,7 @@ def frobenius_comparison(
     source = build_p_derham(pconn, cap=window_cap)
     pulled = p_transform(f_transform(rf, pconn))
     target = build_p_derham(pulled, cap=rf.prime * window_cap)
-    return _zeta_wedge(rf.zeta, source, target, rf.pushforward, scaled=True)
+    return _zeta_wedge(rf.zeta, source, target, rf.map, scaled=True)
 
 
 @dataclass
@@ -598,7 +598,7 @@ def check_pcurvature_formula(
     img1 = rf.image_ring.at_precision(1)
     n = pconn.rank
     p = img1.modulus.p
-    theta_source, theta_pullback, images1 = _mod_p(rf, pconn, dom1, img1)
+    theta_source, theta_pullback, push = _mod_p(rf, pconn, dom1, img1)
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
     r_psi = {x: _e_map(_Residues.of, m) for x, m in psi.items()}
@@ -608,9 +608,7 @@ def check_pcurvature_formula(
         power = _e_map(_Residues.of, _e_identity(img1, n))
         for _ in range(p):
             power = _product(power, r_theta[x], "the matrix p-th power")
-        pulled = _e_map(
-            lambda e: _Residues.of(substitute(e, images1, target=img1)), theta_source[xp]
-        )
+        pulled = _e_map(lambda e: _Residues.of(substitute(e, push)), theta_source[xp])
         # psi = Theta^p - F(theta'), read as psi + F(theta') = Theta^p
         if _e_map(operator.add, r_psi[x], pulled) != power:
             failures.append(f"curvature formula fails in the coordinate {x}")
@@ -635,10 +633,10 @@ def check_pcurvature_formula(
 
 def _mod_p(
     rf: RelativeFrobenius, pconn: PConnection, dom1: RingSpec, img1: RingSpec
-) -> Tuple[Dict[str, EMatrix], Dict[str, EMatrix], Dict[str, Element]]:
+) -> Tuple[Dict[str, EMatrix], Dict[str, EMatrix], RingMap]:
     """theta' per primed coordinate, Theta = f_transform(rf, pconn) per
-    unprimed coordinate, and the images of F, all reduced mod p into
-    dom1 and img1, the precision-1 copies of the two rings."""
+    unprimed coordinate, and F, all reduced mod p into dom1 and img1, the
+    precision-1 copies of the two rings."""
     transformed = f_transform(rf, pconn)
     theta_source = {
         xp: _e_map(lambda e: e.map_to(dom1), pconn.matrix(xp))
@@ -648,8 +646,12 @@ def _mod_p(
         x: _e_map(lambda e: e.map_to(img1), transformed.matrix(x))
         for x in img1.ordinary_gens
     }
-    images1 = {gp: e.map_to(img1) for gp, e in rf.images.items()}
-    return theta_source, theta_pullback, images1
+    return theta_source, theta_pullback, _map_mod_p(rf, dom1, img1)
+
+
+def _map_mod_p(rf: RelativeFrobenius, dom1: RingSpec, img1: RingSpec) -> RingMap:
+    """F from dom1 into img1, the precision-1 copies of its rings."""
+    return RingMap(dom1, {gp: e.map_to(img1) for gp, e in rf.images.items()}, img1)
 
 
 # -- the Cartier identity --------------------------------------------------------
@@ -682,12 +684,12 @@ def cartier_identity_check(
             partial_derivative(fs[y], x), partial_derivative(fs[x], y)
         ):
             raise NotClosed(f"d omega has a nonzero dx_{x} dx_{y} component")
-    images1 = {gp: e.map_to(img1) for gp, e in rf.images.items()}
+    push = _map_mod_p(rf, dom1, img1)
     ok = True
     for xp, x in rf.coordinate_pairs():
         g = claimed.get(xp)
         g1 = img1.zero() if g is None else substitute(
-            g.map_to(dom1) if g.ring != dom1 else g, images1, target=img1
+            g.map_to(dom1) if g.ring != dom1 else g, push
         )
         rhs = fs[x]
         for _ in range(p - 1):
@@ -726,7 +728,7 @@ def check_pushforward_quasi_iso(
     """
     dom1 = rf.domain_ring.at_precision(1)
     img1 = rf.image_ring.at_precision(1)
-    theta_source, theta_pullback, images1 = _mod_p(rf, pconn, dom1, img1)
+    theta_source, theta_pullback, push = _mod_p(rf, pconn, dom1, img1)
     p = img1.modulus.p
     m = len(dom1.ordinary_gens)
     n = pconn.rank
@@ -761,7 +763,6 @@ def check_pushforward_quasi_iso(
         target_conn, cap=need, clip=True, windows=[shaped] * (m + 1)
     )
 
-    push = partial(substitute, images=images1, target=img1)
     qi = is_strict_quasi_iso(_zeta_wedge(zeta1, source, target, push, scaled=False))
     sdims = fp_cohomology_dims(source.complex)
     tdims = fp_cohomology_dims(target.complex)

@@ -1079,7 +1079,7 @@ def check_pcurvature_formula(rf, pconn):
     dom1 = rf.domain_ring.at_precision(1)
     img1 = rf.image_ring.at_precision(1)
     n = pconn.rank
-    theta_source, theta_pullback, images1 = _mod_p(rf, pconn, dom1, img1)
+    theta_source, theta_pullback, push = _mod_p(rf, pconn, dom1, img1)
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
     failures = []
@@ -1089,7 +1089,7 @@ def check_pcurvature_formula(rf, pconn):
             power = _e_mul(power, theta_pullback[x])
         _refuse_truncated(power, "the matrix p-th power")
         pulled = _e_map(
-            lambda e: substitute(e, images1, target=img1), theta_source[xp]
+            lambda e: substitute(e, push), theta_source[xp]
         )
         rhs = _e_map(operator.sub, power, pulled)
         if not _e_all(equal_reduced, psi[x], rhs):

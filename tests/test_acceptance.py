@@ -98,9 +98,9 @@ def test_criterion_02_envelope_fixtures():
     ring = pres.ring
     p = 2
     s, t = ring.gen("s"), ring.gen("t")
-    if not equal_reduced(pres.structural_images["x"], s.scale(p)):
+    if not equal_reduced(pres.structural.images["x"], s.scale(p)):
         problems.append("mixed: x does not go to p*s")
-    if not equal_reduced(pres.structural_images["y"], t.scale(p) + s**p):
+    if not equal_reduced(pres.structural.images["y"], t.scale(p) + s**p):
         problems.append("mixed: y does not go to p*t + s^p")
     if not divisible_by_p(pres.lift.images["s"] - s**p):
         problems.append("mixed: psi(s) != s^p mod p")

@@ -345,6 +345,18 @@ class TestScenarioChecks:
     def run(self, raw):
         return run_scenario(parse_scenario_dict(raw))
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_mixed_dimensions_read_no_frobenius_lift(self, p):
+        # at N = 2 the lift of the mixed envelope cannot be formed, but
+        # the dimensions never read it; the envelope check still fails
+        _, report, _ = self.run(minimal(prime=p, checks=[
+            {"name": "dimensions", "kind": "mixed"}, {"name": "envelope", "kind": "mixed"},
+        ]))
+        dims, env = report["checks"]
+        assert dims["passed"] and dims["dimensions"] == dims["predicted"]
+        assert env == {"name": "envelope", "passed": False, "error": "PrecisionExhausted",
+                       "message": "cannot drop 1 levels below precision 1"}
+
     def test_failing_expectation_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "expect.json"
@@ -506,9 +518,17 @@ class TestCheckParameters:
         ("W[x]", {"name": "ftransform", "rank": "2"}, "rank"),
         ("W[x]", {"name": "pcurvature", "theta": 1}, "theta"),
         ("W[x]", {"name": "cohomology", "expect": {"1": [1], "2": [1]}}, "expect"),
+        # each builds its ring with no divided powers: cohomology passed on
+        # a window without t, the others failed their check
+        ("W[x]<t>", {"name": "cohomology"}, "polynomial ring"),
+        ("W[x]<t>", {"name": "ftransform"}, "polynomial ring"),
+        ("W[x]<t>", {"name": "isogeny"}, "polynomial ring"),
+        ("W[x]<t>", {"name": "pcurvature"}, "polynomial ring"),
     ], ids=["dimensions-dilatation", "dimensions-mixd", "isogeny-windw",
             "poincare-vars", "ftransform-rank-text", "pcurvature-theta-number",
-            "cohomology-expect-degree"])
+            "cohomology-expect-degree", "cohomology-divided-powers",
+            "ftransform-divided-powers", "isogeny-divided-powers",
+            "pcurvature-divided-powers"])
     def test_refused_parameter_exits_two(self, ring, check, named, tmp_path, capsys):
         path, out = tmp_path / "refused.json", tmp_path / "refused.report.json"
         path.write_text(json.dumps(minimal(ring=ring, cut=["x"], checks=[check])))

@@ -380,7 +380,7 @@ def broken_square_lift(p, N):
     x = ring.gen("x")
     lift = FrobeniusLift(ring, {"x": x ** p})
     wrong = (x ** (2 * p)).scale(1 + p)
-    lift._powers._table[(False, 0, 2)] = (_pack(wrong, ring._codec, p, True), False, False)
+    lift.phi._table[(False, 0, 2)] = (_pack(wrong, ring._codec, p, True), False, False)
     return lift
 
 
@@ -567,15 +567,14 @@ class TestOnePassDelta:
             return real_chain(*args)
 
         monkeypatch.setattr(pdpoly, "_substitute_into", chain)
-        monkeypatch.setattr(deltaring, "_substitute_into", chain)
         formed = []
-        real_form = pdpoly._ImagePowers._form_image
+        real_form = pdpoly.RingMap._form_image
 
         def form(self, mono):
             formed.append(mono)
             return real_form(self, mono)
 
-        monkeypatch.setattr(pdpoly._ImagePowers, "_form_image", form)
+        monkeypatch.setattr(pdpoly.RingMap, "_form_image", form)
         for seed in (0, 1):
             report = check_delta_axioms(lift, samples=50, seed=seed)
             assert (report.checked, report.skipped, report.failures) == (50, 0, [])

@@ -52,8 +52,8 @@ class TestDilatation:
         pres = dilatation(CoordinateImmersion(power_lift(ring), ("x",)))
         assert pres.kind is EnvelopeKind.DILATATION
         assert pres.ring.ordinary_gens == ("y", "t")
-        assert pres.structural_images["x"].render() == "3*t"
-        assert pres.structural_images["y"].render() == "y"
+        assert pres.structural.images["x"].render() == "3*t"
+        assert pres.structural.images["y"].render() == "y"
         assert pres.relations == ("p*t = x",)
         assert pres.lift is None
         # no lift, nothing to check: the report is empty and passes
@@ -127,10 +127,10 @@ class TestPdEnvelope:
         base = poly_ring(3, 4, ("x", "y"))
         env = pd_envelope(base, ("x",))
         images = pd_section_images(base, env)
-        from prism_forge.pdpoly import substitute
+        from prism_forge.pdpoly import RingMap, substitute
 
         a = base.gen("x") ** 2 + base.gen("y")
-        img = substitute(a, images, target=env)
+        img = substitute(a, RingMap(base, images, env))
         # x^2 = 2! * x^[2] after the section
         assert img.render() == "2*x^[2] + y"
 
@@ -339,6 +339,31 @@ class TestDimensions:
             CoordinateImmersion(power_lift(ring), ("x",)), stages=2
         )
         assert mod_p_dimensions(stages, cap) == polynomial_dimensions(2, cap)
+
+    def test_builders_form_no_lift_until_it_is_read(self, monkeypatch):
+        from prism_forge import deltaring
+        from prism_forge.derham import envelope_p_connection
+
+        formed = []
+        real_init = deltaring.FrobeniusLift.__post_init__
+
+        def init(lift):
+            formed.append(lift.ring)
+            real_init(lift)
+
+        ring = poly_ring(3, 3, ("x", "y"), cap=12)
+        imm = CoordinateImmersion(power_lift(ring), ("x",))
+        monkeypatch.setattr(deltaring.FrobeniusLift, "__post_init__", init)
+        built = [prismatic_envelope_stages(imm, 2), prismatic_envelope_aligned(imm),
+                 two_gen_mixed_envelope(Modulus(3, 3)), dilatation(imm)]
+        for pres in built[:2]:
+            envelope_p_connection(pres)
+        # the mixed envelope's ambient lift is its input, not its lift
+        assert len(formed) == 1 and formed[0] != built[2].ring
+        for pres in built:
+            lift = pres.lift
+            assert pres.lift is lift
+        assert formed[1:] == [pres.ring for pres in built[:3]]
 
     def test_mixed_envelope_weighted_dimensions(self):
         # basis s^a t^[n], graded by a + p n since t carries weight p

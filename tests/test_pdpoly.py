@@ -10,6 +10,7 @@ from prism_forge.pdpoly import (
     Element,
     InvalidPdImage,
     Monomial,
+    RingMap,
     RingMismatch,
     RingSpec,
     UnknownGenerator,
@@ -40,6 +41,11 @@ from oracles import (
     scalar_mul,
 )
 from cases import SHAPES, elements, outcome, ring_of, vanishing_factor
+
+
+def substitute_by(a, images, target=None):
+    """a under generator -> image, through a ring map built for a's ring."""
+    return substitute(a, RingMap(a.ring, images, target))
 
 
 def ring_with_pd(p=3, N=4, ordinary=("x", "y"), pd=("u", "v"), poly_cap=20, pd_cap=10):
@@ -332,7 +338,7 @@ class TestLowPrecisionZeros:
             ring.constant(Scalar(0, Modulus(3, 2))),
             ring.monomial({"x": 1}, {"u": 1}, Scalar(0, Modulus(3, 2))),
         ):
-            out = substitute(zero, {g: ring.gen(g) for g in ring.all_gens()})
+            out = substitute_by(zero, {g: ring.gen(g) for g in ring.all_gens()})
             assert out.is_zero() and out.min_precision() == 2
 
     def test_divided_power_carries_them(self):
@@ -368,7 +374,7 @@ class TestCoefficientsPastThePrecision:
             ring.constant(Scalar(1, Modulus(2, 4)))
         other = RingSpec(("x",), (), Modulus(2, 2), 4, 0)
         with pytest.raises(RingMismatch):
-            substitute(other.zero(), {"x": ring.gen("x")})
+            RingMap(other, {"x": ring.gen("x")})
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -379,8 +385,8 @@ class TestCoefficientsPastThePrecision:
             N = a.ring.modulus.N
             target = a.ring.at_precision(data.draw(st.integers(1, max(N - 1, 1))))
             images = {g: img.map_to(target) for g, img in images.items()}
-        assert outcome(substitute, a, images, target) == outcome(
-            substitute, a.map_to(target), images, target)
+        assert outcome(substitute_by, a, images, target) == outcome(
+            substitute_by, a.map_to(target), images, target)
 
     def test_a_term_vanishing_at_the_target_precision_truncates_nothing(self):
         """x^2 with coefficient 4 is zero mod 2^2, so the cube of x's image,
@@ -389,9 +395,9 @@ class TestCoefficientsPastThePrecision:
         tgt = src.at_precision(2)
         a = src.monomial({"x": 2}, {}, 4)
         images = {"x": tgt.gen("x") ** 3}
-        got = substitute(a, images, tgt)
+        got = substitute_by(a, images, tgt)
         assert got.is_zero() and not got.truncated
-        assert outcome(substitute, a, images, tgt) == outcome(
+        assert outcome(substitute_by, a, images, tgt) == outcome(
             element_substitute, a, images, tgt)
 
 
@@ -405,25 +411,26 @@ class TestSubstitute:
             "u": ring.gen("u"),
             "v": ring.gen("v"),
         }
-        assert substitute(a, images) == ring.gen("y") ** 2 + ring.one()
+        assert substitute(a, RingMap(ring, images)) == ring.gen("y") ** 2 + ring.one()
 
     def test_missing_image_rejected(self):
         ring = ring_with_pd()
         with pytest.raises(UnknownGenerator):
-            substitute(ring.gen("x"), {"x": ring.gen("x")})
+            RingMap(ring, {"x": ring.gen("x")})
 
     def test_pd_image_validation(self):
         ring = ring_with_pd()
         images = {g: ring.gen(g) for g in ("x", "y", "v")}
         images["u"] = ring.gen("x")  # unit coefficient, weight zero
+        f = RingMap(ring, images)  # checked at the first application
         with pytest.raises(InvalidPdImage):
-            substitute(ring.pd_power("u", 2), images)
+            substitute(ring.pd_power("u", 2), f)
 
     def test_spec_example_p_times_w(self):
         ring = ring_with_pd()
         images = {g: ring.gen(g) for g in ("x", "y", "v")}
         images["u"] = ring.gen("x").scale(3)
-        out = substitute(ring.pd_power("u", 2), images)
+        out = substitute(ring.pd_power("u", 2), RingMap(ring, images))
         assert out == ring.monomial({"x": 2}, {}, 45)
 
 
@@ -454,8 +461,41 @@ class TestSubstituteAgainstElementPath:
     @example(vanishing_factor())
     def test_substitute_matches(self, case):
         a, images, target = case
-        got = outcome(substitute, a, images, target)
+        got = outcome(substitute_by, a, images, target)
         assert got == outcome(element_substitute, a, images, target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(substitution_cases(), st.data())
+    def test_one_map_applied_in_turn(self, case, data):
+        """One map applied to several elements of its source in turn gives
+        what a fresh map gives for each: the same terms in the same order,
+        precisions and truncation flag, or the same exception and message.
+        The element path agrees up to term order, which differs where a
+        zero at N drops out of its running sum and comes back later."""
+        a, images, target = case
+        f = RingMap(a.ring, images, target)
+        for b in [a] + data.draw(st.lists(elements(a.ring, max_exp=3, may_be_truncated=True),
+                                          min_size=1, max_size=4)):
+            assert ordered_outcome(substitute, b, f) == (
+                ordered_outcome(substitute_by, b, images, target))
+            assert outcome(substitute, b, f) == (
+                outcome(element_substitute, b, images, target))
+
+    def test_refuses_an_element_of_another_ring(self):
+        ring = ring_with_pd()
+        f = RingMap(ring, {g: ring.gen(g) for g in ring.all_gens()})
+        with pytest.raises(RingMismatch):
+            substitute(ring.at_precision(2).gen("x"), f)
+
+
+def ordered_outcome(fn, *args):
+    """The terms in order, (monomial, residue, precision) each, and the
+    truncation flag, or the class and message of the exception raised."""
+    try:
+        e = fn(*args)
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return [(m, c.residue, c.precision) for m, c in e.terms.items()], e.truncated
 
 
 class TestDerivatives:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from prism_forge import transforms
+from prism_forge import pdpoly, transforms
 from prism_forge.padic import Modulus, Scalar
 from prism_forge.pdpoly import (
-    Element, Monomial, RingSpec, equal_reduced, partial_derivative,
+    Element, Monomial, RingSpec, equal_reduced, partial_derivative, substitute,
 )
 from prism_forge.deltaring import FrobeniusLift
 from prism_forge.exprparse import parse_expression
@@ -106,7 +106,7 @@ class TestRelativeFrobenius:
     def test_pushforward_substitutes(self):
         rf = line_frobenius(2, 2)
         xp = rf.domain_ring.gen("xp")
-        assert rf.pushforward(xp**2) == rf.image_ring.gen("x") ** 4
+        assert substitute(xp**2, rf.map) == rf.image_ring.gen("x") ** 4
 
 
 class TestFTransform:
@@ -769,6 +769,33 @@ class TestPushforwardComparison:
             check_pushforward_quasi_iso(
                 rf, polynomial_p_connection(rf.domain_ring), 8
             )
+
+
+class TestOneMapPerComparison:
+    """The comparisons apply F through ring maps built once, so each
+    power of an image is formed once for all the substitutions."""
+
+    @pytest.mark.parametrize("check", [
+        lambda rf: check_frobenius_isogeny(rf, 1),
+        lambda rf: check_pushforward_quasi_iso(rf, polynomial_p_connection(rf.domain_ring), 2),
+    ], ids=["isogeny", "pushforward"])
+    def test_each_image_power_formed_once(self, check, monkeypatch):
+        formed, maps = [], []
+        real_get = pdpoly.RingMap.get
+
+        def get(self, divided, slot, n):
+            if (divided, slot, n) not in self._table:
+                # kept alive, so the ids of its images name its images
+                maps.append(self)
+                images = tuple(map(id, self.ordinary + self.pd))
+                formed.append((self.target, images, divided, slot, n))
+            return real_get(self, divided, slot, n)
+
+        monkeypatch.setattr(pdpoly.RingMap, "get", get)
+        rf = plane_frobenius(2, 3, cap=12, twist=True)
+        for _ in range(2):
+            assert check(rf).passed
+        assert formed and len(formed) == len(set(formed))
 
 
 class TestCotangent:
