@@ -65,7 +65,6 @@ from .transforms import (
     frobenius_comparison,
     isogeny_maps,
     p_curvature,
-    p_transform,
 )
 
 __version__ = "0.1.0"

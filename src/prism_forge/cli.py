@@ -169,9 +169,15 @@ class Scenario:
                         f"cohomology expect names degree {stray[0]!r};"
                         f" the complex of {self.ring_text} has degrees 0 to {top}"
                     )
-            if name == "poincare" and "vars" in chk:
-                pds = len(self.ring().pd_gens)
-                if pds and pds != params["vars"]:
+            if name == "poincare":
+                ring = self.ring()
+                if ring.ordinary_gens:
+                    raise ParseError(
+                        f"poincare reads a divided-power cell, and {self.ring_text}"
+                        " has ordinary generators"
+                    )
+                pds = len(ring.pd_gens)
+                if "vars" in chk and pds and pds != params["vars"]:
                     raise ParseError(
                         f"poincare vars {params['vars']} differs from the {pds}"
                         f" divided-power generator(s) of {self.ring_text}"
@@ -446,7 +452,7 @@ def _relative_frobenius(sc: Scenario, min_poly_cap: int) -> RelativeFrobenius:
         if not ring.ordinary_gens:
             raise ParseError("this check needs a polynomial ring")
         try:
-            sc.frobenius_maps[cap] = RelativeFrobenius.from_lift(sc.lift(ring))
+            sc.frobenius_maps[cap] = RelativeFrobenius(sc.lift(ring))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     return sc.frobenius_maps[cap]
@@ -650,7 +656,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # each one-shot subcommand: (help, default ring, takes --phi, takes --cut);
 # it runs the one check of its name, with a flag per parameter in PARAMS
 # but "expect", which only a scenario file gives.  poincare has no --ring:
-# it reads only a ring's divided powers, which --vars sets; it runs on W[x].
+# it reads only a ring's divided powers, which --vars sets; it runs on W.
 SUBCOMMANDS = {
     "envelope": ("present an envelope and check it", "W[x]", True, True),
     "cohomology": ("cohomology of a window complex", "W[x]", False, False),
@@ -668,7 +674,7 @@ def _run_single(args: argparse.Namespace) -> int:
         prime=args.prime,
         precision=args.precision,
         **{cap: getattr(args, cap) for cap in CAPS},
-        ring_text=getattr(args, "ring", "W[x]"),
+        ring_text=getattr(args, "ring", "W"),
         frobenius=tuple(getattr(args, "phi", None) or ()),
         cut=tuple(getattr(args, "cut", None) or ()),
         checks=(check,),

@@ -317,9 +317,6 @@ class Element:
     def ordinary_degree(self) -> int:
         return max((m.ordinary_degree for m in self.terms), default=0)
 
-    def pd_weight(self) -> int:
-        return max((m.pd_weight for m in self.terms), default=0)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "Element") -> None:

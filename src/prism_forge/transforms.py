@@ -6,8 +6,7 @@ differentials by p gives the contraction zeta(dx'_k) = p^{-1} d(F x'_k),
 the kernel of every comparison in this module:
 
   * the F-transform turns a p-connection on the primed side into an
-    honest connection on the unprimed side, and the p-transform scales
-    it back into a p-connection, recovering the pullback along F;
+    honest connection on the unprimed side;
   * scaling chain maps p^q / p^(m-q) exhibit the two window complexes
     as isogenous, and the zeta comparison map has cone killed by p^m;
   * mod p, the p-th power of a transformed connection operator is
@@ -26,9 +25,9 @@ precision refuse loudly rather than truncate silently.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .deltaring import FrobeniusLift
 from .derham import (
@@ -66,7 +65,6 @@ from .pdpoly import (
     RingSpec,
     _Residues,
     div_p,
-    divisible_by_p,
     equal_reduced,
     fresh_name,
     partial_derivative,
@@ -80,9 +78,6 @@ __all__ = [
     "WindowTooSmall",
     "RelativeFrobenius",
     "f_transform",
-    "p_transform",
-    "phi_pullback_matrices",
-    "pullback_factorization_failures",
     "isogeny_maps",
     "frobenius_comparison",
     "IsogenyReport",
@@ -110,69 +105,68 @@ class WindowTooSmall(ValueError):
     """The ring caps cannot hold the window a comparison needs."""
 
 
-def _overflow(context: str) -> WindowOverflow:
-    return WindowOverflow(
-        f"{context} left the coefficient ring caps; raise poly_degree_cap"
-    )
-
-
 def _refuse_truncated(a: EMatrix, context: str) -> None:
     if not _e_all(lambda x: not x.truncated, a):
-        raise _overflow(context)
+        raise WindowOverflow(
+            f"{context} left the coefficient ring caps; raise poly_degree_cap"
+        )
 
 
 # -- the relative Frobenius ----------------------------------------------------
 
 
-@dataclass
-class RelativeFrobenius:
-    """A Frobenius-like substitution between two coordinate polynomial rings.
+@dataclass(frozen=True)
+class FrobeniusModP:
+    """A relative Frobenius read mod p: both rings at precision 1, F
+    between them as a ring map, and zeta reduced mod p, keyed as
+    RelativeFrobenius.zeta."""
 
-    images sends each generator of domain_ring (the primed copy) to an
-    element of image_ring congruent to the p-th power of the matching
-    generator (matched by position).  map is F as a ring map, which the
-    pullback and the zeta wedge apply.  zeta records the exact p-fold
-    division of each coordinate differential of an image,
+    domain_ring: RingSpec
+    image_ring: RingSpec
+    map: RingMap
+    zeta: Dict[str, Dict[str, Element]]
+
+
+class RelativeFrobenius:
+    """The relative Frobenius F of a Frobenius lift on a polynomial ring.
+
+    F sends each generator of the primed copy domain_ring (primed_ring)
+    to the lift's image of the matching generator of image_ring; images
+    holds them by primed name, map is F as a ring map, and mod_p is F
+    read mod p.  zeta records the exact p-fold division of each nonzero
+    coordinate differential of an image,
 
         zeta[x'][x] = p^{-1} * (d/dx) images[x'],
 
     an element known to one digit less than the ambient precision.
+    FrobeniusLift has checked each image against g^p mod p, so a lift
+    that left a generator unchecked is refused, as are divided-power
+    rings and precision 1, where zeta has no digit left (ZetaUndefined).
     """
 
-    domain_ring: RingSpec
-    image_ring: RingSpec
-    images: Dict[str, Element]
-    map: RingMap = field(init=False, repr=False, compare=False)
-    zeta: Dict[str, Dict[str, Element]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        dom, img = self.domain_ring, self.image_ring
-        if dom.modulus != img.modulus:
-            raise ValueError("domain and image rings disagree on the modulus")
-        if dom.modulus.N < 2:
+    def __init__(self, lift: FrobeniusLift) -> None:
+        ring = lift.ring
+        if ring.pd_gens:
+            raise ValueError("relative Frobenius is defined on polynomial rings")
+        if lift.unchecked:
+            raise ValueError(
+                "relative Frobenius needs every image checked against g^p mod p;"
+                f" unchecked: {', '.join(sorted(lift.unchecked))}"
+            )
+        if ring.modulus.N < 2:
             raise ZetaUndefined(
                 "dividing the differential by p needs precision at least 2"
             )
-        if dom.pd_gens or img.pd_gens:
-            raise ValueError("relative Frobenius is defined on polynomial rings")
-        if len(dom.ordinary_gens) != len(img.ordinary_gens):
-            raise ValueError("coordinate counts differ")
-        p = dom.modulus.p
-        for gp, g in zip(dom.ordinary_gens, img.ordinary_gens):
-            if gp not in self.images:
-                raise ValueError(f"no image for coordinate {gp!r}")
-            e = self.images[gp]
-            if e.ring != img:
-                raise ValueError(f"image of {gp!r} lives in the wrong ring")
-            if not divisible_by_p(e - img.gen(g) ** p):
-                raise ValueError(
-                    f"image of {gp!r} is not {g}^p mod p; not a relative Frobenius"
-                )
-        self.map = RingMap(dom, self.images, img)
-        self.zeta = {}
+        dom = self.domain_ring = self.primed_ring(ring)
+        self.image_ring = ring
+        self.images: Dict[str, Element] = {
+            gp: lift.images[g] for gp, g in zip(dom.ordinary_gens, ring.ordinary_gens)
+        }
+        self.map = RingMap(dom, self.images, ring)
+        self.zeta: Dict[str, Dict[str, Element]] = {}
         for gp in dom.ordinary_gens:
             row: Dict[str, Element] = {}
-            for g in img.ordinary_gens:
+            for g in ring.ordinary_gens:
                 d = partial_derivative(self.images[gp], g)
                 if d.is_zero():
                     continue
@@ -183,6 +177,13 @@ class RelativeFrobenius:
                         f"d({gp})/d{g} is not divisible by p: {exc}"
                     ) from exc
             self.zeta[gp] = row
+        dom1, img1 = dom.at_precision(1), ring.at_precision(1)
+        images1 = {gp: e.map_to(img1) for gp, e in self.images.items()}
+        zeta1 = {
+            gp: {g: z.map_to(img1) for g, z in row.items()}
+            for gp, row in self.zeta.items()
+        }
+        self.mod_p = FrobeniusModP(dom1, img1, RingMap(dom1, images1, img1), zeta1)
 
     @property
     def prime(self) -> int:
@@ -205,19 +206,6 @@ class RelativeFrobenius:
             pd_degree_cap=ring.pd_degree_cap,
         )
 
-    @classmethod
-    def from_lift(cls, lift: FrobeniusLift) -> "RelativeFrobenius":
-        """Split a Frobenius lift into a map from a primed coordinate copy."""
-        ring = lift.ring
-        if ring.pd_gens:
-            raise ValueError("relative Frobenius is defined on polynomial rings")
-        domain = cls.primed_ring(ring)
-        images = {
-            name: lift.images[g]
-            for name, g in zip(domain.ordinary_gens, ring.ordinary_gens)
-        }
-        return cls(domain_ring=domain, image_ring=ring, images=images)
-
 
 def _require_canonical_twist(conn: PConnection, what: str) -> None:
     ring = conn.ring
@@ -230,29 +218,7 @@ def _require_canonical_twist(conn: PConnection, what: str) -> None:
         )
 
 
-# -- F-transform and p-transform ------------------------------------------------
-
-
-def _pullback(
-    rf: RelativeFrobenius,
-    pconn: PConnection,
-    coeff: Callable[[str, str], Element],
-) -> Dict[str, EMatrix]:
-    """sum_k F(A'[x'_k]) * coeff(x'_k, x) for each unprimed x.
-
-    Pairs where coeff is zero contribute nothing.
-    """
-    out: Dict[str, EMatrix] = {}
-    for x in rf.image_ring.ordinary_gens:
-        acc = _e_zero(rf.image_ring, pconn.rank)
-        for xp in rf.domain_ring.ordinary_gens:
-            c = coeff(xp, x)
-            if c.is_zero():
-                continue
-            pushed = _e_map(lambda e: substitute(e, rf.map) * c, pconn.matrix(xp))
-            acc = _e_map(operator.add, acc, pushed)
-        out[x] = acc
-    return out
+# -- the F-transform -------------------------------------------------------------
 
 
 def f_transform(rf: RelativeFrobenius, pconn: PConnection) -> PConnection:
@@ -265,79 +231,28 @@ def f_transform(rf: RelativeFrobenius, pconn: PConnection) -> PConnection:
         A[x] = sum_k F(A'[x'_k]) * zeta[x'_k][x].
 
     zeta carries one digit less than the ambient precision, so the
-    matrix entries of the result do too; scale by p (the p-transform)
-    to restore full precision.  A matrix the ring caps truncated, even
-    to zero, is refused with WindowOverflow; zero matrices are left out.
+    matrix entries of the result do too; p * A[x] is the matrix of the
+    pullback p-connection, sum_k F(A'[x'_k]) * d(F x'_k)/dx, at full
+    precision.  A matrix the ring caps truncated, even to zero, is
+    refused with WindowOverflow; zero matrices are left out.
     """
     if pconn.ring != rf.domain_ring:
         raise ValueError("p-connection does not live on the Frobenius domain")
     _require_canonical_twist(pconn, "the F-transform")
-    zero = rf.image_ring.zero()
-    pulled = _pullback(rf, pconn, lambda xp, x: rf.zeta[xp].get(x, zero))
-    for mat in pulled.values():
-        _refuse_truncated(mat, "the F-transform")
-    matrices = {x: m for x, m in pulled.items() if not _e_all(Element.is_zero, m)}
-    return polynomial_connection(rf.image_ring, rank=pconn.rank, matrices=matrices)
-
-
-def p_transform(conn: PConnection) -> PConnection:
-    """Scale a connection by p, turning d into the p-twisted d'."""
-    p = conn.ring.modulus.p
-    return PConnection(
-        ring=conn.ring,
-        coordinates=conn.coordinates,
-        gen_differentials={
-            g: {x: e.scale(p) for x, e in row.items()}
-            for g, row in conn.gen_differentials.items()
-        },
-        rank=conn.rank,
-        matrices={
-            x: _e_map(lambda e: e.scale(p), mat) for x, mat in conn.matrices.items()
-        },
-        weights=dict(conn.weights),
-    )
-
-
-def phi_pullback_matrices(
-    rf: RelativeFrobenius, pconn: PConnection
-) -> Dict[str, EMatrix]:
-    """Matrices of the pullback p-connection, full precision.
-
-    Contracting with the undivided Jacobian d(F x'_k)/dx instead of
-    zeta avoids the division by p, so these entries keep all digits.
-    """
-    if pconn.ring != rf.domain_ring:
-        raise ValueError("p-connection does not live on the Frobenius domain")
-    return _pullback(
-        rf, pconn, lambda xp, x: partial_derivative(rf.images[xp], x)
-    )
-
-
-def pullback_factorization_failures(
-    rf: RelativeFrobenius, pconn: PConnection
-) -> List[str]:
-    """Obstructions to p o F-transform = pullback, entry by entry.
-
-    The composite of the two transforms must reproduce the pullback
-    p-connection exactly: the twist rules become d'x = p dx and the
-    matrices match the Jacobian contraction at full precision.
-    """
-    composite = p_transform(f_transform(rf, pconn))
-    expected = phi_pullback_matrices(rf, pconn)
     img = rf.image_ring
-    failures = []
-    if not _twisted_by(composite, img.ordinary_gens, img.modulus.p):
-        failures.append("composite twist rule is not d'g = p dg")
+    matrices: Dict[str, EMatrix] = {}
     for x in img.ordinary_gens:
-        got, want = composite.matrix(x), expected[x]
-        for i, (got_row, want_row) in enumerate(zip(got, want)):
-            for j, (a, b) in enumerate(zip(got_row, want_row)):
-                if not equal_reduced(a, b):
-                    failures.append(
-                        f"matrix entry ({i},{j}) in d{x}: "
-                        f"{a.render()} vs {b.render()}"
-                    )
-    return failures
+        acc = _e_zero(img, pconn.rank)
+        for xp in rf.domain_ring.ordinary_gens:
+            z = rf.zeta[xp].get(x)
+            if z is None:
+                continue
+            pushed = _e_map(lambda e: substitute(e, rf.map) * z, pconn.matrix(xp))
+            acc = _e_map(operator.add, acc, pushed)
+        _refuse_truncated(acc, "the F-transform")
+        if not _e_all(Element.is_zero, acc):
+            matrices[x] = acc
+    return polynomial_connection(img, rank=pconn.rank, matrices=matrices)
 
 
 # -- the isogeny ---------------------------------------------------------------
@@ -372,20 +287,18 @@ def _zeta_wedge(
     source: DeRhamComplex,
     target: DeRhamComplex,
     push: RingMap,
-    scaled: bool,
 ) -> ChainMap:
-    """The chain map p^q * (q-fold zeta wedge) o push in each degree q,
-    or the bare wedge when not scaled, for push a ring map from the
-    source's coefficient ring into the target's.
+    """The chain map (q-fold zeta wedge) o push in each degree q, for
+    push a ring map from the source's coefficient ring into the target's.
 
     zeta is keyed by the source coordinates, and its rows must already
-    live in the target coefficient ring.  Each image enters the target
+    live in the target coefficient ring, at the precision the target
+    window reads.  Each image enters the target
     window by derham's _add_form rule.  A pushforward the caps truncated
     is refused first: the wedge skips zero components, so a base
     truncated to zero would leave no trace.
     """
     img = target.connection.ring
-    p = img.modulus.p
     rank = source.connection.rank
     gens = source.connection.coordinates
     coords = list(img.ordinary_gens)
@@ -421,46 +334,43 @@ def _zeta_wedge(
                 parts = new
             for held, comps in parts.items():
                 for i, e in enumerate(comps):
-                    e = e.scale(p ** q) if scaled and q else e
                     _add_form(rows, target._index[q], col, e, i, held, 1, False)
         pN = img.modulus.cardinality
         blocks.append([{j: x % pN for j, x in row.items() if x % pN} for row in rows])
     return ChainMap(source=source.complex, target=target.complex, rows=tuple(blocks))
 
 
-def frobenius_comparison(
-    rf: RelativeFrobenius,
-    window_cap: int,
-    pconn: Optional[PConnection] = None,
-) -> ChainMap:
+def frobenius_comparison(rf: RelativeFrobenius, window_cap: int) -> ChainMap:
     """Chain map from the primed twisted complex into the pushforward.
 
-    Degree q multiplies by p^q times the q-fold wedge of zeta after
-    substituting F, landing in the twisted window complex of the
-    pullback p-connection over a window of cap p * window_cap.  The
-    scaling restores the digit zeta loses, so the map is exact at full
-    precision; its cone measures the failure of the two complexes to
-    be equal, and is killed by p^(number of coordinates).
+    Degree q is the q-fold wedge of p * zeta after substituting F,
+    landing in the twisted window complex of the image ring, which is
+    the pullback of the trivial p-connection, over a window of cap
+    p * window_cap.  p * zeta is the Jacobian of F, known to full
+    precision, so the map is exact; its cone measures the failure of
+    the two complexes to be equal, and is killed by p^(number of
+    coordinates).
 
-    Coefficient bundles must be matrix-free here: a nonzero matrix
-    keeps polynomial degree while the staircase window shrinks, so the
-    window complex would not close under its differential.  Matrix
+    The coefficient bundle is the trivial line: a nonzero matrix keeps
+    polynomial degree while the staircase window shrinks, so the window
+    complex would not close under its differential.  Matrix
     coefficients are handled mod p by check_pushforward_quasi_iso.
     """
     dom, img = rf.domain_ring, rf.image_ring
-    if pconn is None:
-        pconn = polynomial_p_connection(dom)
+    p = rf.prime
     if dom.poly_degree_cap < window_cap:
         raise WindowTooSmall("domain ring caps are below the requested window")
-    if img.poly_degree_cap < rf.prime * window_cap:
+    if img.poly_degree_cap < p * window_cap:
         raise WindowTooSmall(
             "image ring caps cannot hold the pushforward window "
-            f"(need {rf.prime * window_cap})"
+            f"(need {p * window_cap})"
         )
-    source = build_p_derham(pconn, cap=window_cap)
-    pulled = p_transform(f_transform(rf, pconn))
-    target = build_p_derham(pulled, cap=rf.prime * window_cap)
-    return _zeta_wedge(rf.zeta, source, target, rf.map, scaled=True)
+    source = build_p_derham(polynomial_p_connection(dom), cap=window_cap)
+    target = build_p_derham(polynomial_p_connection(img), cap=p * window_cap)
+    jacobian = {
+        xp: {x: z.scale(p) for x, z in row.items()} for xp, row in rf.zeta.items()
+    }
+    return _zeta_wedge(jacobian, source, target, rf.map)
 
 
 @dataclass
@@ -471,13 +381,9 @@ class IsogenyReport:
     detail: str = ""
 
 
-def check_frobenius_isogeny(
-    rf: RelativeFrobenius,
-    window_cap: int,
-    pconn: Optional[PConnection] = None,
-) -> IsogenyReport:
+def check_frobenius_isogeny(rf: RelativeFrobenius, window_cap: int) -> IsogenyReport:
     """Cone of the comparison map is killed by p^m, m = coordinate count."""
-    c = frobenius_comparison(rf, window_cap, pconn)
+    c = frobenius_comparison(rf, window_cap)
     cone = mapping_cone(c)
     groups = all_cohomology(cone)
     m = len(rf.domain_ring.ordinary_gens)
@@ -594,11 +500,10 @@ def check_pcurvature_formula(
     p_curvature; the oracle in tests/oracles.py takes them one Element
     operation at a time.
     """
-    dom1 = rf.domain_ring.at_precision(1)
-    img1 = rf.image_ring.at_precision(1)
+    img1 = rf.mod_p.image_ring
     n = pconn.rank
     p = img1.modulus.p
-    theta_source, theta_pullback, push = _mod_p(rf, pconn, dom1, img1)
+    theta_source, theta_pullback = _mod_p(rf, pconn)
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
     r_psi = {x: _e_map(_Residues.of, m) for x, m in psi.items()}
@@ -608,7 +513,9 @@ def check_pcurvature_formula(
         power = _e_map(_Residues.of, _e_identity(img1, n))
         for _ in range(p):
             power = _product(power, r_theta[x], "the matrix p-th power")
-        pulled = _e_map(lambda e: _Residues.of(substitute(e, push)), theta_source[xp])
+        pulled = _e_map(
+            lambda e: _Residues.of(substitute(e, rf.mod_p.map)), theta_source[xp]
+        )
         # psi = Theta^p - F(theta'), read as psi + F(theta') = Theta^p
         if _e_map(operator.add, r_psi[x], pulled) != power:
             failures.append(f"curvature formula fails in the coordinate {x}")
@@ -632,11 +539,11 @@ def check_pcurvature_formula(
 
 
 def _mod_p(
-    rf: RelativeFrobenius, pconn: PConnection, dom1: RingSpec, img1: RingSpec
-) -> Tuple[Dict[str, EMatrix], Dict[str, EMatrix], RingMap]:
-    """theta' per primed coordinate, Theta = f_transform(rf, pconn) per
-    unprimed coordinate, and F, all reduced mod p into dom1 and img1, the
-    precision-1 copies of the two rings."""
+    rf: RelativeFrobenius, pconn: PConnection
+) -> Tuple[Dict[str, EMatrix], Dict[str, EMatrix]]:
+    """theta' per primed coordinate and Theta = f_transform(rf, pconn) per
+    unprimed coordinate, both reduced mod p into the rings of rf.mod_p."""
+    dom1, img1 = rf.mod_p.domain_ring, rf.mod_p.image_ring
     transformed = f_transform(rf, pconn)
     theta_source = {
         xp: _e_map(lambda e: e.map_to(dom1), pconn.matrix(xp))
@@ -646,12 +553,7 @@ def _mod_p(
         x: _e_map(lambda e: e.map_to(img1), transformed.matrix(x))
         for x in img1.ordinary_gens
     }
-    return theta_source, theta_pullback, _map_mod_p(rf, dom1, img1)
-
-
-def _map_mod_p(rf: RelativeFrobenius, dom1: RingSpec, img1: RingSpec) -> RingMap:
-    """F from dom1 into img1, the precision-1 copies of its rings."""
-    return RingMap(dom1, {gp: e.map_to(img1) for gp, e in rf.images.items()}, img1)
+    return theta_source, theta_pullback
 
 
 # -- the Cartier identity --------------------------------------------------------
@@ -672,8 +574,7 @@ def cartier_identity_check(
     omega.  Only closed forms have a Cartier image; closedness is
     checked first.
     """
-    img1 = rf.image_ring.at_precision(1)
-    dom1 = rf.domain_ring.at_precision(1)
+    dom1, img1 = rf.mod_p.domain_ring, rf.mod_p.image_ring
     p = img1.modulus.p
     fs = {
         x: (omega[x].map_to(img1) if x in omega else img1.zero())
@@ -684,12 +585,11 @@ def cartier_identity_check(
             partial_derivative(fs[y], x), partial_derivative(fs[x], y)
         ):
             raise NotClosed(f"d omega has a nonzero dx_{x} dx_{y} component")
-    push = _map_mod_p(rf, dom1, img1)
     ok = True
     for xp, x in rf.coordinate_pairs():
         g = claimed.get(xp)
         g1 = img1.zero() if g is None else substitute(
-            g.map_to(dom1) if g.ring != dom1 else g, push
+            g.map_to(dom1) if g.ring != dom1 else g, rf.mod_p.map
         )
         rhs = fs[x]
         for _ in range(p - 1):
@@ -726,9 +626,8 @@ def check_pushforward_quasi_iso(
     genuine quotient) and the wedge map is checked to be a
     quasi-isomorphism via its cone.
     """
-    dom1 = rf.domain_ring.at_precision(1)
-    img1 = rf.image_ring.at_precision(1)
-    theta_source, theta_pullback, push = _mod_p(rf, pconn, dom1, img1)
+    dom1, img1 = rf.mod_p.domain_ring, rf.mod_p.image_ring
+    theta_source, theta_pullback = _mod_p(rf, pconn)
     p = img1.modulus.p
     m = len(dom1.ordinary_gens)
     n = pconn.rank
@@ -749,10 +648,6 @@ def check_pushforward_quasi_iso(
         windows=[source_window] * (m + 1),
     )
 
-    zeta1 = {
-        xp: {x: z.map_to(img1) for x, z in row.items()}
-        for xp, row in rf.zeta.items()
-    }
     target_conn = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     shaped = [
         mono
@@ -763,7 +658,9 @@ def check_pushforward_quasi_iso(
         target_conn, cap=need, clip=True, windows=[shaped] * (m + 1)
     )
 
-    qi = is_strict_quasi_iso(_zeta_wedge(zeta1, source, target, push, scaled=False))
+    qi = is_strict_quasi_iso(
+        _zeta_wedge(rf.mod_p.zeta, source, target, rf.mod_p.map)
+    )
     sdims = fp_cohomology_dims(source.complex)
     tdims = fp_cohomology_dims(target.complex)
     detail = "" if qi.passed else qi.detail

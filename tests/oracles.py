@@ -1076,10 +1076,9 @@ def check_pcurvature_formula(rf, pconn):
         CurvatureData, CurvatureReport, _mod_p, _refuse_truncated,
     )
 
-    dom1 = rf.domain_ring.at_precision(1)
-    img1 = rf.image_ring.at_precision(1)
+    img1 = rf.mod_p.image_ring
     n = pconn.rank
-    theta_source, theta_pullback, push = _mod_p(rf, pconn, dom1, img1)
+    theta_source, theta_pullback = _mod_p(rf, pconn)
     conn1 = polynomial_connection(img1, rank=n, matrices=theta_pullback)
     psi = p_curvature(conn1)
     failures = []
@@ -1089,7 +1088,7 @@ def check_pcurvature_formula(rf, pconn):
             power = _e_mul(power, theta_pullback[x])
         _refuse_truncated(power, "the matrix p-th power")
         pulled = _e_map(
-            lambda e: substitute(e, push), theta_source[xp]
+            lambda e: substitute(e, rf.mod_p.map), theta_source[xp]
         )
         rhs = _e_map(operator.sub, power, pulled)
         if not _e_all(equal_reduced, psi[x], rhs):

@@ -58,7 +58,7 @@ def report(n: int, ok: bool, detail: str) -> None:
 def line_frobenius(p: int, N: int, cap: int) -> RelativeFrobenius:
     ring = RingSpec(("x",), (), Modulus(p, N), cap, 0)
     lift = FrobeniusLift(ring=ring, images={"x": ring.gen("x") ** p})
-    return RelativeFrobenius.from_lift(lift)
+    return RelativeFrobenius(lift)
 
 
 def test_criterion_01_delta_axioms():

@@ -419,9 +419,9 @@ class TestScenarioChecks:
             for t in thetas
         ]
         built, parsed = [], []
-        from_lift = RelativeFrobenius.from_lift
-        monkeypatch.setattr(RelativeFrobenius, "from_lift", classmethod(
-            lambda cls, lift: built.append(lift.ring.poly_degree_cap) or from_lift(lift)
+        init = RelativeFrobenius.__init__
+        monkeypatch.setattr(RelativeFrobenius, "__init__", (
+            lambda self, lift: built.append(lift.ring.poly_degree_cap) or init(self, lift)
         ))
         monkeypatch.setattr(cli, "parse_expression", lambda text, ring: (
             parsed.append(text) or parse_expression(text, ring)
@@ -479,7 +479,8 @@ class TestScenarioChecks:
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "isolated.json"
         path.write_text(json.dumps(minimal(checks=[
-            {"name": "cohomology"}, {"name": "explode"}, {"name": "poincare"},
+            {"name": "cohomology"}, {"name": "explode"},
+            {"name": "dimensions", "kind": "mixed"},
         ])))
         assert main(["run", str(path)]) == EXIT_CHECK
         out = capsys.readouterr().out
@@ -491,7 +492,7 @@ class TestScenarioChecks:
             "error": "RuntimeError", "message": "no such luck",
         }
         assert "RuntimeError: no such luck\nFAIL explode\n" in out
-        assert out.index("FAIL explode") < out.index("PASS poincare")
+        assert out.index("FAIL explode") < out.index("PASS dimensions")
 
     def test_a_parse_error_inside_a_check_still_exits_two(self, tmp_path, monkeypatch, capsys):
         def refuse(sc, params):
@@ -515,6 +516,9 @@ class TestCheckParameters:
         ("W[x,y]", {"name": "dimensions", "kind": "mixd"}, "kind"),
         ("W[x]", {"name": "isogeny", "windw": 40}, "windw"),
         ("W<t>", {"name": "poincare", "vars": 2}, "vars"),
+        # poincare read the cell of its vars and passed, whatever the ring
+        ("W[x,y]", {"name": "poincare"}, "ordinary generators"),
+        ("W[x]<t>", {"name": "poincare"}, "ordinary generators"),
         ("W[x]", {"name": "ftransform", "rank": "2"}, "rank"),
         ("W[x]", {"name": "pcurvature", "theta": 1}, "theta"),
         ("W[x]", {"name": "cohomology", "expect": {"1": [1], "2": [1]}}, "expect"),
@@ -525,7 +529,7 @@ class TestCheckParameters:
         ("W[x]<t>", {"name": "isogeny"}, "polynomial ring"),
         ("W[x]<t>", {"name": "pcurvature"}, "polynomial ring"),
     ], ids=["dimensions-dilatation", "dimensions-mixd", "isogeny-windw",
-            "poincare-vars", "ftransform-rank-text", "pcurvature-theta-number",
+            "poincare-vars", "poincare-polynomial-ring", "poincare-mixed-ring", "ftransform-rank-text", "pcurvature-theta-number",
             "cohomology-expect-degree", "cohomology-divided-powers",
             "ftransform-divided-powers", "isogeny-divided-powers",
             "pcurvature-divided-powers"])
@@ -575,7 +579,7 @@ class TestCheckParameters:
         assert not out.exists()
 
     def test_checks_that_read_no_cut_or_no_stages_are_not_refused(self):
-        parse_scenario_dict(minimal(ring="W[x]<t>", cut=["y", "y"], checks=[
+        parse_scenario_dict(minimal(ring="W<t>", cut=["y", "y"], checks=[
             {"name": "poincare"}, {"name": "envelope", "kind": "mixed"},
             {"name": "dimensions", "kind": "mixed"},
         ]))
@@ -602,7 +606,7 @@ class TestCheckParameters:
         (["envelope", "--cut", "x"],
          {"cut": ["x"], "checks": [{"name": "envelope", "kind": "stages"}]}),
         (["cohomology"], {"checks": [{"name": "cohomology", "complex": "pderham"}]}),
-        (["poincare"], {"checks": [{"name": "poincare", "vars": 1}]}),
+        (["poincare"], {"ring": "W", "checks": [{"name": "poincare", "vars": 1}]}),
         (["ftransform"], {"checks": [{"name": "ftransform", "window": 8, "rank": 1}]}),
         (["pcurvature"], {"checks": [{"name": "pcurvature", "theta": "1"}]}),
         (["axioms"], {"ring": "W[x,y]", "checks": [{"name": "axioms", "samples": 200}]}),

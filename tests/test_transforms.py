@@ -14,7 +14,7 @@ from prism_forge.padic import Modulus, Scalar
 from prism_forge.pdpoly import (
     Element, Monomial, RingSpec, equal_reduced, partial_derivative, substitute,
 )
-from prism_forge.deltaring import FrobeniusLift
+from prism_forge.deltaring import FrobeniusLift, NotAFrobeniusLift
 from prism_forge.exprparse import parse_expression
 from prism_forge.derham import (
     WindowOverflow,
@@ -43,9 +43,6 @@ from prism_forge.transforms import (
     frobenius_comparison,
     isogeny_maps,
     p_curvature,
-    p_transform,
-    phi_pullback_matrices,
-    pullback_factorization_failures,
 )
 
 import oracles
@@ -56,7 +53,7 @@ from oracles import mat_mul
 def line_frobenius(p, N, cap=30):
     ring = RingSpec(("x",), (), Modulus(p, N), cap, 0)
     lift = FrobeniusLift(ring=ring, images={"x": ring.gen("x") ** p})
-    return RelativeFrobenius.from_lift(lift)
+    return RelativeFrobenius(lift)
 
 
 def plane_frobenius(p, N, cap=12, twist=False):
@@ -66,7 +63,7 @@ def plane_frobenius(p, N, cap=12, twist=False):
         # phi(x) = x^p + p y stays a lift but gives zeta a cross term
         images["x"] = images["x"] + ring.gen("y").scale(p)
     lift = FrobeniusLift(ring=ring, images=images)
-    return RelativeFrobenius.from_lift(lift)
+    return RelativeFrobenius(lift)
 
 
 class TestRelativeFrobenius:
@@ -87,21 +84,35 @@ class TestRelativeFrobenius:
     def test_requires_two_digits(self):
         ring = RingSpec(("x",), (), Modulus(3, 1), 12, 0)
         with pytest.raises(ZetaUndefined, match="precision"):
-            RelativeFrobenius(
-                domain_ring=ring,
-                image_ring=ring,
-                images={"x": ring.gen("x") ** 3},
-            )
+            RelativeFrobenius(FrobeniusLift(ring, {"x": ring.gen("x") ** 3}))
 
     def test_rejects_non_frobenius_images(self):
+        # the lift refuses them before a relative Frobenius is formed
         ring = RingSpec(("x",), (), Modulus(3, 2), 12, 0)
-        primed = RingSpec(("u",), (), Modulus(3, 2), 12, 0)
-        with pytest.raises(ValueError, match="not a relative Frobenius"):
-            RelativeFrobenius(
-                domain_ring=primed,
-                image_ring=ring,
-                images={"u": ring.gen("x") ** 2},
-            )
+        with pytest.raises(NotAFrobeniusLift, match="not congruent"):
+            RelativeFrobenius(FrobeniusLift(ring, {"x": ring.gen("x") ** 2}))
+
+    def test_refuses_a_lift_with_unchecked_generators(self):
+        # x -> x^2 is no Frobenius at p = 3; unchecked, the lift keeps it
+        ring = RingSpec(("x", "y"), (), Modulus(3, 2), 12, 0)
+        images = {"x": ring.gen("x") ** 2, "y": ring.gen("y") ** 3}
+        lift = FrobeniusLift(ring, images, unchecked=frozenset({"x"}))
+        with pytest.raises(ValueError, match="unchecked: x"):
+            RelativeFrobenius(lift)
+
+    def test_mod_p_reads_the_map_and_zeta_at_precision_one(self):
+        rf = plane_frobenius(2, 3, twist=True)
+        low = rf.mod_p
+        assert low.domain_ring == rf.domain_ring.at_precision(1)
+        assert low.image_ring == rf.image_ring.at_precision(1)
+        # phi(x) = x^2 + 2y is x^2 mod 2
+        xp = low.domain_ring.gen("xp")
+        assert substitute(xp, low.map) == low.image_ring.gen("x") ** 2
+        assert low.zeta == {
+            gp: {g: z.map_to(low.image_ring) for g, z in row.items()}
+            for gp, row in rf.zeta.items()
+        }
+        assert equal_reduced(low.zeta["xp"]["y"], low.image_ring.one())
 
     def test_pushforward_substitutes(self):
         rf = line_frobenius(2, 2)
@@ -128,6 +139,18 @@ class TestFTransform:
             )
             want = rf.image_ring.gen("x") ** (p - 1)
             assert equal_reduced(conn.matrices["x"][0][0], want)
+
+    def test_factorization_through_the_pullback(self):
+        # p o F-transform = pullback, at full precision
+        rf = line_frobenius(3, 3)
+        dom = rf.domain_ring
+        fixtures = [
+            {},
+            {"xp": [[dom.one()]]},
+            {"xp": [[dom.gen("xp") ** 2]]},
+        ]
+        for mats in fixtures:
+            assert_p_theta_is_the_pullback(rf, polynomial_p_connection(dom, matrices=mats))
 
 
 # every entry point that reads Theta refuses the inputs f_transform refuses
@@ -240,42 +263,46 @@ class TestChecksReadTheTransform:
             assert not rep.passed
 
 
-class TestPTransform:
-    def test_scales_rules_and_matrices(self):
-        ring = RingSpec(("x",), (), Modulus(3, 3), 10, 0)
-        conn = polynomial_connection(ring, matrices={"x": [[ring.gen("x")]]})
-        scaled = p_transform(conn)
-        assert scaled.gen_differentials["x"]["x"] == ring.constant(3)
-        assert scaled.matrices["x"][0][0] == ring.gen("x").scale(3)
+def pullback_matrix(rf, pconn, x):
+    """sum_k F(A'[x'_k]) * d(F x'_k)/dx, the matrix in x of the pullback
+    of pconn along F, formed here from the images and the Jacobian."""
+    img, n = rf.image_ring, pconn.rank
+    out = [[img.zero()] * n for _ in range(n)]
+    for xp in rf.domain_ring.ordinary_gens:
+        jacobian = partial_derivative(rf.images[xp], x)
+        for i, row in enumerate(pconn.matrix(xp)):
+            for j, e in enumerate(row):
+                out[i][j] = out[i][j] + substitute(e, rf.map) * jacobian
+    return out
 
-    def test_factorization_through_the_pullback(self):
-        # p o F-transform = pullback, at full precision
-        rf = line_frobenius(3, 3)
-        dom = rf.domain_ring
-        fixtures = [
-            {},
-            {"xp": [[dom.one()]]},
-            {"xp": [[dom.gen("xp") ** 2]]},
-        ]
-        for mats in fixtures:
-            pc = polynomial_p_connection(dom, matrices=mats)
-            assert pullback_factorization_failures(rf, pc) == []
+
+def assert_p_theta_is_the_pullback(rf, pconn):
+    """p * Theta[x] equals pullback_matrix in every x, both known to N."""
+    theta, p, N = f_transform(rf, pconn), rf.prime, rf.image_ring.modulus.N
+    for x in rf.image_ring.ordinary_gens:
+        got = _e_map(lambda e: e.scale(p), theta.matrix(x))
+        want = pullback_matrix(rf, pconn, x)
+        assert _e_all(equal_reduced, got, want), x
+        assert _e_all(lambda a, b: a.min_precision() == b.min_precision() == N, got, want)
+
+
+class TestPTransform:
+    """p times the F-transform is the pullback p-connection along F."""
 
     def test_factorization_with_cross_terms(self):
         rf = plane_frobenius(2, 3, twist=True)
         dom = rf.domain_ring
         pc = polynomial_p_connection(dom, matrices={"xp": [[dom.gen("yp")]]})
-        assert pullback_factorization_failures(rf, pc) == []
+        assert_p_theta_is_the_pullback(rf, pc)
 
     def test_pullback_matrix_frozen(self):
         # theta' = dx', F = x^3: Jacobian contraction gives 3 x^2
         rf = line_frobenius(3, 3)
         dom = rf.domain_ring
-        mats = phi_pullback_matrices(
-            rf, polynomial_p_connection(dom, matrices={"xp": [[dom.one()]]})
-        )
+        pc = polynomial_p_connection(dom, matrices={"xp": [[dom.one()]]})
         want = (rf.image_ring.gen("x") ** 2).scale(3)
-        assert equal_reduced(mats["x"][0][0], want)
+        assert equal_reduced(pullback_matrix(rf, pc, "x")[0][0], want)
+        assert_p_theta_is_the_pullback(rf, pc)
 
 
 class TestIsogeny:
@@ -321,14 +348,6 @@ class TestIsogeny:
         assert rep.passed and rep.top_power == 1
         rep2 = check_frobenius_isogeny(plane_frobenius(2, 3, cap=8), 1)
         assert rep2.passed and rep2.top_power == 2
-
-    def test_comparison_with_rank_two_bundle(self):
-        # matrix-free higher rank; nonzero matrices cannot respect a
-        # staircase window at full precision
-        rf = line_frobenius(2, 3, cap=10)
-        pc = polynomial_p_connection(rf.domain_ring, rank=2)
-        rep = check_frobenius_isogeny(rf, 2, pc)
-        assert rep.passed
 
     def test_window_too_small(self):
         rf = line_frobenius(2, 2, cap=4)
