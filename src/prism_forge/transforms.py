@@ -292,11 +292,11 @@ def _zeta_wedge(
     push a ring map from the source's coefficient ring into the target's.
 
     zeta is keyed by the source coordinates, and its rows must already
-    live in the target coefficient ring, at the precision the target
-    window reads.  Each image enters the target
-    window by derham's _add_form rule.  A pushforward the caps truncated
-    is refused first: the wedge skips zero components, so a base
-    truncated to zero would leave no trace.
+    live in the target coefficient ring, known to the precision the
+    target window reads.  Each image enters the target window by
+    derham's _add_form rule.  A pushforward the caps truncated is
+    refused first: the wedge skips zero components, so a base truncated
+    to zero would leave no trace.
     """
     img = target.connection.ring
     rank = source.connection.rank
