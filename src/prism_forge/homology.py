@@ -556,21 +556,17 @@ class QuasiIsoReport:
 def fp_cohomology_dims(cx: FiniteComplex) -> List[int]:
     """dim_Fp H^q(cx tensor F_p) for each degree, lowest first.
 
-    The reduction of cx mod p is a complex over Z/p, whose cohomology
-    groups have one exponent per dimension.
+    It is n_q - rank d^q - rank d^(q-1) over F_p, each rank the pivot
+    count of one _eliminate of the rows reduced mod p.  cx checked
+    d o d = 0 mod p^N, which implies it mod p.
     """
     p = cx.modulus.p
-    mod_p = FiniteComplex(
-        modulus=Modulus(p, 1),
-        min_degree=cx.min_degree,
-        ranks=cx.ranks,
-        differentials=tuple(
-            [{j: x % p for j, x in row.items() if x % p} for row in d]
-            for d in cx.differentials
-        ),
-    )
-    return [len(cohomology(mod_p, q).exponents)
-            for q in range(cx.min_degree, cx.max_degree + 1)]
+    ranks = []
+    for d in cx.differentials:
+        reduced = [{j: x % p for j, x in row.items() if x % p} for row in d]
+        ranks.append(len(_eliminate(reduced, p, p)))
+    dims = zip(cx.ranks, ranks + [0], [0] + ranks)
+    return [n - r_out - r_in for n, r_out, r_in in dims]
 
 
 def is_strict_quasi_iso(f: ChainMap) -> QuasiIsoReport:

@@ -1,9 +1,9 @@
 """Frobenius comparisons between twisted and untwisted de Rham theories.
 
 A relative Frobenius F substitutes p-th-power-like images for the
-coordinates of a second copy of the base ring.  Dividing its coordinate
-differentials by p gives the contraction zeta(dx'_k) = p^{-1} d(F x'_k),
-the kernel of every comparison in this module:
+coordinates of a second copy of the base ring.  It keeps its Jacobian
+d(F x'_k), and dividing that by p gives the contraction
+zeta(dx'_k) = p^{-1} d(F x'_k), the kernel of every comparison here:
 
   * the F-transform turns a p-connection on the primed side into an
     honest connection on the unprimed side;
@@ -19,14 +19,15 @@ the kernel of every comparison in this module:
 
 Everything is assembled on explicit monomial windows and verified at
 the stated precision; constructions that would leave a window or lose
-precision refuse loudly rather than truncate silently.
+precision refuse loudly rather than truncate silently.  The comparison
+maps and p-curvature run on pdpoly's packed residues.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .deltaring import FrobeniusLift
@@ -57,12 +58,13 @@ from .homology import (
     mapping_cone,
 )
 from .envelopes import _cut
-from .padic import Modulus, NotDivisible, Scalar
+from .padic import Modulus, NotDivisible, PrecisionExhausted, Scalar
 from .pdpoly import (
     Element,
     Monomial,
     RingMap,
     RingSpec,
+    _product_into,
     _Residues,
     div_p,
     equal_reduced,
@@ -133,12 +135,11 @@ class RelativeFrobenius:
     F sends each generator of the primed copy domain_ring (primed_ring)
     to the lift's image of the matching generator of image_ring; images
     holds them by primed name, map is F as a ring map, and mod_p is F
-    read mod p.  zeta records the exact p-fold division of each nonzero
-    coordinate differential of an image,
+    read mod p.  jacobian[x'][x] = (d/dx) images[x'] holds each nonzero
+    coordinate differential of an image, and zeta its exact p-fold
+    division zeta[x'][x] = p^{-1} * jacobian[x'][x], known to one digit
+    less than the ambient precision.
 
-        zeta[x'][x] = p^{-1} * (d/dx) images[x'],
-
-    an element known to one digit less than the ambient precision.
     FrobeniusLift has checked each image against g^p mod p, so a lift
     that left a generator unchecked is refused, as are divided-power
     rings and precision 1, where zeta has no digit left (ZetaUndefined).
@@ -163,20 +164,20 @@ class RelativeFrobenius:
             gp: lift.images[g] for gp, g in zip(dom.ordinary_gens, ring.ordinary_gens)
         }
         self.map = RingMap(dom, self.images, ring)
-        self.zeta: Dict[str, Dict[str, Element]] = {}
-        for gp in dom.ordinary_gens:
-            row: Dict[str, Element] = {}
-            for g in ring.ordinary_gens:
-                d = partial_derivative(self.images[gp], g)
-                if d.is_zero():
-                    continue
-                try:
-                    row[g] = div_p(d)
-                except NotDivisible as exc:
-                    raise ZetaUndefined(
-                        f"d({gp})/d{g} is not divisible by p: {exc}"
-                    ) from exc
-            self.zeta[gp] = row
+        primed = dom.ordinary_gens
+        self.jacobian: Dict[str, Dict[str, Element]] = {gp: {} for gp in primed}
+        self.zeta: Dict[str, Dict[str, Element]] = {gp: {} for gp in primed}
+        for gp, g in product(primed, ring.ordinary_gens):
+            d = partial_derivative(self.images[gp], g)
+            if d.is_zero():
+                continue
+            self.jacobian[gp][g] = d
+            try:
+                self.zeta[gp][g] = div_p(d)
+            except NotDivisible as exc:
+                raise ZetaUndefined(
+                    f"d({gp})/d{g} is not divisible by p: {exc}"
+                ) from exc
         dom1, img1 = dom.at_precision(1), ring.at_precision(1)
         images1 = {gp: e.map_to(img1) for gp, e in self.images.items()}
         zeta1 = {
@@ -282,6 +283,15 @@ def isogeny_maps(cx: FiniteComplex, cx_p: FiniteComplex) -> Tuple[ChainMap, Chai
     )
 
 
+def _read_at_n(r: _Residues, what: str) -> _Residues:
+    """r, unless the caps truncated it or a residue is known below N."""
+    if r.truncated:
+        raise WindowOverflow(f"{what} left the image ring caps; raise poly_degree_cap")
+    if r.precs:
+        raise PrecisionExhausted(f"{what} is known only mod p^{r.min_precision()}")
+    return r
+
+
 def _zeta_wedge(
     zeta: Mapping[str, Mapping[str, Element]],
     source: DeRhamComplex,
@@ -291,51 +301,41 @@ def _zeta_wedge(
     """The chain map (q-fold zeta wedge) o push in each degree q, for
     push a ring map from the source's coefficient ring into the target's.
 
-    zeta is keyed by the source coordinates, and its rows must already
-    live in the target coefficient ring, known to the precision the
-    target window reads.  Each image enters the target window by
-    derham's _add_form rule.  A pushforward the caps truncated is
-    refused first: the wedge skips zero components, so a base truncated
-    to zero would leave no trace.
+    zeta is keyed by the source coordinates, its rows in the target ring.
+    A form e_slot dx_wedge maps to one component per target wedge, in its
+    slot, summed on packed residues by _product_into from push's memoized
+    image of the monomial and zeta, read once per call.  Both are read at
+    the target's precision N, so an entry the caps truncated or known
+    below N is refused.  Components enter by derham's _add_form rule.
     """
-    img = target.connection.ring
-    rank = source.connection.rank
+    src, img = source.connection.ring, target.connection.ring
     gens = source.connection.coordinates
-    coords = list(img.ordinary_gens)
-    one = Scalar(1, source.connection.ring.modulus)
+    zetas = [[_read_at_n(_Residues.of(zeta[g][x]), f"zeta[{g}][{x}]")
+              if x in zeta[g] else None for x in img.ordinary_gens] for g in gens]
+    one, pN = Scalar(1, src.modulus), img.modulus.cardinality
     blocks: List[SparseRows] = []
     for q in range(len(gens) + 1):
         rows: SparseRows = [{} for _ in range(target.rank(q))]
+        index = target._index[q]
         for col, (mono, slot, wedge) in enumerate(source.basis(q)):
-            base = substitute(Element(source.connection.ring, {mono: one}), push)
-            if base.truncated:
-                raise WindowOverflow(
-                    "pushforward left the image ring caps; raise poly_degree_cap"
-                )
-            parts: Dict[Tuple[int, ...], List[Element]] = {(): [img.zero()] * rank}
-            parts[()][slot] = base
+            base = push.apply_residues(_Residues.of(Element(src, {mono: one})))
+            parts = {(): _read_at_n(base, "pushforward")}
             for k in wedge:
-                new: Dict[Tuple[int, ...], List[Element]] = {}
-                for held, comps in parts.items():
-                    for l, x in enumerate(coords):
-                        z = zeta[gens[k]].get(x)
+                sums: Dict[Tuple[int, ...], _Residues] = {}
+                for held, part in parts.items():
+                    for l, z in enumerate(zetas[k]):
                         if z is None or l in held:
                             continue
-                        sign = -1 if sum(1 for t in held if t > l) % 2 else 1
                         grown = tuple(sorted(held + (l,)))
-                        bucket = new.setdefault(grown, [img.zero()] * rank)
-                        for i in range(rank):
-                            if comps[i].is_zero():
-                                continue
-                            piece = comps[i] * z
-                            bucket[i] = (
-                                bucket[i] + piece if sign > 0 else bucket[i] - piece
-                            )
-                parts = new
-            for held, comps in parts.items():
-                for i, e in enumerate(comps):
-                    _add_form(rows, target._index[q], col, e, i, held, 1, False)
-        pN = img.modulus.cardinality
+                        s = sums.setdefault(grown, _Residues(img, {}, 0, False))
+                        sign = -1 if sum(1 for t in held if t > l) % 2 else 1
+                        if _product_into(part, z, sign, s.terms) or part.truncated:
+                            s.truncated = True
+                        s.degree = max(s.degree, part.degree + z.degree)
+                parts = {h: _Residues.reduced(img, s.terms, s.degree, s.truncated)
+                         for h, s in sums.items()}
+            for held, part in parts.items():
+                _add_form(rows, index, col, part.element(), slot, held, 1, False)
         blocks.append([{j: x % pN for j, x in row.items() if x % pN} for row in rows])
     return ChainMap(source=source.complex, target=target.complex, rows=tuple(blocks))
 
@@ -346,10 +346,10 @@ def frobenius_comparison(rf: RelativeFrobenius, window_cap: int) -> ChainMap:
     Degree q is the q-fold wedge of p * zeta after substituting F,
     landing in the twisted window complex of the image ring, which is
     the pullback of the trivial p-connection, over a window of cap
-    p * window_cap.  p * zeta is the Jacobian of F, known to full
-    precision, so the map is exact; its cone measures the failure of
-    the two complexes to be equal, and is killed by p^(number of
-    coordinates).
+    p * window_cap.  p * zeta is the Jacobian of F (rf.jacobian), known
+    to full precision, so the map is exact; its cone measures the
+    failure of the two complexes to be equal, and is killed by
+    p^(number of coordinates).
 
     The coefficient bundle is the trivial line: a nonzero matrix keeps
     polynomial degree while the staircase window shrinks, so the window
@@ -367,10 +367,7 @@ def frobenius_comparison(rf: RelativeFrobenius, window_cap: int) -> ChainMap:
         )
     source = build_p_derham(polynomial_p_connection(dom), cap=window_cap)
     target = build_p_derham(polynomial_p_connection(img), cap=p * window_cap)
-    jacobian = {
-        xp: {x: z.scale(p) for x, z in row.items()} for xp, row in rf.zeta.items()
-    }
-    return _zeta_wedge(jacobian, source, target, rf.map)
+    return _zeta_wedge(rf.jacobian, source, target, rf.map)
 
 
 @dataclass
@@ -658,18 +655,13 @@ def check_pushforward_quasi_iso(
         target_conn, cap=need, clip=True, windows=[shaped] * (m + 1)
     )
 
-    qi = is_strict_quasi_iso(
-        _zeta_wedge(rf.mod_p.zeta, source, target, rf.mod_p.map)
-    )
-    sdims = fp_cohomology_dims(source.complex)
-    tdims = fp_cohomology_dims(target.complex)
-    detail = "" if qi.passed else qi.detail
+    qi = is_strict_quasi_iso(_zeta_wedge(rf.mod_p.zeta, source, target, rf.mod_p.map))
     return ComparisonReport(
         passed=qi.passed,
-        source_dims=sdims,
-        target_dims=tdims,
+        source_dims=fp_cohomology_dims(source.complex),
+        target_dims=fp_cohomology_dims(target.complex),
         quasi_iso=qi,
-        detail=detail,
+        detail=qi.detail,
     )
 
 

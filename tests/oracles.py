@@ -719,6 +719,27 @@ def snf_cohomology(cx, q):
     return CohomologyGroup(modulus, tuple(sorted(out)))
 
 
+
+def fp_cohomology_dims(cx):
+    """dim_Fp H^q(cx tensor F_p) for each degree, lowest first: the
+    number of exponents of each cohomology group of the reduction of cx
+    mod p, a complex over Z/p."""
+    from prism_forge.homology import FiniteComplex, cohomology
+    from prism_forge.padic import Modulus
+
+    p = cx.modulus.p
+    mod_p = FiniteComplex(
+        modulus=Modulus(p, 1),
+        min_degree=cx.min_degree,
+        ranks=cx.ranks,
+        differentials=tuple(
+            [{j: x % p for j, x in row.items() if x % p} for row in d]
+            for d in cx.differentials
+        ),
+    )
+    return [len(cohomology(mod_p, q).exponents)
+            for q in range(cx.min_degree, cx.max_degree + 1)]
+
 # ---------------------------------------------------------------------------
 # Helpers no library code calls: the order-m divided differential operator,
 # the weighted degree of a monomial, p^n/n! at full precision, the
@@ -1139,3 +1160,56 @@ def jacobson_psi(a: List[int], p: int) -> List[int]:
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def zeta_wedge(zeta, source, target, push):
+    """The chain map (q-fold zeta wedge) o push of transforms._zeta_wedge,
+    one Element operation at a time: each basis form carries one
+    component per module slot, the pushed-forward monomial is
+    substitute's, and each product is an Element product.  A pushforward
+    the caps truncated is refused first, as the library refuses it."""
+    from prism_forge.derham import WindowOverflow, _add_form
+    from prism_forge.homology import ChainMap
+    from prism_forge.padic import Scalar
+    from prism_forge.pdpoly import Element, substitute
+
+    img = target.connection.ring
+    rank = source.connection.rank
+    gens = source.connection.coordinates
+    coords = list(img.ordinary_gens)
+    one = Scalar(1, source.connection.ring.modulus)
+    blocks = []
+    for q in range(len(gens) + 1):
+        rows = [{} for _ in range(target.rank(q))]
+        for col, (mono, slot, wedge) in enumerate(source.basis(q)):
+            base = substitute(Element(source.connection.ring, {mono: one}), push)
+            if base.truncated:
+                raise WindowOverflow(
+                    "pushforward left the image ring caps; raise poly_degree_cap"
+                )
+            parts = {(): [img.zero()] * rank}
+            parts[()][slot] = base
+            for k in wedge:
+                new = {}
+                for held, comps in parts.items():
+                    for l, x in enumerate(coords):
+                        z = zeta[gens[k]].get(x)
+                        if z is None or l in held:
+                            continue
+                        sign = -1 if sum(1 for t in held if t > l) % 2 else 1
+                        grown = tuple(sorted(held + (l,)))
+                        bucket = new.setdefault(grown, [img.zero()] * rank)
+                        for i in range(rank):
+                            if comps[i].is_zero():
+                                continue
+                            piece = comps[i] * z
+                            bucket[i] = (
+                                bucket[i] + piece if sign > 0 else bucket[i] - piece
+                            )
+                parts = new
+            for held, comps in parts.items():
+                for i, e in enumerate(comps):
+                    _add_form(rows, target._index[q], col, e, i, held, 1, False)
+        pN = img.modulus.cardinality
+        blocks.append([{j: x % pN for j, x in row.items() if x % pN} for row in rows])
+    return ChainMap(source=source.complex, target=target.complex, rows=tuple(blocks))

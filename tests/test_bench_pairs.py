@@ -70,6 +70,30 @@ def test_summary_gives_attempted_quartiles_without_wins():
     assert "attempted" not in bench_pairs.summarize(runs, BETTER)["a"]
 
 
+def test_rss_slope_against_attempted_over_both_sides():
+    # every run on 20 MB + 2 KB per check; the after side attempts more
+    # checks, so its peak RSS crosses the bound by memory kept per check
+    runs = []
+    for seed, (b, a) in enumerate(((1000, 2000), (1500, 2500), (2000, 3000)), 1):
+        runs += [run("w", seed, "before", 10.0, 20.0 + b * 2 / 1024),
+                 run("w", seed, "after", 12.0, 20.0 + a * 2 / 1024)]
+        runs[-2]["attempted"], runs[-1]["attempted"] = b, a
+    summary = bench_pairs.summarize(runs, BETTER, {"peak_rss_mb": 0.05})
+    rss = summary["w"]["peak_rss_mb"]
+    assert rss["rss_kb_per_check"] == pytest.approx(2.0)
+    assert bench_pairs.bound_crossings(summary) == [
+        "over bound: w peak_rss_mb 22.93 -> 24.88 (+8.5%, lower is better); "
+        "2.00 KB per check attempted"
+    ]
+    # no count, or the same count on every run: no slope
+    for attempted in (None, 500):
+        for r in runs:
+            r.pop("attempted", None)
+            if attempted:
+                r["attempted"] = attempted
+        assert "rss_kb_per_check" not in bench_pairs.summarize(runs, BETTER)["w"]["peak_rss_mb"]
+
+
 BOUNDS = {"checks_per_s": 0.25, "peak_rss_mb": 0.1}
 
 

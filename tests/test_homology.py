@@ -26,6 +26,7 @@ from prism_forge.homology import (
     zero_matrix,
 )
 
+import oracles
 from oracles import (
     det_int,
     fp_rank,
@@ -440,6 +441,15 @@ class TestSparseDifferentials:
             r_in = fp_rank(dense(d_in, cx.rank(q - 1)), p) if d_in is not None else 0
             want.append(cx.rank(q) - r_out - r_in)
         assert fp_cohomology_dims(cx) == want
+
+    @pytest.mark.parametrize("min_degree", [-1, 0])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fp_dims_match_the_mod_p_cohomology(self, min_degree, data):
+        # the rank count against the exponents of the mod-p copy's
+        # cohomology; cones start at -1, window complexes at 0
+        cx = data.draw(random_complexes(min_degree=min_degree))
+        assert fp_cohomology_dims(cx) == oracles.fp_cohomology_dims(cx)
 
     @pytest.mark.parametrize("ranks,diffs,match", [
         ((1, 2), ([{0: 1}],), "row count"),

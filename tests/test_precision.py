@@ -297,6 +297,20 @@ class TestRelativeFrobeniusAgainstHigherN:
                 assert disagreements(got[x], want[x]) == [], x
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(frobenius_cases())
+    def test_jacobian_is_p_times_zeta(self, case):
+        # term for term, each known to N: the isogeny reads it in place of
+        # rescaling zeta on every call
+        p, N, gens, twists, _ = case
+        rf = relative_frobenius(p, N, gens, twists)
+        for xp in rf.domain_ring.ordinary_gens:
+            assert rf.jacobian[xp].keys() == rf.zeta[xp].keys()
+            for x, jac in rf.jacobian[xp].items():
+                assert jac.terms == rf.zeta[xp][x].scale(p).terms
+                assert all(c.precision == N for c in jac.terms.values())
+
+
 def theta_disagreements(p, N, twists, theta):
     """disagreements of Theta[x] and Theta[y] on W[x,y], at N and N + EXTRA."""
     gens = ("x", "y")

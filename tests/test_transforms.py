@@ -4,13 +4,14 @@ import itertools
 import operator
 import random
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from prism_forge import pdpoly, transforms
-from prism_forge.padic import Modulus, Scalar
+from prism_forge.padic import Modulus, PrecisionExhausted, Scalar
 from prism_forge.pdpoly import (
     Element, Monomial, RingSpec, equal_reduced, partial_derivative, substitute,
 )
@@ -789,6 +790,116 @@ class TestPushforwardComparison:
                 rf, polynomial_p_connection(rf.domain_ring), 8
             )
 
+
+
+def wedge_outcome(fn, *args):
+    """The rows of the chain map fn returned, or the class and message of
+    what it raised."""
+    try:
+        return fn(*args).rows
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def wedge_pairs(check, *args):
+    """Run check(*args) with each _zeta_wedge call also given to the
+    oracle's element wedge: (library outcome, oracle outcome) per call."""
+    calls = []
+    real = transforms._zeta_wedge
+
+    def both(*wedge_args):
+        calls.append((wedge_outcome(real, *wedge_args),
+                      wedge_outcome(oracles.zeta_wedge, *wedge_args)))
+        return real(*wedge_args)
+
+    with mock.patch.object(transforms, "_zeta_wedge", both):
+        try:
+            check(*args)
+        except (ArithmeticError, ValueError):
+            if not calls:
+                raise
+    return calls
+
+
+@st.composite
+def wedge_frobenius(draw, primes=(2, 3), precisions=(2, 3)):
+    """(relative Frobenius, window): phi(g) = g^p + p*h_g on W[x] or W[x,y]
+    with h_g a random integer polynomial of degree at most p + 1, or none,
+    and caps that hold the pushforward window and some F-transform.  Past
+    degree p, d(h_g) leaves the windows the wedge maps into."""
+    p, N = draw(st.sampled_from(primes)), draw(st.sampled_from(precisions))
+    gens = draw(st.sampled_from((("x",), ("x", "y"))))
+    window = draw(st.integers(1, 3))
+    cap = len(gens) * (p - 1) + p * window + 2 * p
+    ring = RingSpec(gens, (), Modulus(p, N), cap, 0)
+    images = {}
+    for g in gens:
+        h = {}
+        if draw(st.booleans()):
+            for _ in range(draw(st.integers(1, 2))):
+                exps = tuple(draw(st.integers(0, p + 1)) for _ in gens)
+                if sum(exps) <= p + 1:
+                    h[Monomial(exps, ())] = Scalar(draw(st.integers(1, 30)), ring.modulus)
+        images[g] = ring.gen(g) ** p + Element(ring, h).scale(p)
+    return RelativeFrobenius(FrobeniusLift(ring, images)), window
+
+
+class TestZetaWedgeAgainstOracle:
+    """The wedge on packed residues, one component per form, against the
+    element wedge of tests/oracles.py that carries one per module slot:
+    the same rows, or the same refusal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wedge_frobenius())
+    def test_isogeny_comparison(self, case):
+        rf, window = case
+        calls = wedge_pairs(frobenius_comparison, rf, window)
+        assert len(calls) == 1
+        got, want = calls[0]
+        event("refused" if isinstance(want[0], type) else "rows")
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(wedge_frobenius(), st.integers(1, 3), st.data())
+    def test_pushforward_comparison(self, case, rank, data):
+        # a matrix in x' alone, with entries in x' alone, is integrable
+        rf, window = case
+        dom = rf.domain_ring
+        xp = dom.ordinary_gens[0]
+
+        def entry():
+            e = data.draw(elements(dom, max_exp=1))
+            return Element(dom, {m: c for m, c in e.terms.items() if not any(m.ordinary[1:])})
+
+        amat = [[entry() for _ in range(rank)] for _ in range(rank)]
+        pconn = polynomial_p_connection(dom, rank=rank, matrices={xp: amat})
+        calls = wedge_pairs(check_pushforward_quasi_iso, rf, pconn, window)
+        assert len(calls) == 1
+        got, want = calls[0]
+        event("refused" if isinstance(want[0], type) else "rows")
+        assert got == want
+
+    def test_zeta_known_below_n_is_refused(self):
+        # zeta is known to N - 1; the isogeny reads p * zeta, known to N
+        rf = line_frobenius(3, 2, cap=12)
+        source = build_p_derham(polynomial_p_connection(rf.domain_ring), cap=1)
+        target = build_p_derham(polynomial_p_connection(rf.image_ring), cap=3)
+        with pytest.raises(PrecisionExhausted, match=r"zeta\[xp\]\[x\] is known only mod p\^1"):
+            transforms._zeta_wedge(rf.zeta, source, target, rf.map)
+        assert transforms._zeta_wedge(rf.jacobian, source, target, rf.map).rows == (
+            frobenius_comparison(rf, 1).rows
+        )
+
+    def test_pushforward_known_below_n_is_refused(self):
+        # x' -> x^3 with its coefficient known mod 3 only, in a ring mod 9
+        rf = line_frobenius(3, 2, cap=12)
+        img = rf.image_ring
+        low = Element(img, {Monomial((3,), ()): Scalar(1, Modulus(3, 1))})
+        push = pdpoly.RingMap(rf.domain_ring, {"xp": low}, img)
+        source = build_p_derham(polynomial_p_connection(rf.domain_ring), cap=1)
+        target = build_p_derham(polynomial_p_connection(img), cap=3)
+        with pytest.raises(PrecisionExhausted, match="pushforward is known only mod p\\^1"):
+            transforms._zeta_wedge(rf.jacobian, source, target, push)
 
 class TestOneMapPerComparison:
     """The comparisons apply F through ring maps built once, so each

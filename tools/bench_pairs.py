@@ -19,7 +19,8 @@ side won and the change of the median, flagged over_bound where it goes
 the worse way by more than the metric's bound, and unresolved where the
 before side's own interquartile spread is wider than that bound, unless
 every after run beats every before run; each flagged metric is printed
-at the end.  It is rewritten after every run, so what was measured
+at the end, a peak RSS with the slope of peak RSS against the checks a
+run attempted (rss_kb_per_check), which perfbench's kept outputs set.  It is rewritten after every run, so what was measured
 survives an interruption.  A workload that BENCHMARK.json does not
 declare is refused before anything is exported, and a run that reports
 a wrong output or a failed operation stops the comparison.  Standard
@@ -96,7 +97,9 @@ def summarize(runs: List[dict], better: Dict[str, str],
     bound from none, unless every after run beats every before run.
     Under "attempted", each side's quartiles of the checks a run
     attempted, with no win count: perfbench keeps every check's output,
-    so peak_rss_mb reads against that count."""
+    so peak_rss_mb reads against that count.  Its entry then gains
+    rss_kb_per_check, the least-squares slope of peak_rss_mb against
+    attempted over every run of both sides, in KB per check."""
     bounds = bounds or {}
     by_key: Dict[Tuple[str, int], Dict[str, dict]] = {}
     for run in runs:
@@ -136,15 +139,29 @@ def summarize(runs: List[dict], better: Dict[str, str],
                 side: quartiles([s[side]["attempted"] for s in pairs]) for side in SIDES
             }
             per_metric["attempted"]["pairs"] = len(pairs)
+            if "peak_rss_mb" in per_metric:
+                runs_both = [s[side] for s in pairs for side in SIDES]
+                try:
+                    fit = statistics.linear_regression(
+                        [r["attempted"] for r in runs_both],
+                        [r["metrics"]["peak_rss_mb"] for r in runs_both])
+                except statistics.StatisticsError:  # every run attempted as many
+                    pass
+                else:
+                    per_metric["peak_rss_mb"]["rss_kb_per_check"] = fit.slope * 1024
         if per_metric:
             out[workload] = per_metric
     return out
 
 
 def bound_crossings(summary: Dict[str, dict]) -> List[str]:
-    """One line per workload and metric that summarize flagged over_bound."""
+    """One line per workload and metric that summarize flagged over_bound,
+    with the workload's rss_kb_per_check where it has one, so that memory
+    kept per check reads apart from a change in memory per run."""
     return [f"over bound: {workload} {metric} {m['before']['median']:.4g} -> "
             f"{m['after']['median']:.4g} ({m['change']:+.1%}, {m['better']} is better)"
+            + (f"; {m['rss_kb_per_check']:.2f} KB per check attempted"
+               if "rss_kb_per_check" in m else "")
             for workload, metrics in summary.items()
             for metric, m in metrics.items() if m.get("over_bound")]
 
