@@ -719,7 +719,6 @@ def snf_cohomology(cx, q):
     return CohomologyGroup(modulus, tuple(sorted(out)))
 
 
-
 def fp_cohomology_dims(cx):
     """dim_Fp H^q(cx tensor F_p) for each degree, lowest first: the
     number of exponents of each cohomology group of the reduction of cx
@@ -739,6 +738,7 @@ def fp_cohomology_dims(cx):
     )
     return [len(cohomology(mod_p, q).exponents)
             for q in range(cx.min_degree, cx.max_degree + 1)]
+
 
 # ---------------------------------------------------------------------------
 # Helpers no library code calls: the order-m divided differential operator,

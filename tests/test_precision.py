@@ -296,7 +296,6 @@ class TestRelativeFrobeniusAgainstHigherN:
             if not drops_terms(low, high, first, x):
                 assert disagreements(got[x], want[x]) == [], x
 
-
     @settings(max_examples=100, deadline=None)
     @given(frobenius_cases())
     def test_jacobian_is_p_times_zeta(self, case):

@@ -791,7 +791,6 @@ class TestPushforwardComparison:
             )
 
 
-
 def wedge_outcome(fn, *args):
     """The rows of the chain map fn returned, or the class and message of
     what it raised."""
@@ -900,6 +899,7 @@ class TestZetaWedgeAgainstOracle:
         target = build_p_derham(polynomial_p_connection(img), cap=3)
         with pytest.raises(PrecisionExhausted, match="pushforward is known only mod p\\^1"):
             transforms._zeta_wedge(rf.jacobian, source, target, push)
+
 
 class TestOneMapPerComparison:
     """The comparisons apply F through ring maps built once, so each
